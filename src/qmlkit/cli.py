@@ -166,8 +166,12 @@ def _cmd_grover(args, rng, warnings):
         if not 0 <= index < 2**args.bits:
             raise DomainError(f"marked index {index} out of range for {args.bits} bits")
     marked_set = frozenset(marked)
+    marked_array = np.array(marked)
     oracle = grover.SignOracle(
-        args.bits, lambda x: x in marked_set, marked_count_hint=len(marked_set)
+        args.bits,
+        lambda x: x in marked_set,
+        marked_count_hint=len(marked_set),
+        predicate_vectorized=lambda xs: np.isin(xs, marked_array),
     )
     result = grover.grover_search(oracle, rng, iterations=args.iterations)
     results = {

@@ -1,10 +1,13 @@
 """Grover search over black-box sign oracles.
 
 The oracle is conceptually a diagonal gate flipping the amplitude sign of
-marked inputs; searches apply that sign flip amplitude-wise in O(2^n) per
-round and never materialize the diagonal above ``ORACLE_MATRIX_CAP`` bits.
-The inversion around the mean is likewise applied arithmetically (every
-amplitude is reflected about the current mean amplitude).
+marked inputs; the diagonal is never materialized above
+``ORACLE_MATRIX_CAP`` bits.  Searches do not apply the rounds one by one:
+with k of N = 2^n inputs marked, oracle and inversion around the mean keep
+the state in span{|marked>, |unmarked>}, where each round is a rotation by
+2*theta with sin(theta) = sqrt(k/N) (Boyer, Brassard, Hoyer and Tapp,
+arXiv:quant-ph/9605034).  The final state after any number of rounds is
+therefore built directly in O(2^n) time.
 """
 from __future__ import annotations
 
@@ -89,30 +92,51 @@ def default_iterations(n_bits: int, marked_count: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt(2**n_bits / marked_count)))
 
 
+def _amplified_amplitudes(marked: np.ndarray, rounds: int) -> np.ndarray:
+    """Real amplitudes after ``rounds`` Grover rounds from the uniform state,
+    in the closed form ``grover_search`` documents.  The k = 0 and k = N
+    branches avoid dividing by a zero marked or unmarked count."""
+    dim = marked.size
+    k = int(np.count_nonzero(marked))
+    if k == 0:
+        return np.full(dim, 1.0 / math.sqrt(dim))
+    if k == dim:
+        return np.full(dim, (-1.0) ** rounds / math.sqrt(dim))
+    angle = (2 * rounds + 1) * math.asin(math.sqrt(k / dim))
+    return np.where(
+        marked, math.sin(angle) / math.sqrt(k), math.cos(angle) / math.sqrt(dim - k)
+    )
+
+
 def grover_search(
     o: SignOracle, rng: RngStream, iterations: int | None = None
 ) -> GroverResult:
     """Uniform superposition, ``iterations`` rounds of oracle + inversion
     around the mean, then a full measurement.
 
+    The rounds are not simulated one at a time: the final state is built in
+    closed form in O(2^n), whatever the round count.  With k of N inputs
+    marked and theta = asin(sqrt(k/N)), each marked amplitude is
+    sin((2r+1)theta)/sqrt(k) and each unmarked one cos((2r+1)theta)/sqrt(N-k).
+    With nothing marked the state stays uniform and ``success_probability``
+    is 0; with everything marked the amplitudes are (-1)^r/sqrt(N) and
+    ``success_probability`` is 1.
+
     With no iteration count given, uses the optimum for the oracle's
-    ``marked_count_hint`` (assumed 1 when absent).  An unmarked measured
-    index is reported, never raised: with nothing marked the state stays
-    uniform and ``success_probability`` is 0.
+    ``marked_count_hint`` (assumed 1 when absent).  A negative count is a
+    ``DomainError``.  An unmarked measured index is reported, never raised.
     """
     n = o.n_bits
-    dim = 2**n
     if iterations is None:
         iterations = default_iterations(n, o.marked_count_hint or 1)
-    signs = o.signs()
-    amps = np.full(dim, 1.0 / math.sqrt(dim))
-    for _ in range(iterations):
-        amps = signs * amps
-        amps = 2.0 * amps.mean() - amps
+    if iterations < 0:
+        raise DomainError(f"Grover round count must be >= 0, got {iterations}")
+    marked = o.signs() < 0
+    amps = _amplified_amplitudes(marked, iterations)
     probs = amps**2
     measured = rng.choice(probs / probs.sum())
     final = StateVector(n, amps / np.linalg.norm(amps))
-    success = float(probs[signs < 0].sum())
+    success = float(probs[marked].sum())
     return GroverResult(
         measured_index=measured,
         iterations_used=iterations,

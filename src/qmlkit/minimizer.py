@@ -107,14 +107,17 @@ def minimize(
 ) -> MinimizeResult:
     """Find the global minimum of ``f`` with high probability.
 
-    Runs a fixed budget of main iterations (default ``ceil(4.5 * sqrt(2^n))``)
-    and returns the best input seen, including the random starting point.
+    Runs a fixed budget of main iterations (default ``ceil(4.5 * sqrt(2^n))``;
+    a negative budget is a ``DomainError``) and returns the best input seen,
+    including the random starting point.
     The per-iteration Grover round count is drawn uniformly from [0, m) with
     the window m starting at 1, growing by 8/7 on every failed iteration up
     to sqrt(2^n), and resetting to 1 on every accepted improvement.
     """
     n = f.n_bits
     budget = default_budget(n) if max_main_iterations is None else int(max_main_iterations)
+    if budget < 0:
+        raise DomainError(f"main-iteration budget must be >= 0, got {budget}")
     best_x = rng.randint(2**n)
     best_y = float(f.eval(best_x))
     window = 1

@@ -47,8 +47,9 @@ class StateVector:
             raise DomainError(
                 f"amplitude vector has shape {amps.shape}, expected ({2**n},)"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        norm_sq = float(np.vdot(amps, amps).real)
+        # Written so that a NaN norm fails the comparison and is rejected.
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise DomainError(f"state not normalized: sum |c_i|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)

@@ -102,7 +102,49 @@ class TestExitCodes:
         assert report["config"]["seed"] == 99
 
 
+    def test_negative_grover_iterations(self, capsys):
+        code, report = cli.run(["grover", "--bits", "4", "--marked", "3", "--iterations", "-3"])
+        assert code == 1 and report is None
+        assert "error: Grover round count must be >= 0, got -3" in capsys.readouterr().err
+
+    def test_negative_minimize_budget(self, capsys):
+        code, report = cli.run(["minimize", "--objective", "builtin:demo3", "--budget", "-1"])
+        assert code == 1 and report is None
+        assert "error: main-iteration budget must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_zero_minimize_budget(self):
+        report = run_ok(["minimize", "--objective", "builtin:demo3", "--budget", "0"])
+        assert report["results"]["main_iterations"] == 0
+        assert report["results"]["trace"] == []
+
+
 class TestSubcommands:
+    def test_grover_twenty_bits(self):
+        report = run_ok(["grover", "--bits", "20", "--marked", "777", "--seed", "3"])
+        results = report["results"]
+        rounds = results["iterations"]
+        assert rounds == 804
+        angle = math.asin(math.sqrt(1 / 2**20))
+        expected = math.sin((2 * rounds + 1) * angle) ** 2
+        assert abs(results["success_probability"] - expected) <= 1e-9
+        assert "amplitudes" not in results
+
+    def test_grover_vectorized_oracle_matches_predicate(self, monkeypatch):
+        seen = []
+        search = cli.grover.grover_search
+
+        def capture(oracle, rng, iterations=None):
+            seen.append(oracle)
+            return search(oracle, rng, iterations=iterations)
+
+        monkeypatch.setattr(cli.grover, "grover_search", capture)
+        run_ok(["grover", "--bits", "6", "--marked", "63,0,17,17,40"])
+        (oracle,) = seen
+        inputs = np.arange(2**6)
+        vectorized = np.asarray(oracle.predicate_vectorized(inputs), dtype=bool)
+        assert vectorized.tolist() == [oracle.predicate(int(x)) for x in inputs]
+        assert set(np.flatnonzero(vectorized)) == {0, 17, 40, 63}
+
     def test_minimize_builtin(self):
         report = run_ok(["minimize", "--objective", "builtin:demo3", "--seed", "5"])
         assert report["results"]["argmin_bits"] == "100"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qmlkit.errors import ConfigError
+from qmlkit import minimizer
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.grover import (
+    GroverResult,
     SignOracle,
     default_iterations,
     diffusion,
@@ -12,6 +14,7 @@ from qmlkit.grover import (
     oracle_gate,
 )
 from qmlkit.rng import RngStream
+from qmlkit.state import StateVector
 
 SQRT2 = math.sqrt(2)
 
@@ -19,6 +22,42 @@ SQRT2 = math.sqrt(2)
 def rotation_law(n_bits: int, marked: int, rounds: int) -> float:
     angle = math.asin(math.sqrt(marked / 2**n_bits))
     return math.sin((2 * rounds + 1) * angle) ** 2
+
+
+def _reference_grover(
+    o: SignOracle, rng: RngStream, iterations: int | None = None
+) -> GroverResult:
+    """Slow reference for ``grover_search``: simulates every round as an
+    oracle sign flip followed by inversion around the mean."""
+    n = o.n_bits
+    dim = 2**n
+    if iterations is None:
+        iterations = default_iterations(n, o.marked_count_hint or 1)
+    signs = o.signs()
+    amps = np.full(dim, 1.0 / math.sqrt(dim))
+    for _ in range(iterations):
+        amps = signs * amps
+        amps = 2.0 * amps.mean() - amps
+    probs = amps**2
+    measured = rng.choice(probs / probs.sum())
+    final = StateVector(n, amps / np.linalg.norm(amps))
+    success = float(probs[signs < 0].sum())
+    return GroverResult(
+        measured_index=measured,
+        iterations_used=iterations,
+        final_state=final,
+        success_probability=success,
+    )
+
+
+def _set_oracle(n_bits: int, marked: np.ndarray) -> SignOracle:
+    members = frozenset(int(x) for x in marked)
+    return SignOracle(
+        n_bits,
+        lambda x: x in members,
+        marked_count_hint=len(members),
+        predicate_vectorized=lambda xs: np.isin(xs, marked),
+    )
 
 
 class TestOracleGate:
@@ -125,3 +164,76 @@ class TestSearch:
                 oracle, RngStream(0), iterations=overcooked_rounds
             ).success_probability
             assert overcooked < best
+
+    def test_negative_round_count_rejected(self):
+        oracle = SignOracle(3, lambda x: x == 1, marked_count_hint=1)
+        with pytest.raises(DomainError, match="-2"):
+            grover_search(oracle, RngStream(0), iterations=-2)
+
+
+class TestAgainstReference:
+    """The closed-form kernel against the per-round loop it replaced."""
+
+    @staticmethod
+    def _marked_counts(n: int, gen: np.random.Generator) -> list[int]:
+        dim = 2**n
+        if n <= 6:
+            return list(range(dim + 1))
+        sample = gen.choice(np.arange(4, dim - 3), size=6, replace=False)
+        return sorted({0, 1, 2, 3, dim // 2, dim - 3, dim - 2, dim - 1, dim, *map(int, sample)})
+
+    def test_amplitudes_and_draws_agree(self):
+        gen = np.random.default_rng(31)
+        for n in range(1, 11):
+            dim = 2**n
+            for k in self._marked_counts(n, gen):
+                oracle = _set_oracle(n, np.sort(gen.choice(dim, size=k, replace=False)))
+                best = default_iterations(n, k)
+                overcooked = round(math.pi / 2 * math.sqrt(dim / max(k, 1)))
+                for rounds in {0, 1, best, best + 2, overcooked}:
+                    seed = int(gen.integers(2**32))
+                    fast = grover_search(oracle, RngStream(seed), iterations=rounds)
+                    slow = _reference_grover(oracle, RngStream(seed), iterations=rounds)
+                    assert np.max(
+                        np.abs(fast.final_state.amps - slow.final_state.amps)
+                    ) <= 1e-9, (n, k, rounds)
+                    assert fast.success_probability == pytest.approx(
+                        slow.success_probability, abs=1e-9
+                    )
+                    assert fast.measured_index == slow.measured_index
+                    assert fast.iterations_used == slow.iterations_used == rounds
+
+    def test_worked_values_agree(self):
+        cases = [
+            (SignOracle(2, lambda x: x == 2, marked_count_hint=1), 1, [0, 0, 1, 0]),
+            (
+                SignOracle(3, lambda x: x == 1, marked_count_hint=1),
+                2,
+                [-SQRT2 / 16] + [11 * SQRT2 / 16] + [-SQRT2 / 16] * 6,
+            ),
+        ]
+        for oracle, rounds, expected in cases:
+            fast = grover_search(oracle, RngStream(0), iterations=rounds)
+            slow = _reference_grover(oracle, RngStream(0), iterations=rounds)
+            assert np.max(np.abs(fast.final_state.amps - slow.final_state.amps)) <= 1e-12
+            assert np.max(np.abs(fast.final_state.amps - expected)) <= 1e-12
+            assert abs(fast.success_probability - slow.success_probability) <= 1e-12
+
+    def test_default_rounds_agree(self):
+        oracle = _set_oracle(9, np.array([17, 200, 311]))
+        for seed in range(20):
+            fast = grover_search(oracle, RngStream(seed))
+            slow = _reference_grover(oracle, RngStream(seed))
+            assert fast.iterations_used == slow.iterations_used == default_iterations(9, 3)
+            assert fast.measured_index == slow.measured_index
+
+    @pytest.mark.parametrize("n_bits, seed", [(10, 4), (12, 8)])
+    def test_minimize_trace_unchanged(self, monkeypatch, n_bits, seed):
+        table = np.random.default_rng(seed).normal(size=2**n_bits)
+        objective = minimizer.ObjectiveFn.from_table(table)
+        fast = minimizer.minimize(objective, RngStream(seed))
+        monkeypatch.setattr(minimizer, "grover_search", _reference_grover)
+        slow = minimizer.minimize(objective, RngStream(seed))
+        assert fast.trace == slow.trace
+        assert fast.argmin_bits == slow.argmin_bits
+        assert fast.oracle_calls == slow.oracle_calls

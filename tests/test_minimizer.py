@@ -92,6 +92,16 @@ class TestMinimize:
             result = minimize(ObjectiveFn.from_table(values), RngStream(seed))
             assert result.oracle_calls <= cap_factor * math.sqrt(2**n_bits)
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(DomainError, match="-1"):
+            minimize(DEMO, RngStream(0), max_main_iterations=-1)
+
+    def test_zero_budget_returns_starting_point(self):
+        result = minimize(DEMO, RngStream(0), max_main_iterations=0)
+        assert result.main_iterations == 0 and result.oracle_calls == 0
+        assert result.trace == []
+        assert result.min_value == DEMO.eval(int(result.argmin_bits, 2))
+
     def test_bad_table_length(self):
         with pytest.raises(DomainError):
             ObjectiveFn.from_table([1.0, 2.0, 3.0])

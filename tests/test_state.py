@@ -67,6 +67,21 @@ class TestStateValidation:
         with pytest.raises(DomainError):
             StateVector(2, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [math.nan, 0.0],
+            [1.0, math.nan],
+            [complex(0.0, math.nan), 0.0],
+            [math.inf, 0.0],
+            [-math.inf, 0.0],
+            [complex(math.inf, math.inf), 0.0],
+        ],
+    )
+    def test_rejects_non_finite(self, amps):
+        with pytest.raises(DomainError):
+            StateVector(1, np.array(amps))
+
 
 class TestInnerProduct:
     def test_worked_example(self):
