@@ -230,6 +230,8 @@ def _cmd_dft(args, rng, warnings):
     signal = ingest_csv(args.signal, "vectors")
     if signal.shape[1] != 1:
         raise DomainError(f"{args.signal}: signal must be a single column")
+    if args.top < 0:
+        raise DomainError(f"--top must be >= 0, got {args.top}")
     spectrum = fourier.classical_dft(signal[:, 0])
     magnitudes = np.abs(spectrum)
     order = np.argsort(magnitudes)[::-1][: args.top]
@@ -307,19 +309,19 @@ def _cmd_median(args, rng, warnings):
     return {"index": index, "point": [float(v) for v in point]}
 
 
-def _cluster_config(args) -> clustering.ClusterConfig:
-    return clustering.ClusterConfig(
+def _cmd_cluster(args, rng, warnings):
+    data = clustering.Dataset(ingest_csv(args.data, "vectors"))
+    cfg = clustering.ClusterConfig(
         k=args.k,
         max_iterations=args.max_iterations,
         eta=args.eta,
         distance_mode=args.mode,
         shots=args.shots,
         use_grover_argmin=args.grover_argmin,
-        seed=args.seed,
     )
-
-
-def _cluster_results(model: clustering.ClusterModel, warnings) -> dict:
+    # Looked up per call, not bound at import, so a wrapper installed on
+    # ``clustering.kmeans`` / ``clustering.kmedians`` (bench/tracer.py) is used.
+    model = getattr(clustering, args.command)(data, cfg, rng)
     warnings.extend(model.warnings)
     return {
         "k": model.k,
@@ -329,18 +331,6 @@ def _cluster_results(model: clustering.ClusterModel, warnings) -> dict:
         "converged": model.converged,
         "trace": model.trace,
     }
-
-
-def _cmd_kmeans(args, rng, warnings):
-    data = clustering.Dataset(ingest_csv(args.data, "vectors"))
-    model = clustering.kmeans(data, _cluster_config(args), rng)
-    return _cluster_results(model, warnings)
-
-
-def _cmd_kmedians(args, rng, warnings):
-    data = clustering.Dataset(ingest_csv(args.data, "vectors"))
-    model = clustering.kmedians(data, _cluster_config(args), rng)
-    return _cluster_results(model, warnings)
 
 
 def _cmd_qsvm(args, rng, warnings):
@@ -395,14 +385,16 @@ def _cmd_qpca(args, rng, warnings):
 def _cmd_qnn(args, rng, warnings):
     vectors, labels = ingest_csv(args.data, "labeled")
     enc = qnn.QnnEncoding(k=args.k_bits, m=args.m_bits)
+    if vectors.shape[1] != 2:
+        raise DomainError("qnn expects exactly two integer features per row")
     dataset = []
-    for row, label in zip(vectors, labels):
-        if len(row) != 2:
-            raise DomainError("qnn expects exactly two integer features per row")
+    for row_number, (row, label) in enumerate(zip(vectors, labels), start=1):
+        if not all(float(v).is_integer() for v in row):
+            raise DomainError(
+                f"{args.data}: row {row_number}: features {row.tolist()} are not integers"
+            )
         dataset.append((int(row[0]), int(row[1]), 0 if label < 0 else 1))
-    cfg = qnn.QnnTrainConfig(
-        eta=args.eta, epochs=args.epochs, cost_kind=args.cost, seed=args.seed
-    )
+    cfg = qnn.QnnTrainConfig(eta=args.eta, epochs=args.epochs, cost_kind=args.cost)
     params, trace = qnn.train(enc, dataset, cfg, rng)
     with open(args.params_out, "w", encoding="utf-8") as handle:
         for alpha in params.alphas:
@@ -435,8 +427,8 @@ _HANDLERS = {
     "swaptest": _cmd_swaptest,
     "dist": _cmd_dist,
     "median": _cmd_median,
-    "kmeans": _cmd_kmeans,
-    "kmedians": _cmd_kmedians,
+    "kmeans": _cmd_cluster,
+    "kmedians": _cmd_cluster,
     "qsvm": _cmd_qsvm,
     "qpca": _cmd_qpca,
     "qnn": _cmd_qnn,
@@ -456,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 0)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="parallelism hint recorded in the report")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("grover", help="search marked indices with amplitude amplification")

@@ -2,13 +2,16 @@
 
 Assignment distances run through the state-encoding distance subroutine
 (exact or shot-estimated); the nearest-centroid choice is either a host
-argmin or quantum minimum finding over the centroid indices.  Centroid
-updates are plain host arithmetic: means for k-means, and the quantum
-set-median for k-medians (so k-medians centroids are always dataset rows).
+argmin or quantum minimum finding over the centroid indices.  Both
+algorithms run one Lloyd loop (``_lloyd``) and differ only in the centroid
+update and the stop rule: k-means takes member means and stops when no
+centroid moves by ``eta`` or more; k-medians takes the quantum set-median (so
+its centroids are always dataset rows) and stops when no centroid changes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -54,11 +57,12 @@ class ClusterConfig:
     distance_mode: str = "exact"           # exact | shots
     shots: int = DEFAULT_SHOTS
     use_grover_argmin: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise DomainError("k must be >= 1")
+        if self.max_iterations < 1:
+            raise DomainError(f"iteration budget must be >= 1, got {self.max_iterations}")
         if self.eta <= 0:
             raise DomainError("eta must be > 0")
         if self.distance_mode not in ("exact", "shots"):
@@ -147,14 +151,18 @@ def _within_cluster_cost(data: Dataset, centroids: np.ndarray, assignments: np.n
     )
 
 
-def kmeans(
+def _lloyd(
     data: Dataset,
     cfg: ClusterConfig,
     rng: RngStream,
-    initial_centroids: np.ndarray | None = None,
+    initial_centroids: np.ndarray | None,
+    update: Callable[[np.ndarray], np.ndarray],
+    settled: Callable[[np.ndarray, np.ndarray, float], bool],
 ) -> ClusterModel:
-    """Iterate nearest-centroid assignment and mean updates until every
-    centroid moves less than ``cfg.eta`` or the iteration budget runs out.
+    """The Lloyd iteration both clusterings share: assign every row to its
+    nearest centroid, reseed empty clusters, replace each centroid by
+    ``update(members)``, and stop once ``settled(old, new, max_shift)``
+    holds or the iteration budget runs out.
     """
     if cfg.k > data.m:
         raise DomainError(f"k = {cfg.k} exceeds the {data.m} data rows")
@@ -165,17 +173,15 @@ def kmeans(
     )
     warnings: list[str] = []
     trace: list[dict] = []
-    assignments = np.zeros(data.m, dtype=int)
     converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         assignments = _assign(data, centroids, cfg, rng, warnings)
         _repair_empty(data, centroids, assignments, cfg, rng, warnings)
         new_centroids = centroids.copy()
         for j in range(cfg.k):
-            members = data.vectors[assignments == j]
-            new_centroids[j] = members.mean(axis=0)
+            new_centroids[j] = update(data.vectors[assignments == j])
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        converged = settled(centroids, new_centroids, shift)
         centroids = new_centroids
         trace.append(
             {
@@ -184,8 +190,7 @@ def kmeans(
                 "within_cluster_cost": _within_cluster_cost(data, centroids, assignments),
             }
         )
-        if shift < cfg.eta:
-            converged = True
+        if converged:
             break
     return ClusterModel(
         k=cfg.k,
@@ -195,6 +200,22 @@ def kmeans(
         converged=converged,
         trace=trace,
         warnings=warnings,
+    )
+
+
+def kmeans(
+    data: Dataset,
+    cfg: ClusterConfig,
+    rng: RngStream,
+    initial_centroids: np.ndarray | None = None,
+) -> ClusterModel:
+    """Iterate nearest-centroid assignment and mean updates until every
+    centroid moves less than ``cfg.eta`` or the iteration budget runs out.
+    """
+    return _lloyd(
+        data, cfg, rng, initial_centroids,
+        update=lambda members: members.mean(axis=0),
+        settled=lambda old, new, shift: shift < cfg.eta,
     )
 
 
@@ -207,45 +228,8 @@ def kmedians(
     """Like k-means, but centroids are quantum set-medians of their members,
     and convergence means the centroids stopped changing exactly.
     """
-    if cfg.k > data.m:
-        raise DomainError(f"k = {cfg.k} exceeds the {data.m} data rows")
-    centroids = (
-        np.array(initial_centroids, dtype=float)
-        if initial_centroids is not None
-        else _init_centroids(data, cfg.k, rng)
-    )
-    warnings: list[str] = []
-    trace: list[dict] = []
-    assignments = np.zeros(data.m, dtype=int)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        assignments = _assign(data, centroids, cfg, rng, warnings)
-        _repair_empty(data, centroids, assignments, cfg, rng, warnings)
-        new_centroids = centroids.copy()
-        for j in range(cfg.k):
-            members = data.vectors[assignments == j]
-            _, median = median_calc(list(members), cfg.shots, rng, cfg.distance_mode)
-            new_centroids[j] = median
-        changed = not np.array_equal(new_centroids, centroids)
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        trace.append(
-            {
-                "iteration": iterations,
-                "max_centroid_shift": shift,
-                "within_cluster_cost": _within_cluster_cost(data, centroids, assignments),
-            }
-        )
-        if not changed:
-            converged = True
-            break
-    return ClusterModel(
-        k=cfg.k,
-        centroids=centroids,
-        assignments=assignments,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        warnings=warnings,
+    return _lloyd(
+        data, cfg, rng, initial_centroids,
+        update=lambda members: median_calc(list(members), cfg.shots, rng, cfg.distance_mode)[1],
+        settled=lambda old, new, shift: np.array_equal(new, old),
     )

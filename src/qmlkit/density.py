@@ -1,13 +1,14 @@
 """Density matrices for pure and mixed states.
 
 Beyond the textbook constructors and the trace-rule expectation, this module
-provides the partial trace, which the neural-network label readout and the
-principal-component machinery both need to reduce a register to a sub-register.
+provides the partial trace, which the neural-network label readout needs to
+reduce a register to a sub-register.  It is a single einsum over the qubit
+axes of the matrix; the index-pair summation it replaces lives in the tests
+as the reference.
 """
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,42 +103,18 @@ def trace_expectation(rho: DensityMatrix, obs: Observable) -> float:
     return value.real
 
 
-@lru_cache(maxsize=256)
-def _index_groups(n: int, kept: tuple[int, ...]) -> list[np.ndarray]:
-    """For each kept-group index, the register indices it covers (one entry
-    per assignment of the traced qubits)."""
-    traced = [q for q in range(n) if q not in kept]
-    groups = []
-    for kept_bits in range(2 ** len(kept)):
-        base = 0
-        for pos, q in enumerate(kept):
-            if kept_bits >> (len(kept) - 1 - pos) & 1:
-                base |= 1 << (n - 1 - q)
-        out = np.empty(2 ** len(traced), dtype=np.intp)
-        for t in range(2 ** len(traced)):
-            idx = base
-            for pos, q in enumerate(traced):
-                if t >> (len(traced) - 1 - pos) & 1:
-                    idx |= 1 << (n - 1 - q)
-            out[t] = idx
-        groups.append(out)
-    return groups
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced density on the kept qubit positions (trace out the rest).
 
-    Entries are assembled by direct index-pair summation: for every pair of
-    kept-group indices, sum the input entries over all traced-group indices.
+    The matrix is viewed as 2n qubit axes (n row, n column); one einsum
+    gives each traced qubit the same label on its row and column axis and
+    lists the kept row axes, then the kept column axes, in ``keep`` order.
     """
     n = rho.n_qubits
     kept = _validate_positions(n, keep)
-    if len(kept) == n:
-        return rho
-    rows = _index_groups(n, tuple(kept))
+    rows = list(range(n))
+    cols = [n + q if q in kept else q for q in range(n)]
+    grid = rho.matrix.reshape([2] * (2 * n))
     dim_keep = 2 ** len(kept)
-    reduced = np.empty((dim_keep, dim_keep), dtype=complex)
-    for i in range(dim_keep):
-        for j in range(dim_keep):
-            reduced[i, j] = np.sum(rho.matrix[rows[i], rows[j]])
-    return DensityMatrix._trusted(dim_keep, reduced)
+    reduced = np.einsum(grid, rows + cols, kept + [n + q for q in kept])
+    return DensityMatrix._trusted(dim_keep, reduced.reshape(dim_keep, dim_keep))

@@ -2,8 +2,9 @@
 
 Gates are validated for unitarity eagerly at construction so a bad oracle
 fails fast.  ``apply`` updates only the addressed qubits' amplitude strides;
-the fully kron-expanded matrix is never materialized on the hot path (it
-exists as :func:`expand_to_register`, used by tests as an equivalence oracle).
+the fully kron-expanded matrix is never materialized (the tests keep that
+construction as the reference).  The same transpose-contract-transpose kernel
+runs a circuit's steps on the identity to give ``Circuit.matrix``.
 
 Control convention: for controlled gates the control qubit is the first
 (most significant) qubit of the gate's register, i.e. ``controlled(U)`` is
@@ -111,42 +112,25 @@ def apply(gate: GateMatrix, targets, psi: StateVector) -> StateVector:
         raise DomainError(
             f"gate of dim {gate.dim} cannot act on {len(positions)} qubits"
         )
-    n = psi.n_qubits
-    grid = psi.amps.reshape([2] * n)
+    return StateVector(psi.n_qubits, _apply_matrix(gate.matrix, positions, psi.amps))
+
+
+def _apply_matrix(matrix: np.ndarray, positions: list[int], amps: np.ndarray) -> np.ndarray:
+    """``matrix`` on the qubit ``positions`` of every column of ``amps``.
+
+    ``amps`` has shape ``(2^n,)`` or ``(2^n, columns)``; the trailing column
+    axis rides along untouched, so a circuit run on the identity yields its
+    unitary.
+    """
+    n = amps.shape[0].bit_length() - 1
+    grid = amps.reshape([2] * n + list(amps.shape[1:]))
     rest = [ax for ax in range(n) if ax not in positions]
     # Bring target axes to the front, contract with the gate, restore order.
-    grid = np.transpose(grid, positions + rest)
-    flat = grid.reshape(gate.dim, -1)
-    flat = gate.matrix @ flat
-    grid = flat.reshape([2] * n)
-    inverse = np.argsort(positions + rest)
-    amps = np.transpose(grid, inverse).reshape(-1)
-    return StateVector(n, amps)
-
-
-def expand_to_register(gate: GateMatrix, targets, n_qubits: int) -> np.ndarray:
-    """Full ``2^n x 2^n`` matrix of ``gate`` on ``targets`` within a register.
-
-    Quadratically more expensive than :func:`apply`; used as a test oracle.
-    """
-    positions = _validate_positions(n_qubits, targets)
-    rest = [ax for ax in range(n_qubits) if ax not in positions]
-    full = np.kron(gate.matrix, np.eye(2 ** len(rest), dtype=complex))
-    # The kron above acts on the permuted register (targets first); conjugate
-    # by the permutation that maps register order to that layout.
-    order = positions + rest
-    perm = _axis_permutation_matrix(order, n_qubits)
-    return perm.T @ full @ perm
-
-
-def _axis_permutation_matrix(order: list[int], n_qubits: int) -> np.ndarray:
-    dim = 2**n_qubits
-    perm = np.zeros((dim, dim))
-    for i in range(dim):
-        bits = format(i, f"0{n_qubits}b")
-        j = int("".join(bits[q] for q in order), 2)
-        perm[j, i] = 1.0
-    return perm
+    order = positions + rest + list(range(n, grid.ndim))
+    grid = np.transpose(grid, order)
+    flat = matrix @ grid.reshape(len(matrix), -1)
+    grid = flat.reshape(grid.shape)
+    return np.transpose(grid, np.argsort(order)).reshape(amps.shape)
 
 
 @dataclass(frozen=True)
@@ -166,10 +150,11 @@ class Circuit:
                 )
 
     def matrix(self) -> np.ndarray:
-        """Full unitary of the circuit (test/inspection path, O(4^n))."""
+        """Full unitary of the circuit: its steps run on the identity."""
         total = np.eye(2**self.n_qubits, dtype=complex)
         for gate, targets in self.steps:
-            total = expand_to_register(gate, list(targets), self.n_qubits) @ total
+            positions = _validate_positions(self.n_qubits, targets)
+            total = _apply_matrix(gate.matrix, positions, total)
         return total
 
     def to_json(self) -> str:

@@ -3,15 +3,17 @@
 Features and the label ride in one register: two k-bit feature groups and an
 m-bit label group initialized to zero.  The network is U = exp(iH) where H
 is a real-weighted sum over all tensor words of Pauli matrices; the weights
-are the only trainable parameters.  The label prediction is the reduced
-density of the label qubits after applying U, scored either by fidelity
-against the target basis state or by matching Pauli expectations, and
+are the only trainable parameters.  H is built by contracting the weight
+tensor with the single-qubit Pauli matrices one qubit at a time, the same
+way for every register size.  The label prediction is the reduced density of
+the label qubits after applying U (one ``partial_trace``), scored either by
+fidelity against the target basis state or by matching the Pauli
+expectations of each label qubit, read from its own one-qubit reduction, and
 trained by finite-difference gradient descent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .rng import RngStream
 from .state import StateVector, basis_state
 
 QUBIT_CAP = 6                 # 4^6 parameters is the trainability ceiling
-_WORD_CACHE_MAX_QUBITS = 4    # full word stacks cached up to 1 MB
 
 _PAULI = np.array(
     [
@@ -80,37 +81,39 @@ class QnnTrainConfig:
     fd_step: float = 1e-4
     cost_kind: str = "overlap"       # overlap | pauli
     f_weights: np.ndarray | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.eta <= 0 or self.fd_step <= 0:
             raise DomainError("eta and fd_step must be > 0")
+        if self.epochs < 0:
+            raise DomainError(f"epoch count must be >= 0, got {self.epochs}")
         if self.cost_kind not in ("overlap", "pauli"):
             raise DomainError(f"unknown cost kind {self.cost_kind!r}")
         if self.f_weights is not None and np.any(np.asarray(self.f_weights) < 0):
             raise DomainError("pauli cost weights must be nonnegative")
 
 
-@lru_cache(maxsize=None)
-def _word_stack(n: int) -> np.ndarray:
-    """All 4^n Pauli words for an n-qubit register, stacked."""
-    stack = _PAULI
-    for _ in range(n - 1):
-        stack = np.einsum("iab,jcd->ijacbd", stack, _PAULI).reshape(
-            -1, stack.shape[1] * 2, stack.shape[1] * 2
-        )
-    return stack
+def _pauli_sum(alphas: np.ndarray, n: int) -> np.ndarray:
+    """sum_w alpha_w P_w on n qubits, contracting one base-4 digit per qubit.
+
+    Digits are consumed from the least significant (last qubit) up, so each
+    step puts the new qubit's row and column bits above the ones built so far.
+    """
+    acc = alphas.reshape(4**n, 1, 1)
+    for _ in range(n):
+        words, rows, cols = acc.shape
+        acc = np.einsum("wkab,kce->wcaeb", acc.reshape(words // 4, 4, rows, cols), _PAULI)
+        acc = acc.reshape(words // 4, 2 * rows, 2 * cols)
+    return acc[0]
 
 
 def pauli_word(word_index: int, n: int) -> np.ndarray:
     """The tensor product selected by the base-4 digits of ``word_index``."""
     if not 0 <= word_index < 4**n:
         raise DomainError(f"word index {word_index} out of range for {n} qubits")
-    matrix = np.array([[1.0 + 0j]])
-    for pos in range(n):
-        digit = (word_index >> (2 * (n - 1 - pos))) & 3
-        matrix = np.kron(matrix, _PAULI[digit])
-    return matrix
+    one_hot = np.zeros(4**n)
+    one_hot[word_index] = 1.0
+    return _pauli_sum(one_hot, n)
 
 
 def unitary_from_pauli_coefficients(alphas: np.ndarray, n: int) -> np.ndarray:
@@ -119,13 +122,7 @@ def unitary_from_pauli_coefficients(alphas: np.ndarray, n: int) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != (4**n,):
         raise DomainError(f"expected {4**n} coefficients for {n} qubits, got {alphas.shape}")
-    if n <= _WORD_CACHE_MAX_QUBITS:
-        generator = np.tensordot(alphas, _word_stack(n), axes=1)
-    else:
-        generator = np.zeros((2**n, 2**n), dtype=complex)
-        for w in np.nonzero(alphas)[0]:
-            generator += alphas[w] * pauli_word(int(w), n)
-    values, vectors = np.linalg.eigh(generator)
+    values, vectors = np.linalg.eigh(_pauli_sum(alphas, n))
     return (vectors * np.exp(1j * values)) @ vectors.conj().T
 
 
@@ -158,11 +155,8 @@ def _label_expectations(rho_y: DensityMatrix, m: int) -> np.ndarray:
     """<sigma_i> per label qubit: rows are qubits, columns the 3 Pauli axes."""
     out = np.empty((m, 3))
     for q in range(m):
-        for i in (1, 2, 3):
-            word = np.array([[1.0 + 0j]])
-            for pos in range(m):
-                word = np.kron(word, _PAULI[i] if pos == q else _PAULI[0])
-            out[q, i - 1] = float(np.trace(rho_y.matrix @ word).real)
+        single = partial_trace(rho_y, [q]).matrix
+        out[q] = np.einsum("ab,iba->i", single, _PAULI[1:]).real
     return out
 
 

@@ -82,6 +82,11 @@ def _swap_test_p0(registers: StateVector, group_a: list[int], group_b: list[int]
     return float(probs[: probs.size // 2].sum())
 
 
+def _check_shots(shots: int) -> None:
+    if shots < 1:
+        raise DomainError(f"shots must be >= 1, got {shots}")
+
+
 def _estimate_p0(exact_p0: float, shots: int, rng: RngStream) -> float:
     # Each shot re-prepares the same state, so control measurements are
     # i.i.d. Bernoulli draws at the exact probability.
@@ -101,8 +106,7 @@ def swap_test(
         raise DomainError(
             f"swap test needs equal registers, got {a.n_qubits} and {b.n_qubits} qubits"
         )
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
+    _check_shots(shots)
     n = a.n_qubits
     joint = StateVector(
         1 + 2 * n, np.kron(np.array([1.0, 0.0], dtype=complex), np.kron(a.amps, b.amps))
@@ -137,6 +141,7 @@ def dist_calc(
         raise DomainError(f"dimension mismatch: {ea.raw.size} vs {eb.raw.size}")
     if mode not in ("exact", "shots"):
         raise DomainError(f"unknown distance mode {mode!r}")
+    _check_shots(shots)
     z = ea.norm**2 + eb.norm**2
     n = ea.state.n_qubits
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qmlkit.state import StateVector
+
+# Property tests draw the same examples on every run (seeded from each test's
+# name), keep no example database, and allow for slow shared machines.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -117,6 +117,53 @@ class TestExitCodes:
         assert report["results"]["main_iterations"] == 0
         assert report["results"]["trace"] == []
 
+    @pytest.mark.parametrize("command", ["dist", "median", "kmeans", "kmedians"])
+    def test_zero_shots(self, command, tmp_path, blob_csv, capsys):
+        vec = write(tmp_path / "vec.csv", "3.0,4.0\n")
+        inputs = {
+            "dist": ["--a", vec, "--b", vec],
+            "median": ["--points", blob_csv],
+            "kmeans": ["--data", blob_csv, "--k", "2"],
+            "kmedians": ["--data", blob_csv, "--k", "2"],
+        }[command]
+        code, report = cli.run([command, *inputs, "--mode", "shots", "--shots", "0"])
+        assert code == 1 and report is None
+        assert "error: shots must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_zero_cluster_iterations(self, blob_csv, capsys):
+        code, report = cli.run(["kmeans", "--data", blob_csv, "--k", "2", "--max-iterations", "0"])
+        assert code == 1 and report is None
+        assert "error: iteration budget must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_negative_dft_top(self, tmp_path, capsys):
+        signal = write(tmp_path / "sig.csv", "1.0\n0.0\n-1.0\n0.0\n")
+        code, report = cli.run(["dft", "--signal", signal, "--top", "-2"])
+        assert code == 1 and report is None
+        assert "error: --top must be >= 0, got -2" in capsys.readouterr().err
+
+    def test_negative_qnn_epochs(self, tmp_path, capsys):
+        data = write(tmp_path / "nn.csv", "0,0,1\n1,0,-1\n")
+        code, report = cli.run(
+            ["qnn", "--data", data, "--k-bits", "1", "--m-bits", "1", "--epochs", "-1",
+             "--params-out", str(tmp_path / "p.csv")]
+        )
+        assert code == 1 and report is None
+        assert "error: epoch count must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_non_integer_qnn_features(self, tmp_path, capsys):
+        data = write(tmp_path / "nn.csv", "0,0,1\n1.5,0,-1\n")
+        code, report = cli.run(
+            ["qnn", "--data", data, "--k-bits", "1", "--m-bits", "1", "--epochs", "1",
+             "--params-out", str(tmp_path / "p.csv")]
+        )
+        assert code == 1 and report is None
+        assert f"{data}: row 2: features [1.5, 0.0] are not integers" in capsys.readouterr().err
+
+    def test_threads_flag_removed(self):
+        code, _ = cli.run(["grover", "--bits", "2", "--marked", "2", "--threads", "4"])
+        assert code == 2
+        assert "threads" not in run_ok(["grover", "--bits", "2", "--marked", "2"])["config"]
+
 
 class TestSubcommands:
     def test_grover_twenty_bits(self):
@@ -225,6 +272,19 @@ class TestSubcommands:
         assert results["converged"]
         assert len(set(results["assignments"][:8])) == 1
         assert len(set(results["assignments"])) == 2
+
+    @pytest.mark.parametrize("command", ["kmeans", "kmedians"])
+    def test_cluster_handler_calls_module_attribute(self, command, blob_csv, monkeypatch):
+        calls = []
+        fit = getattr(cli.clustering, command)
+
+        def wrapped(*args, **kwargs):
+            calls.append(command)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli.clustering, command, wrapped)
+        run_ok([command, "--data", blob_csv, "--k", "2", "--max-iterations", "1"])
+        assert calls == [command]
 
     def test_kmedians_centroids_are_rows(self, blob_csv):
         report = run_ok(["kmedians", "--data", blob_csv, "--k", "2", "--seed", "4"])

@@ -143,6 +143,10 @@ class TestKmeans:
         with pytest.raises(DomainError):
             kmeans(Dataset([[1.0], [2.0]]), ClusterConfig(k=3), RngStream(0))
 
+    def test_empty_iteration_budget_rejected(self):
+        with pytest.raises(DomainError, match="iteration budget must be >= 1, got 0"):
+            ClusterConfig(k=2, max_iterations=0)
+
     def test_zero_row_rejected(self):
         with pytest.raises(DomainError):
             Dataset([[1.0, 0.0], [0.0, 0.0]])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_state
 from qmlkit.density import (
@@ -17,6 +18,47 @@ from qmlkit.state import Observable, StateVector, basis_state, expectation, tens
 EXAMPLE = StateVector(1, np.array([0.5j, math.sqrt(3) / 2]))
 UNIFORM = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
 POSITION = Observable(2, np.diag([1.0, 2.0]))
+
+
+def reference_partial_trace(rho: DensityMatrix, keep) -> np.ndarray:
+    """Index-pair summation: for every pair of kept-group indices, sum the
+    input entries over all assignments of the traced qubits."""
+    n = rho.n_qubits
+    kept = list(keep)
+    traced = [q for q in range(n) if q not in kept]
+    groups = []
+    for kept_bits in range(2 ** len(kept)):
+        base = 0
+        for pos, q in enumerate(kept):
+            if kept_bits >> (len(kept) - 1 - pos) & 1:
+                base |= 1 << (n - 1 - q)
+        out = np.empty(2 ** len(traced), dtype=np.intp)
+        for t in range(2 ** len(traced)):
+            idx = base
+            for pos, q in enumerate(traced):
+                if t >> (len(traced) - 1 - pos) & 1:
+                    idx |= 1 << (n - 1 - q)
+            out[t] = idx
+        groups.append(out)
+    dim_keep = 2 ** len(kept)
+    reduced = np.empty((dim_keep, dim_keep), dtype=complex)
+    for i in range(dim_keep):
+        for j in range(dim_keep):
+            reduced[i, j] = np.sum(rho.matrix[groups[i], groups[j]])
+    return reduced
+
+
+@st.composite
+def densities_and_keeps(draw):
+    """A pure (one part) or mixed density on n <= 6 qubits, plus an ordered
+    selection of qubits to keep."""
+    n = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = gen.random(draw(st.integers(1, 3)))
+    parts = [(float(w), random_state(gen, n)) for w in weights / weights.sum()]
+    order = draw(st.permutations(range(n)))
+    keep = order[: draw(st.integers(0, n))]
+    return mixed_density(parts), keep
 
 
 class TestPureDensity:
@@ -135,6 +177,20 @@ class TestPartialTrace:
             # DensityMatrix construction re-validates Hermiticity, trace, PSD.
             assert isinstance(reduced, DensityMatrix)
             assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=60)
+    @given(densities_and_keeps())
+    def test_matches_index_pair_reference(self, case):
+        rho, keep = case
+        reduced = partial_trace(rho, keep)
+        assert reduced.dim == 2 ** len(keep)
+        assert np.max(np.abs(reduced.matrix - reference_partial_trace(rho, keep))) <= 1e-12
+
+    def test_keep_all_in_new_order_permutes(self, np_rng):
+        a, b = random_state(np_rng, 1), random_state(np_rng, 2)
+        reordered = partial_trace(pure_density(tensor(a, b)), [1, 2, 0])
+        expected = pure_density(tensor(b, a))
+        assert np.allclose(reordered.matrix, expected.matrix, atol=1e-12)
 
     def test_invalid_positions(self):
         rho = pure_density(basis_state(2, 0))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_state, random_unitary
 from qmlkit.errors import DomainError
@@ -10,13 +11,50 @@ from qmlkit.gates import (
     GateMatrix,
     apply,
     controlled,
-    expand_to_register,
     function_oracle,
     kron,
     run_circuit,
     standard_gate,
 )
-from qmlkit.state import StateVector, basis_state, from_bits
+from qmlkit.state import StateVector, _validate_positions, basis_state, from_bits
+
+def expand_to_register(gate: GateMatrix, targets, n_qubits: int) -> np.ndarray:
+    """Full ``2^n x 2^n`` matrix of ``gate`` on ``targets`` within a register.
+
+    Quadratically more expensive than :func:`apply`; used as a test oracle.
+    """
+    positions = _validate_positions(n_qubits, targets)
+    rest = [ax for ax in range(n_qubits) if ax not in positions]
+    full = np.kron(gate.matrix, np.eye(2 ** len(rest), dtype=complex))
+    # The kron above acts on the permuted register (targets first); conjugate
+    # by the permutation that maps register order to that layout.
+    order = positions + rest
+    perm = _axis_permutation_matrix(order, n_qubits)
+    return perm.T @ full @ perm
+
+
+def _axis_permutation_matrix(order: list[int], n_qubits: int) -> np.ndarray:
+    dim = 2**n_qubits
+    perm = np.zeros((dim, dim))
+    for i in range(dim):
+        bits = format(i, f"0{n_qubits}b")
+        j = int("".join(bits[q] for q in order), 2)
+        perm[j, i] = 1.0
+    return perm
+
+
+@st.composite
+def random_circuits(draw):
+    """Up to six steps of random 1-3 qubit unitaries on n <= 6 qubits."""
+    n = draw(st.integers(1, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.integers(1, min(n, 3)))
+        targets = tuple(draw(st.permutations(range(n)))[:width])
+        steps.append((GateMatrix(2**width, random_unitary(gen, 2**width)), targets))
+    return Circuit(n, steps)
+
 
 H_LITERAL = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 EQ55 = np.array(
@@ -168,6 +206,14 @@ class TestCircuit:
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             run_circuit(Circuit(2, []), basis_state(3, 0))
+
+    @settings(max_examples=60)
+    @given(random_circuits())
+    def test_matrix_matches_expanded_composition(self, circuit):
+        expected = np.eye(2**circuit.n_qubits, dtype=complex)
+        for gate, targets in circuit.steps:
+            expected = expand_to_register(gate, list(targets), circuit.n_qubits) @ expected
+        assert np.max(np.abs(circuit.matrix() - expected)) <= 1e-12
 
     def test_json_round_trip(self, np_rng):
         custom = GateMatrix(2, random_unitary(np_rng, 2))

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_state
+from qmlkit.density import mixed_density
 from qmlkit.errors import DomainError
 from qmlkit.qnn import (
+    _PAULI,
     QnnEncoding,
     QnnParameters,
     QnnTrainConfig,
@@ -12,6 +16,8 @@ from qmlkit.qnn import (
     cost,
     encode_example,
     finite_difference_gradient,
+    _label_expectations,
+    _pauli_sum,
     forward,
     pauli_word,
     train,
@@ -21,6 +27,66 @@ from qmlkit.rng import RngStream
 
 ENC = QnnEncoding(k=1, m=1)
 NOT_TASK = [(0, 0, 1), (1, 0, 0)]
+
+
+def reference_word(word_index: int, n: int) -> np.ndarray:
+    """P_{k_1} (x) ... (x) P_{k_n} by explicit Kronecker products."""
+    matrix = np.array([[1.0 + 0j]])
+    for pos in range(n):
+        digit = (word_index >> (2 * (n - 1 - pos))) & 3
+        matrix = np.kron(matrix, _PAULI[digit])
+    return matrix
+
+
+def reference_generator(alphas: np.ndarray, n: int) -> np.ndarray:
+    generator = np.zeros((2**n, 2**n), dtype=complex)
+    for w in np.nonzero(alphas)[0]:
+        generator += alphas[w] * reference_word(int(w), n)
+    return generator
+
+
+def reference_label_expectations(matrix: np.ndarray, m: int) -> np.ndarray:
+    """tr(rho sigma_i^(q)) with each one-qubit Pauli kron-padded to m qubits."""
+    out = np.empty((m, 3))
+    for q in range(m):
+        for i in (1, 2, 3):
+            word = np.array([[1.0 + 0j]])
+            for pos in range(m):
+                word = np.kron(word, _PAULI[i] if pos == q else _PAULI[0])
+            out[q, i - 1] = float(np.trace(matrix @ word).real)
+    return out
+
+
+class TestPauliGenerator:
+    @settings(max_examples=40)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
+    def test_matches_kron_sum(self, n, seed, sparsity):
+        gen = np.random.default_rng(seed)
+        alphas = gen.normal(size=4**n)
+        alphas[gen.random(4**n) < sparsity] = 0.0
+        assert np.max(np.abs(_pauli_sum(alphas, n) - reference_generator(alphas, n))) <= 1e-12
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_one_hot_words_at_five_and_six_qubits(self, data):
+        n = data.draw(st.sampled_from([5, 6]))
+        w = data.draw(st.integers(0, 4**n - 1))
+        assert np.array_equal(pauli_word(w, n), reference_word(w, n))
+
+    def test_word_index_out_of_range(self):
+        with pytest.raises(DomainError):
+            pauli_word(16, 2)
+
+
+class TestLabelExpectations:
+    @settings(max_examples=40)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_kron_reference(self, m, parts, seed):
+        gen = np.random.default_rng(seed)
+        weights = gen.random(parts)
+        rho = mixed_density([(float(w), random_state(gen, m)) for w in weights / weights.sum()])
+        got = _label_expectations(rho, m)
+        assert np.max(np.abs(got - reference_label_expectations(rho.matrix, m))) <= 1e-12
 
 
 def label_fidelity(params, enc, x1, x2, y) -> float:
@@ -191,3 +257,11 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
             train(ENC, [], QnnTrainConfig(), RngStream(0))
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(DomainError, match="epoch count must be >= 0, got -1"):
+            QnnTrainConfig(epochs=-1)
+
+    def test_zero_epochs_returns_initial_cost(self):
+        _, trace = train(ENC, NOT_TASK, QnnTrainConfig(epochs=0), RngStream(0))
+        assert len(trace) == 1
