@@ -32,18 +32,27 @@ BUILTIN_OBJECTIVES = {
 }
 
 
+def _read_lines(path: str) -> list[str]:
+    """The input file's lines, with their line endings untranslated."""
+    if not os.path.exists(path):
+        raise DomainError(f"input file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            return list(handle)
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not UTF-8 text") from None
+
+
 def ingest_csv(path: str, schema: str):
-    """Parse and validate an input CSV (no header, comma separated).
+    """Parse and validate an input CSV (no header, comma separated, UTF-8).
 
     Schemas: ``vectors`` (rows of floats), ``labeled`` (floats with a +-1
-    label in the last column), ``objective`` (rows of ``bitstring,value``
+    label in the last column), ``labeled-integers`` (``labeled`` whose
+    features are integers), ``objective`` (rows of ``bitstring,value``
     covering every n-bit input exactly once).  Malformed rows are rejected
     with their 1-based line number.
     """
-    if not os.path.exists(path):
-        raise DomainError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle]
+    lines = [line.strip() for line in _read_lines(path)]
     rows = [(i + 1, line) for i, line in enumerate(lines) if line]
     if not rows:
         raise DomainError(f"{path}: no data rows")
@@ -72,16 +81,21 @@ def ingest_csv(path: str, schema: str):
 
     if schema == "vectors":
         return matrix
-    if schema == "labeled":
+    if schema in ("labeled", "labeled-integers"):
         if matrix.shape[1] < 2:
             raise DomainError(f"{path}: labeled data needs features plus a label column")
-        labels = matrix[:, -1]
-        for offset, label in enumerate(labels):
-            if label not in (-1.0, 1.0):
+        features, labels = matrix[:, :-1], matrix[:, -1]
+        bad = np.flatnonzero(~np.isin(labels, (-1.0, 1.0)))
+        if bad.size:
+            raise DomainError(f"{path}:{rows[bad[0]][0]}: label {labels[bad[0]]} is not -1 or 1")
+        if schema == "labeled-integers":
+            bad = np.flatnonzero(np.any(features != np.floor(features), axis=1))
+            if bad.size:
                 raise DomainError(
-                    f"{path}:{rows[offset][0]}: label {label} is not -1 or 1"
+                    f"{path}:{rows[bad[0]][0]}: features {features[bad[0]].tolist()} "
+                    "are not integers"
                 )
-        return matrix[:, :-1], labels
+        return features, labels
     raise DomainError(f"unknown ingestion schema {schema!r}")
 
 
@@ -134,18 +148,13 @@ def _read_amplitudes(path: str) -> np.ndarray:
 def _read_unitary(path: str) -> gates.GateMatrix:
     """Unitary from JSON: either {"matrix": [[[re,im],...]]} (or the bare
     nested rows) or a serialized circuit document with "steps"."""
-    if not os.path.exists(path):
-        raise DomainError(f"input file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = "".join(_read_lines(path))
     try:
         doc = json.loads(text)
         if isinstance(doc, dict) and "steps" in doc:
-            circuit = gates.Circuit.from_json(text)
-            matrix = circuit.matrix()
-            return gates.GateMatrix(matrix.shape[0], matrix)
-        rows = doc["matrix"] if isinstance(doc, dict) else doc
-        matrix = gates.matrix_from_json(rows)
+            matrix = gates.Circuit.from_json(text).matrix()
+        else:
+            matrix = gates.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc)
         return gates.GateMatrix(matrix.shape[0], matrix)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path}: not a valid unitary document ({exc})") from None
@@ -383,17 +392,14 @@ def _cmd_qpca(args, rng, warnings):
 
 
 def _cmd_qnn(args, rng, warnings):
-    vectors, labels = ingest_csv(args.data, "labeled")
+    vectors, labels = ingest_csv(args.data, "labeled-integers")
     enc = qnn.QnnEncoding(k=args.k_bits, m=args.m_bits)
     if vectors.shape[1] != 2:
         raise DomainError("qnn expects exactly two integer features per row")
-    dataset = []
-    for row_number, (row, label) in enumerate(zip(vectors, labels), start=1):
-        if not all(float(v).is_integer() for v in row):
-            raise DomainError(
-                f"{args.data}: row {row_number}: features {row.tolist()} are not integers"
-            )
-        dataset.append((int(row[0]), int(row[1]), 0 if label < 0 else 1))
+    dataset = [
+        (int(row[0]), int(row[1]), 0 if label < 0 else 1)
+        for row, label in zip(vectors, labels)
+    ]
     cfg = qnn.QnnTrainConfig(eta=args.eta, epochs=args.epochs, cost_kind=args.cost)
     params, trace = qnn.train(enc, dataset, cfg, rng)
     with open(args.params_out, "w", encoding="utf-8") as handle:
@@ -436,6 +442,17 @@ _HANDLERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """An ``RngStream`` seed: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmlkit",
@@ -444,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help=f"RNG seed (falls back to ${SEED_ENV_VAR}, then 0)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -577,11 +594,14 @@ def run(argv) -> tuple[int, dict | None]:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is None:
+            try:
+                args.seed = _seed(os.environ.get(SEED_ENV_VAR, "0"))
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"${SEED_ENV_VAR}: {exc}")
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), None
 
-    if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     rng = RngStream(args.seed)
     warnings: list[str] = []
     config = {
@@ -592,10 +612,7 @@ def run(argv) -> tuple[int, dict | None]:
     started = time.perf_counter()
     try:
         results = _HANDLERS[args.command](args, rng, warnings)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1, None
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
     executed = time.perf_counter()
@@ -627,8 +644,12 @@ def run(argv) -> tuple[int, dict | None]:
             )
         )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1, None
     else:
         sys.stdout.write(text)
     if args.verbose:

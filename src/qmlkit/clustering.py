@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .minimizer import argmin_via_search
 from .rng import RngStream
-from .subroutines import DEFAULT_SHOTS, dist_calc, median_calc
+from .subroutines import DEFAULT_SHOTS, distances, median_calc
 
 ZERO_NORM_TOL = 1e-12
 
@@ -85,25 +85,6 @@ def _init_centroids(data: Dataset, k: int, rng: RngStream) -> np.ndarray:
     return data.vectors[np.sort(rows)].copy()
 
 
-def _point_distances(
-    point: np.ndarray,
-    centroids: np.ndarray,
-    cfg: ClusterConfig,
-    rng: RngStream,
-    warnings: list[str],
-) -> np.ndarray:
-    dists = np.empty(len(centroids))
-    for j, mu in enumerate(centroids):
-        if np.linalg.norm(mu) <= ZERO_NORM_TOL:
-            # A mean update can produce the zero vector, which has no
-            # amplitude encoding; fall back to host arithmetic for this pair.
-            dists[j] = float(np.sum((point - mu) ** 2))
-            warnings.append(f"centroid {j} has zero norm; host-side distance used")
-        else:
-            dists[j] = dist_calc(point, mu, cfg.shots, rng, cfg.distance_mode).dist_sq
-    return dists
-
-
 def _assign(
     data: Dataset,
     centroids: np.ndarray,
@@ -111,9 +92,19 @@ def _assign(
     rng: RngStream,
     warnings: list[str],
 ) -> np.ndarray:
+    # A mean update can produce the zero vector, which has no amplitude
+    # encoding; distances to it fall back to host arithmetic.
+    zero = np.linalg.norm(centroids, axis=1) <= ZERO_NORM_TOL
+    for j in np.flatnonzero(zero):
+        warnings.append(f"centroid {j} has zero norm; host-side distance used")
     assignments = np.empty(data.m, dtype=int)
+    dists = np.empty(len(centroids))
     for i, point in enumerate(data.vectors):
-        dists = _point_distances(point, centroids, cfg, rng, warnings)
+        dists[zero] = np.sum((point - centroids[zero]) ** 2, axis=1)
+        if not zero.all():
+            dists[~zero] = distances(
+                point, centroids[~zero], cfg.shots, rng, cfg.distance_mode
+            )[1]
         if cfg.use_grover_argmin:
             assignments[i] = argmin_via_search(dists, rng)
         else:
@@ -122,33 +113,17 @@ def _assign(
 
 
 def _repair_empty(
-    data: Dataset,
-    centroids: np.ndarray,
-    assignments: np.ndarray,
-    cfg: ClusterConfig,
-    rng: RngStream,
-    warnings: list[str],
+    data: Dataset, centroids: np.ndarray, assignments: np.ndarray, warnings: list[str]
 ) -> None:
-    for j in range(cfg.k):
+    for j in range(len(centroids)):
         if np.any(assignments == j):
             continue
         # Reseed with the point farthest from its currently assigned centroid.
-        gaps = np.array(
-            [
-                np.sum((data.vectors[i] - centroids[assignments[i]]) ** 2)
-                for i in range(data.m)
-            ]
-        )
+        gaps = np.sum((data.vectors - centroids[assignments]) ** 2, axis=1)
         farthest = int(np.argmax(gaps))
         centroids[j] = data.vectors[farthest]
         assignments[farthest] = j
         warnings.append(f"empty cluster {j} reseeded with row {farthest}")
-
-
-def _within_cluster_cost(data: Dataset, centroids: np.ndarray, assignments: np.ndarray) -> float:
-    return float(
-        np.sum((data.vectors - centroids[assignments]) ** 2)
-    )
 
 
 def _lloyd(
@@ -166,41 +141,25 @@ def _lloyd(
     """
     if cfg.k > data.m:
         raise DomainError(f"k = {cfg.k} exceeds the {data.m} data rows")
-    centroids = (
-        np.array(initial_centroids, dtype=float)
-        if initial_centroids is not None
-        else _init_centroids(data, cfg.k, rng)
-    )
+    if initial_centroids is None:
+        initial_centroids = _init_centroids(data, cfg.k, rng)
+    centroids = np.array(initial_centroids, dtype=float)
     warnings: list[str] = []
     trace: list[dict] = []
-    converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         assignments = _assign(data, centroids, cfg, rng, warnings)
-        _repair_empty(data, centroids, assignments, cfg, rng, warnings)
-        new_centroids = centroids.copy()
-        for j in range(cfg.k):
-            new_centroids[j] = update(data.vectors[assignments == j])
+        _repair_empty(data, centroids, assignments, warnings)
+        new_centroids = np.array([update(data.vectors[assignments == j]) for j in range(cfg.k)])
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         converged = settled(centroids, new_centroids, shift)
         centroids = new_centroids
+        cost = float(np.sum((data.vectors - centroids[assignments]) ** 2))
         trace.append(
-            {
-                "iteration": iterations,
-                "max_centroid_shift": shift,
-                "within_cluster_cost": _within_cluster_cost(data, centroids, assignments),
-            }
+            {"iteration": iterations, "max_centroid_shift": shift, "within_cluster_cost": cost}
         )
         if converged:
             break
-    return ClusterModel(
-        k=cfg.k,
-        centroids=centroids,
-        assignments=assignments,
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-        warnings=warnings,
-    )
+    return ClusterModel(cfg.k, centroids, assignments, iterations, converged, trace, warnings)
 
 
 def kmeans(

@@ -20,7 +20,7 @@ from .fourier import control_distribution
 from .gates import GateMatrix
 from .rng import RngStream
 from .state import Observable, StateVector, expectation
-from .subroutines import swap_test
+from .subroutines import overlap_sq, swap_tests
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
 DEFAULT_CONTROLS = 8
@@ -193,13 +193,8 @@ def extract_scores(
     scores = np.empty_like(exact)
     for i, row in enumerate(rows):
         row_state = StateVector(model.rho.n_qubits, row.astype(complex))
-        for j in range(r_components):
-            eigvec = StateVector(
-                model.rho.n_qubits, model.eigenvectors[:, j].astype(complex)
-            )
-            estimate = swap_test(row_state, eigvec, shots, rng)
-            magnitude = math.sqrt(estimate.overlap_sq_hat)
-            scores[i, j] = math.copysign(magnitude, exact[i, j])
+        _, p0_hat = swap_tests(row_state, vectors.T, shots, rng)
+        scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
     return ScoreMatrix(scores=scores)
 
 

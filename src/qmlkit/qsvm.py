@@ -214,13 +214,13 @@ def _kernel_against(x, data: LabeledDataset, spec: KernelSpec) -> np.ndarray:
     return np.exp(-spec.gamma * np.sum((data.vectors - point) ** 2, axis=1))
 
 
-def predict(model: SvmSolution, data: LabeledDataset, spec: KernelSpec, x) -> int:
-    """Class of ``x``: the sign of sum_i a_i y_i K(x_i, x) - b, with ties to +1."""
+def decision_value(model: SvmSolution, data: LabeledDataset, spec: KernelSpec, x) -> float:
+    """The score sum_i a_i y_i K(x_i, x) - b."""
     if model.alphas.shape != (data.m,):
         raise DomainError("model does not match the dataset")
-    score = float((model.alphas * data.labels) @ _kernel_against(x, data, spec) - model.b)
-    return 1 if score >= 0 else -1
-
-
-def decision_value(model: SvmSolution, data: LabeledDataset, spec: KernelSpec, x) -> float:
     return float((model.alphas * data.labels) @ _kernel_against(x, data, spec) - model.b)
+
+
+def predict(model: SvmSolution, data: LabeledDataset, spec: KernelSpec, x) -> int:
+    """Class of ``x``: the sign of its ``decision_value``, with ties to +1."""
+    return 1 if decision_value(model, data, spec, x) >= 0 else -1

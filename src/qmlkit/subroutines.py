@@ -5,9 +5,13 @@ amplitude-encoded into ceil(log2 N) qubits, overlaps are read out through
 the swap-test circuit, and Euclidean distances come from the two-state
 construction whose ancilla overlap encodes |a-b|^2 / 2Z.
 
-Every estimator carries both an exact analytic value (computed from the
-simulated final state) and a shot-based value; callers pick the path that
-fits their purpose.
+One kernel, ``_swap_test_p0``, runs every swap test, on a batch of pairs
+held as the columns of one register array.  A batch is one point against
+many (a row against the k-means centroids, a median candidate against the
+later points, a QPCA row against the top eigenvectors), so memory grows with
+the k, m-1 or R registers of one batch, never with all pairs.  Each
+estimator carries the exact value from the simulated final state and a
+shot-based value.
 """
 from __future__ import annotations
 
@@ -17,12 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gates import apply, controlled, standard_gate
+from .gates import _apply_matrix, apply, controlled, standard_gate
 from .minimizer import argmin_via_search
 from .rng import RngStream
-from .state import StateVector
+from .state import StateVector, basis_state
 
 DEFAULT_SHOTS = 4096
+
+_H = standard_gate("H")
+_FREDKIN = controlled(standard_gate("SWAP")).matrix
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class OverlapEstimate:
 
     @property
     def overlap_sq_exact(self) -> float:
-        return min(max(2.0 * self.exact_p0 - 1.0, 0.0), 1.0)
+        return float(overlap_sq(self.exact_p0))
 
 
 @dataclass(frozen=True)
@@ -53,33 +60,48 @@ class DistanceEstimate:
     inner_prod: float
 
 
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and zero-padded amplitude encodings of the rows of a matrix."""
+    # One dot product per row, summed as np.linalg.norm sums one vector.
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+    if np.any(norms == 0.0):
+        raise DomainError("cannot encode the zero vector")
+    amps = np.zeros((len(rows), 2 ** max(1, math.ceil(math.log2(rows.shape[1])))), dtype=complex)
+    amps[:, : rows.shape[1]] = rows / norms[:, None]
+    return norms, amps
+
+
 def encode(a) -> EncodedVector:
     """Amplitude-encode a nonzero real vector, zero-padded to a power of two."""
     raw = np.asarray(a, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise DomainError("encode expects a nonempty 1-D vector")
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise DomainError("cannot encode the zero vector")
-    n_qubits = max(1, math.ceil(math.log2(raw.size)))
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[: raw.size] = raw / norm
-    return EncodedVector(raw=raw, norm=norm, state=StateVector(n_qubits, amps))
+    norms, amps = _unit_rows(raw[None])
+    return EncodedVector(raw, float(norms[0]), StateVector(amps.shape[1].bit_length() - 1, amps[0]))
 
 
-def _swap_test_p0(registers: StateVector, group_a: list[int], group_b: list[int]) -> float:
-    """Exact control-qubit |0> probability of the swap test.
+def _swap_test_p0(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Exact control-qubit |0> probability of the swap test, one per row.
 
-    ``registers`` must carry the control at qubit 0 (prepared in |0>) plus
-    the two equal-size groups to compare.
+    Row b runs the register |0> (x) left[b] (x) right[b], with the Fredkin
+    ladder swapping each qubit of ``left`` with the matching leading qubit
+    of ``right``; further qubits of ``right`` ride along.  The first H acts
+    on the control alone, before it joins the rows.  Rows are not
+    norm-checked: callers pass unit rows.
     """
-    state = apply(standard_gate("H"), [0], registers)
-    fredkin = controlled(standard_gate("SWAP"))
-    for qa, qb in zip(group_a, group_b):
-        state = apply(fredkin, [0, qa, qb], state)
-    state = apply(standard_gate("H"), [0], state)
-    probs = state.probabilities()
-    return float(probs[: probs.size // 2].sum())
+    batch, dim_left = left.shape
+    half = dim_left * right.shape[1]
+    n_left = dim_left.bit_length() - 1
+    # Through ``apply`` on every call, not a constant, so that traced runs
+    # (bench/tracer.py) count the gate layer of each swap test.
+    control = apply(_H, [0], basis_state(1, 0)).amps
+    pairs = (left[:, :, None] * right[:, None, :]).reshape(batch, half).T
+    joint = (control[:, None, None] * pairs).reshape(2 * half, batch)
+    for q in range(1, 1 + n_left):
+        joint = _apply_matrix(_FREDKIN, [0, q, q + n_left], joint)
+    joint = _apply_matrix(_H.matrix, [0], joint)
+    # Sum each row along a contiguous axis, in a single state's order.
+    return (np.abs(np.ascontiguousarray(joint[:half].T)) ** 2).sum(axis=1)
 
 
 def _check_shots(shots: int) -> None:
@@ -87,11 +109,37 @@ def _check_shots(shots: int) -> None:
         raise DomainError(f"shots must be >= 1, got {shots}")
 
 
-def _estimate_p0(exact_p0: float, shots: int, rng: RngStream) -> float:
-    # Each shot re-prepares the same state, so control measurements are
-    # i.i.d. Bernoulli draws at the exact probability.
-    draws = rng.gen.random(shots)
-    return float(np.count_nonzero(draws < exact_p0)) / shots
+def _estimate_p0(exact_p0: np.ndarray, shots: int, rng: RngStream | None) -> np.ndarray:
+    """Shot estimates of each p0 (the exact values when ``rng`` is None).
+
+    Each shot re-prepares the same state, so control measurements are
+    i.i.d. Bernoulli draws at the exact probability; row b takes the b-th
+    block of ``shots`` draws, as one call per row would.
+    """
+    if rng is None:
+        return exact_p0
+    draws = rng.gen.random((exact_p0.size, shots))
+    return np.count_nonzero(draws < exact_p0[:, None], axis=1) / shots
+
+
+def overlap_sq(p0):
+    """|<a|b>|^2 = 2 p0 - 1, clamped into [0, 1] against estimation noise."""
+    return np.clip(2.0 * p0 - 1.0, 0.0, 1.0)
+
+
+def swap_tests(
+    a: StateVector, others, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact and estimated p0 of ``a`` against each amplitude row of
+    ``others``, as one batch (the estimate is exact without ``rng``)."""
+    others = np.atleast_2d(np.asarray(others, dtype=complex))
+    if others.shape[1] != a.dim:
+        raise DomainError(
+            f"swap test needs equal registers, got {a.dim} and {others.shape[1]} amplitudes"
+        )
+    _check_shots(shots)
+    exact_p0 = _swap_test_p0(np.broadcast_to(a.amps, others.shape), others)
+    return exact_p0, _estimate_p0(exact_p0, shots, rng)
 
 
 def swap_test(
@@ -102,76 +150,53 @@ def swap_test(
     P(control = 0) equals 1/2 + |<a|b>|^2 / 2: one half for orthogonal
     inputs, one for identical inputs.
     """
-    if a.n_qubits != b.n_qubits:
-        raise DomainError(
-            f"swap test needs equal registers, got {a.n_qubits} and {b.n_qubits} qubits"
-        )
-    _check_shots(shots)
-    n = a.n_qubits
-    joint = StateVector(
-        1 + 2 * n, np.kron(np.array([1.0, 0.0], dtype=complex), np.kron(a.amps, b.amps))
-    )
-    exact_p0 = _swap_test_p0(joint, list(range(1, 1 + n)), list(range(1 + n, 1 + 2 * n)))
-    p0_hat = _estimate_p0(exact_p0, shots, rng) if rng is not None else exact_p0
-    return OverlapEstimate(
-        p0_hat=p0_hat,
-        overlap_sq_hat=min(max(2.0 * p0_hat - 1.0, 0.0), 1.0),
-        shots=shots,
-        exact_p0=exact_p0,
-    )
+    (exact_p0,), (p0_hat,) = swap_tests(a, b.amps, shots, rng)
+    return OverlapEstimate(float(p0_hat), float(overlap_sq(p0_hat)), shots, float(exact_p0))
 
 
-def dist_calc(
-    a,
-    b,
-    shots: int = DEFAULT_SHOTS,
-    rng: RngStream | None = None,
-    mode: str = "exact",
-) -> DistanceEstimate:
-    """Squared Euclidean distance |a-b|^2 via state encoding, |a-b|^2 = 2Z o
-    with Z = |a|^2 + |b|^2 and o the squared ancilla overlap.
+def distances(
+    a, others, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None, mode: str = "exact"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z and |a-b|^2 = 2Z o for each row b of ``others`` as one batch, with
+    Z = |a|^2 + |b|^2 and o the squared ancilla overlap.
 
-    Prepares psi = (|0,a> + |1,b>)/sqrt(2) and phi = (|a| |0> - |b| |1>)/sqrt(Z)
-    and swap-tests phi against psi's ancilla qubit (the data register rides
-    along uncontracted).  The inner product a.b follows from the polarization
-    identity.
+    Each pair prepares psi = (|0,a> + |1,b>)/sqrt(2) and
+    phi = (|a| |0> - |b| |1>)/sqrt(Z) and swap-tests phi against psi's
+    ancilla qubit (the data register rides along uncontracted).
     """
-    ea, eb = encode(a), encode(b)
-    if ea.raw.size != eb.raw.size:
-        raise DomainError(f"dimension mismatch: {ea.raw.size} vs {eb.raw.size}")
     if mode not in ("exact", "shots"):
         raise DomainError(f"unknown distance mode {mode!r}")
     _check_shots(shots)
-    z = ea.norm**2 + eb.norm**2
-    n = ea.state.n_qubits
+    if mode == "shots" and rng is None:
+        raise DomainError("shots mode requires an RngStream")
+    ea = encode(a)
+    rows = np.atleast_2d(np.asarray(others, dtype=float))
+    if rows.shape[1] != ea.raw.size:
+        raise DomainError(f"dimension mismatch: {ea.raw.size} vs {rows.shape[1]}")
+    norms, amps = _unit_rows(rows)
+    z = ea.norm**2 + norms**2
+    phi = np.stack([np.full_like(norms, ea.norm), -norms], axis=1).astype(complex)
+    psi = np.concatenate([np.broadcast_to(ea.state.amps, amps.shape), amps], axis=1)
+    p0 = _swap_test_p0(phi / np.sqrt(z)[:, None], psi / math.sqrt(2.0))
+    p0 = _estimate_p0(p0, shots, rng if mode == "shots" else None)
+    return z, 2.0 * z * overlap_sq(p0)
 
-    psi = np.concatenate([ea.state.amps, eb.state.amps]) / math.sqrt(2.0)
-    phi = np.array([ea.norm, -eb.norm], dtype=complex) / math.sqrt(z)
-    control = np.array([1.0, 0.0], dtype=complex)
-    joint = StateVector(1 + 1 + (1 + n), np.kron(control, np.kron(phi, psi)))
 
-    exact_p0 = _swap_test_p0(joint, [1], [2])
-    if mode == "shots":
-        if rng is None:
-            raise DomainError("shots mode requires an RngStream")
-        p0 = _estimate_p0(exact_p0, shots, rng)
-    else:
-        p0 = exact_p0
-    overlap_sq = min(max(2.0 * p0 - 1.0, 0.0), 1.0)
-    dist_sq = 2.0 * z * overlap_sq
-    return DistanceEstimate(
-        z=z, dist_sq=dist_sq, inner_prod=(ea.norm**2 + eb.norm**2 - dist_sq) / 2.0
-    )
+def dist_calc(
+    a, b, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None, mode: str = "exact"
+) -> DistanceEstimate:
+    """Squared Euclidean distance |a-b|^2 via state encoding (``distances``
+    on one pair); the inner product a.b follows by polarization."""
+    (z,), (dist_sq,) = distances(a, [b], shots, rng, mode)
+    return DistanceEstimate(float(z), float(dist_sq), float(z - dist_sq) / 2.0)
 
 
 def median_calc(
-    points,
-    shots: int = DEFAULT_SHOTS,
-    rng: RngStream | None = None,
-    mode: str = "exact",
+    points, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None, mode: str = "exact"
 ) -> tuple[int, np.ndarray]:
     """The set median: the member minimizing the sum of Euclidean distances
     to all other members, with the argmin taken by quantum minimum finding.
+    Point i's distances to the points after it run as one batch.
     """
     vectors = [np.asarray(p, dtype=float) for p in points]
     if not vectors:
@@ -182,12 +207,10 @@ def median_calc(
         return 0, vectors[0]
     if rng is None:
         raise DomainError("median_calc requires an RngStream")
-    m = len(vectors)
-    sums = np.zeros(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = math.sqrt(dist_calc(vectors[i], vectors[j], shots, rng, mode).dist_sq)
-            sums[i] += d
-            sums[j] += d
+    sums = np.zeros(len(vectors))
+    for i in range(len(vectors) - 1):
+        d = np.sqrt(distances(vectors[i], vectors[i + 1 :], shots, rng, mode)[1])
+        sums[i] += d.sum()
+        sums[i + 1 :] += d
     best = argmin_via_search(sums, rng)
     return best, vectors[best]

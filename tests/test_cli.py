@@ -151,13 +151,53 @@ class TestExitCodes:
         assert "error: epoch count must be >= 0, got -1" in capsys.readouterr().err
 
     def test_non_integer_qnn_features(self, tmp_path, capsys):
-        data = write(tmp_path / "nn.csv", "0,0,1\n1.5,0,-1\n")
+        # The blank line counts: the bad row is data row 2 but file line 3.
+        data = write(tmp_path / "nn.csv", "0,0,1\n\n1.5,0,-1\n")
         code, report = cli.run(
             ["qnn", "--data", data, "--k-bits", "1", "--m-bits", "1", "--epochs", "1",
              "--params-out", str(tmp_path / "p.csv")]
         )
         assert code == 1 and report is None
-        assert f"{data}: row 2: features [1.5, 0.0] are not integers" in capsys.readouterr().err
+        assert f"{data}:3: features [1.5, 0.0] are not integers" in capsys.readouterr().err
+
+    def test_non_utf8_csv(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("1.0,2.0\n# caf\u00e9\n".encode("latin-1"))
+        code, report = cli.run(["median", "--points", str(path)])
+        assert code == 1 and report is None
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_unitary(self, tmp_path, capsys):
+        unitary = tmp_path / "u.json"
+        unitary.write_bytes(b'{"matrix": [[[1, 0]]]}\xff')
+        eigvec = write(tmp_path / "v.csv", "1.0\n")
+        code, report = cli.run(
+            ["phase-est", "--unitary", str(unitary), "--eigvec", eigvec, "--controls", "2"]
+        )
+        assert code == 1 and report is None
+        assert f"error: {unitary}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_integer_seed_env(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        code, report = cli.run(["grover", "--bits", "2", "--marked", "2"])
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "$QMLKIT_SEED" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_invalid_seed_flag(self, seed, capsys):
+        code, report = cli.run(["grover", "--bits", "2", "--marked", "2", "--seed", seed])
+        assert code == 2 and report is None
+        assert f"seed must be a non-negative integer, got '{seed}'" in capsys.readouterr().err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "report.json"
+        code, report = cli.run(
+            ["grover", "--bits", "2", "--marked", "2", "--output", str(target)]
+        )
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing-dir" in err
 
     def test_threads_flag_removed(self):
         code, _ = cli.run(["grover", "--bits", "2", "--marked", "2", "--threads", "4"])

@@ -88,6 +88,28 @@ class TestKmeans:
         assert sorted(np.nonzero(model.assignments == 1)[0].tolist()) == blob
         assert np.array_equal(model.centroids[1], data[blob].mean(axis=0))
 
+    def test_zero_norm_centroid_warns_once_per_iteration(self):
+        # Iteration 1 puts rows 0 and 1 together; their mean is the zero
+        # vector, so iteration 2 measures every row against it on the host.
+        data = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
+        model = kmeans(
+            Dataset(data), ClusterConfig(k=2), RngStream(0),
+            initial_centroids=[[1.0, 0.0], [0.0, 5.0]],
+        )
+        assert model.iterations == 2 and model.converged
+        assert model.assignments.tolist() == [0, 0, 1]
+        assert model.warnings == ["centroid 0 has zero norm; host-side distance used"]
+
+    def test_every_centroid_zero_norm(self):
+        data = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        model = kmeans(
+            Dataset(data), ClusterConfig(k=1, max_iterations=3), RngStream(0),
+            initial_centroids=[[1.0, 0.0]],
+        )
+        assert model.iterations == 2 and model.converged
+        assert np.array_equal(model.centroids, [[0.0, 0.0]])
+        assert model.warnings == ["centroid 0 has zero norm; host-side distance used"]
+
     def test_bit_identical_to_host_reference(self):
         gen = np.random.default_rng(77)
         for trial in range(5):

@@ -267,3 +267,15 @@ class TestPredict:
             assert predict(padded, extended, LINEAR, probe) == predict(
                 base, TWO_POINT, LINEAR, probe
             )
+
+    def test_model_dataset_mismatch_rejected(self):
+        solution = solve(TWO_POINT, LINEAR, AlphaGrid(bits_per_alpha=3), RngStream(1))
+        for score in (predict, decision_value):
+            with pytest.raises(DomainError, match="model does not match the dataset"):
+                score(solution, FOUR_POINT, LINEAR, [0.0, 0.0])
+
+    def test_class_is_sign_of_decision_value(self):
+        solution = solve(FOUR_POINT, LINEAR, AlphaGrid(bits_per_alpha=3), RngStream(11))
+        for probe in ([-3.0, 1.0], [-0.1, 0.0], [0.0, 0.0], [0.2, -0.4], [4.0, 2.0]):
+            value = decision_value(solution, FOUR_POINT, LINEAR, probe)
+            assert predict(solution, FOUR_POINT, LINEAR, probe) == (1 if value >= 0 else -1)

@@ -2,17 +2,119 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_state
 from qmlkit.errors import DomainError
+from qmlkit.gates import apply, controlled, standard_gate
+from qmlkit.minimizer import argmin_via_search
 from qmlkit.rng import RngStream
 from qmlkit.state import StateVector, basis_state, inner_product
 from qmlkit.subroutines import (
     dist_calc,
+    distances,
     encode,
     median_calc,
     swap_test,
+    swap_tests,
 )
+
+
+# Per-pair reference: one kron-built register per pair and one validated
+# ``gates.apply`` per gate, as the swap test ran before it was batched.
+
+def reference_swap_test_p0(registers: StateVector, group_a, group_b) -> float:
+    state = apply(standard_gate("H"), [0], registers)
+    fredkin = controlled(standard_gate("SWAP"))
+    for qa, qb in zip(group_a, group_b):
+        state = apply(fredkin, [0, qa, qb], state)
+    state = apply(standard_gate("H"), [0], state)
+    probs = state.probabilities()
+    return float(probs[: probs.size // 2].sum())
+
+
+def reference_estimate_p0(exact_p0: float, shots: int, rng: RngStream | None) -> float:
+    if rng is None:
+        return exact_p0
+    draws = rng.gen.random(shots)
+    return float(np.count_nonzero(draws < exact_p0)) / shots
+
+
+def reference_swap_test(a: StateVector, b: StateVector, shots: int, rng) -> tuple[float, float]:
+    """(exact p0, estimated p0) of one pair."""
+    n = a.n_qubits
+    control = np.array([1.0, 0.0], dtype=complex)
+    joint = StateVector(1 + 2 * n, np.kron(control, np.kron(a.amps, b.amps)))
+    exact_p0 = reference_swap_test_p0(
+        joint, list(range(1, 1 + n)), list(range(1 + n, 1 + 2 * n))
+    )
+    return exact_p0, reference_estimate_p0(exact_p0, shots, rng)
+
+
+def reference_encode(v) -> tuple[float, StateVector]:
+    v = np.asarray(v, dtype=float)
+    n = max(1, math.ceil(math.log2(v.size)))
+    amps = np.zeros(2**n, dtype=complex)
+    amps[: v.size] = v / np.linalg.norm(v)
+    return float(np.linalg.norm(v)), StateVector(n, amps)
+
+
+def reference_dist_sq(a, b, shots: int, rng, mode: str) -> tuple[float, float]:
+    """(Z, |a-b|^2) of one pair."""
+    (norm_a, ea), (norm_b, eb) = reference_encode(a), reference_encode(b)
+    z = norm_a**2 + norm_b**2
+    psi = np.concatenate([ea.amps, eb.amps]) / math.sqrt(2.0)
+    phi = np.array([norm_a, -norm_b], dtype=complex) / math.sqrt(z)
+    control = np.array([1.0, 0.0], dtype=complex)
+    joint = StateVector(3 + ea.n_qubits, np.kron(control, np.kron(phi, psi)))
+    p0 = reference_estimate_p0(
+        reference_swap_test_p0(joint, [1], [2]), shots, rng if mode == "shots" else None
+    )
+    return z, 2.0 * z * min(max(2.0 * p0 - 1.0, 0.0), 1.0)
+
+
+def reference_median_index(points, shots: int, rng: RngStream, mode: str) -> int:
+    m = len(points)
+    sums = np.zeros(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = math.sqrt(reference_dist_sq(points[i], points[j], shots, rng, mode)[1])
+            sums[i] += d
+            sums[j] += d
+    return argmin_via_search(sums, rng)
+
+
+def _next_draws(rng: RngStream) -> list[float]:
+    """Two streams left at the same position give the same next draws."""
+    return rng.gen.random(4).tolist()
+
+
+@st.composite
+def swap_batches(draw):
+    """A state of n <= 6 qubits and 1-8 states to test it against; one of
+    them may be a copy of the first state, which puts p0 at exactly 1."""
+    n = draw(st.integers(1, 6))
+    batch = draw(st.integers(1, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_state(gen, n)
+    others = [random_state(gen, n) for _ in range(batch)]
+    if draw(st.booleans()):
+        others[draw(st.integers(0, batch - 1))] = a
+    return a, others
+
+
+@st.composite
+def distance_batches(draw):
+    """A vector of 1-64 entries (up to 6 data qubits) and 1-8 others, drawn
+    at mixed scales; one of the others may be a copy or a multiple of it."""
+    dim = draw(st.integers(1, 64))
+    batch = draw(st.integers(1, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = gen.normal(size=dim) * 10.0 ** gen.uniform(-2, 2)
+    others = gen.normal(size=(batch, dim)) * 10.0 ** gen.uniform(-2, 2, size=(batch, 1))
+    if draw(st.booleans()):
+        others[draw(st.integers(0, batch - 1))] = a * draw(st.sampled_from([1.0, -2.0, 0.5]))
+    return a, others
 
 
 class TestEncode:
@@ -80,6 +182,73 @@ class TestSwapTest:
     def test_register_mismatch(self):
         with pytest.raises(DomainError):
             swap_test(basis_state(1, 0), basis_state(2, 0))
+
+
+class TestSwapTestBatch:
+    @settings(max_examples=60)
+    @given(swap_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64))
+    def test_matches_per_pair_reference(self, case, seed, shots):
+        a, others = case
+        amps = np.array([b.amps for b in others])
+        exact_p0, p0 = swap_tests(a, amps)
+        reference = [reference_swap_test(a, b, shots, None)[0] for b in others]
+        assert np.max(np.abs(exact_p0 - reference)) <= 1e-12
+        assert np.array_equal(p0, exact_p0)
+
+        batched_rng, pair_rng = RngStream(seed), RngStream(seed)
+        _, p0_hat = swap_tests(a, amps, shots, batched_rng)
+        pair_hat = [reference_swap_test(a, b, shots, pair_rng)[1] for b in others]
+        assert p0_hat.tolist() == pair_hat
+        assert _next_draws(batched_rng) == _next_draws(pair_rng)
+
+    def test_swap_test_is_a_batch_of_one(self, np_rng):
+        a, b = random_state(np_rng, 3), random_state(np_rng, 3)
+        estimate = swap_test(a, b, shots=500, rng=RngStream(3))
+        exact_p0, p0_hat = swap_tests(a, [b.amps], shots=500, rng=RngStream(3))
+        assert (estimate.exact_p0, estimate.p0_hat) == (exact_p0[0], p0_hat[0])
+
+    def test_zero_shots_rejected(self, np_rng):
+        psi = random_state(np_rng, 1)
+        with pytest.raises(DomainError, match="shots must be >= 1, got 0"):
+            swap_tests(psi, [psi.amps], shots=0)
+
+
+class TestDistanceBatch:
+    @settings(max_examples=60)
+    @given(distance_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64))
+    def test_matches_per_pair_reference(self, case, seed, shots):
+        a, others = case
+        z, dist_sq = distances(a, others)
+        for j, b in enumerate(others):
+            ref_z, ref_dist_sq = reference_dist_sq(a, b, shots, None, "exact")
+            assert z[j] == pytest.approx(ref_z, rel=1e-12)
+            assert abs(dist_sq[j] - ref_dist_sq) <= 1e-12 * max(ref_dist_sq, ref_z)
+
+        batched_rng, pair_rng = RngStream(seed), RngStream(seed)
+        _, dist_hat = distances(a, others, shots, batched_rng, "shots")
+        pair_hat = [reference_dist_sq(a, b, shots, pair_rng, "shots")[1] for b in others]
+        assert dist_hat == pytest.approx(pair_hat, rel=1e-12)
+        assert _next_draws(batched_rng) == _next_draws(pair_rng)
+
+    def test_dist_calc_is_a_batch_of_one(self, np_rng):
+        a, b = np_rng.normal(size=5), np_rng.normal(size=5)
+        estimate = dist_calc(a, b, shots=300, rng=RngStream(8), mode="shots")
+        z, dist_sq = distances(a, [b], shots=300, rng=RngStream(8), mode="shots")
+        assert (estimate.z, estimate.dist_sq) == (z[0], dist_sq[0])
+        assert estimate.inner_prod == (z[0] - dist_sq[0]) / 2.0
+
+    def test_exact_mode_draws_nothing(self, np_rng):
+        rng = RngStream(1)
+        distances(np_rng.normal(size=3), np_rng.normal(size=(4, 3)), rng=rng)
+        assert _next_draws(rng) == _next_draws(RngStream(1))
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(DomainError, match="zero vector"):
+            distances([1.0, 2.0], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_shots_mode_requires_stream(self):
+        with pytest.raises(DomainError, match="RngStream"):
+            distances([1.0, 2.0], [[1.0, 0.0]], mode="shots")
 
 
 class TestDistCalc:
@@ -160,3 +329,12 @@ class TestMedianCalc:
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
             median_calc([], rng=RngStream(0))
+
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    def test_matches_per_pair_reference(self, np_rng, mode):
+        for seed in range(6):
+            points = list(np_rng.normal(size=(int(np_rng.integers(2, 9)), 3)))
+            batched_rng, pair_rng = RngStream(seed), RngStream(seed)
+            index, _ = median_calc(points, shots=64, rng=batched_rng, mode=mode)
+            assert index == reference_median_index(points, 64, pair_rng, mode)
+            assert _next_draws(batched_rng) == _next_draws(pair_rng)
