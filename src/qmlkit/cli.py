@@ -152,9 +152,11 @@ def _read_unitary(path: str) -> gates.GateMatrix:
     try:
         doc = json.loads(text)
         if isinstance(doc, dict) and "steps" in doc:
-            matrix = gates.Circuit.from_json(text).matrix()
-        else:
-            matrix = gates.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc)
+            circuit = gates.Circuit.from_json(text)
+            matrix = circuit.matrix()
+            return gates.GateMatrix(matrix.shape[0], matrix)
+        rows = doc["matrix"] if isinstance(doc, dict) else doc
+        matrix = gates.matrix_from_json(rows)
         return gates.GateMatrix(matrix.shape[0], matrix)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path}: not a valid unitary document ({exc})") from None

@@ -113,17 +113,33 @@ def _assign(
 
 
 def _repair_empty(
-    data: Dataset, centroids: np.ndarray, assignments: np.ndarray, warnings: list[str]
+    data: Dataset,
+    centroids: np.ndarray,
+    assignments: np.ndarray,
+    cfg: ClusterConfig,
+    rng: RngStream,
+    warnings: list[str],
 ) -> None:
-    for j in range(len(centroids)):
+    for j in range(cfg.k):
         if np.any(assignments == j):
             continue
         # Reseed with the point farthest from its currently assigned centroid.
-        gaps = np.sum((data.vectors - centroids[assignments]) ** 2, axis=1)
+        gaps = np.array(
+            [
+                np.sum((data.vectors[i] - centroids[assignments[i]]) ** 2)
+                for i in range(data.m)
+            ]
+        )
         farthest = int(np.argmax(gaps))
         centroids[j] = data.vectors[farthest]
         assignments[farthest] = j
         warnings.append(f"empty cluster {j} reseeded with row {farthest}")
+
+
+def _within_cluster_cost(data: Dataset, centroids: np.ndarray, assignments: np.ndarray) -> float:
+    return float(
+        np.sum((data.vectors - centroids[assignments]) ** 2)
+    )
 
 
 def _lloyd(
@@ -141,25 +157,41 @@ def _lloyd(
     """
     if cfg.k > data.m:
         raise DomainError(f"k = {cfg.k} exceeds the {data.m} data rows")
-    if initial_centroids is None:
-        initial_centroids = _init_centroids(data, cfg.k, rng)
-    centroids = np.array(initial_centroids, dtype=float)
+    centroids = (
+        np.array(initial_centroids, dtype=float)
+        if initial_centroids is not None
+        else _init_centroids(data, cfg.k, rng)
+    )
     warnings: list[str] = []
     trace: list[dict] = []
+    converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         assignments = _assign(data, centroids, cfg, rng, warnings)
-        _repair_empty(data, centroids, assignments, warnings)
-        new_centroids = np.array([update(data.vectors[assignments == j]) for j in range(cfg.k)])
+        _repair_empty(data, centroids, assignments, cfg, rng, warnings)
+        new_centroids = centroids.copy()
+        for j in range(cfg.k):
+            new_centroids[j] = update(data.vectors[assignments == j])
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         converged = settled(centroids, new_centroids, shift)
         centroids = new_centroids
-        cost = float(np.sum((data.vectors - centroids[assignments]) ** 2))
         trace.append(
-            {"iteration": iterations, "max_centroid_shift": shift, "within_cluster_cost": cost}
+            {
+                "iteration": iterations,
+                "max_centroid_shift": shift,
+                "within_cluster_cost": _within_cluster_cost(data, centroids, assignments),
+            }
         )
         if converged:
             break
-    return ClusterModel(cfg.k, centroids, assignments, iterations, converged, trace, warnings)
+    return ClusterModel(
+        k=cfg.k,
+        centroids=centroids,
+        assignments=assignments,
+        iterations=iterations,
+        converged=converged,
+        trace=trace,
+        warnings=warnings,
+    )
 
 
 def kmeans(

@@ -190,10 +190,11 @@ def extract_scores(
         return ScoreMatrix(scores=exact)
     if rng is None:
         raise DomainError("swaptest mode requires an RngStream")
+    n = model.rho.n_qubits
+    eigvecs = [StateVector(n, v.astype(complex)) for v in vectors.T]
     scores = np.empty_like(exact)
     for i, row in enumerate(rows):
-        row_state = StateVector(model.rho.n_qubits, row.astype(complex))
-        _, p0_hat = swap_tests(row_state, vectors.T, shots, rng)
+        _, p0_hat = swap_tests(StateVector(n, row.astype(complex)), eigvecs, shots, rng)
         scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
     return ScoreMatrix(scores=scores)
 

@@ -5,13 +5,15 @@ amplitude-encoded into ceil(log2 N) qubits, overlaps are read out through
 the swap-test circuit, and Euclidean distances come from the two-state
 construction whose ancilla overlap encodes |a-b|^2 / 2Z.
 
-One kernel, ``_swap_test_p0``, runs every swap test, on a batch of pairs
-held as the columns of one register array.  A batch is one point against
-many (a row against the k-means centroids, a median candidate against the
-later points, a QPCA row against the top eigenvectors), so memory grows with
-the k, m-1 or R registers of one batch, never with all pairs.  Each
-estimator carries the exact value from the simulated final state and a
-shot-based value.
+One kernel, ``_swap_test_p0``, runs every swap test, on a batch of pairs:
+a slice of pairs is one register with extra qubits that index the pairs,
+and the gates act on it through ``gates.apply``.  A batch is one point
+against many (a row against the k-means centroids, a median candidate
+against the later points, a QPCA row against the top eigenvectors), and a
+slice holds at most 2^16 amplitudes unless one pair alone needs more, so
+memory never grows with all pairs; a pair over the qubit cap is refused
+before anything is allocated.  Each estimator carries the exact value from
+the simulated final state and a shot-based value.
 """
 from __future__ import annotations
 
@@ -21,15 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .gates import _apply_matrix, apply, controlled, standard_gate
+from .gates import apply, controlled, standard_gate
 from .minimizer import argmin_via_search
 from .rng import RngStream
-from .state import StateVector, basis_state
+from .state import StateVector, _check_n_qubits
 
 DEFAULT_SHOTS = 4096
 
 _H = standard_gate("H")
-_FREDKIN = controlled(standard_gate("SWAP")).matrix
+_FREDKIN = controlled(standard_gate("SWAP"))
+_PLUS = _H.matrix[:, 0]  # the control qubit after the first H
+# Amplitudes of one batched swap-test register (1 MiB); larger registers
+# ran slower per amplitude through the gate kernel's transposes.
+_SLICE_AMPS = 2**16
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,8 @@ class DistanceEstimate:
 
 def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Norms and zero-padded amplitude encodings of the rows of a matrix."""
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("cannot encode a vector with NaN or infinite entries")
     # One dot product per row, summed as np.linalg.norm sums one vector.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
     if np.any(norms == 0.0):
@@ -77,7 +85,8 @@ def encode(a) -> EncodedVector:
     if raw.ndim != 1 or raw.size == 0:
         raise DomainError("encode expects a nonempty 1-D vector")
     norms, amps = _unit_rows(raw[None])
-    return EncodedVector(raw, float(norms[0]), StateVector(amps.shape[1].bit_length() - 1, amps[0]))
+    n_qubits = amps.shape[1].bit_length() - 1
+    return EncodedVector(raw=raw, norm=float(norms[0]), state=StateVector(n_qubits, amps[0]))
 
 
 def _swap_test_p0(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -85,23 +94,37 @@ def _swap_test_p0(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
     Row b runs the register |0> (x) left[b] (x) right[b], with the Fredkin
     ladder swapping each qubit of ``left`` with the matching leading qubit
-    of ``right``; further qubits of ``right`` ride along.  The first H acts
-    on the control alone, before it joins the rows.  Rows are not
-    norm-checked: callers pass unit rows.
+    of ``right``; further qubits of ``right`` ride along.  Rows run in
+    slices of w = 4^j pairs, each slice as one register whose trailing 2j
+    qubits index its pairs, sum_b |pair_b>|b> / sqrt(w), held to
+    ``_SLICE_AMPS`` amplitudes unless one pair alone is larger; a short
+    last slice repeats its pairs to fill w.  Scaling by 1/sqrt(w) = 2^-j is
+    exact, so each p0 carries the bits of a lone register.
     """
     batch, dim_left = left.shape
     half = dim_left * right.shape[1]
+    n_pair = _check_n_qubits(half.bit_length())
     n_left = dim_left.bit_length() - 1
-    # Through ``apply`` on every call, not a constant, so that traced runs
-    # (bench/tracer.py) count the gate layer of each swap test.
-    control = apply(_H, [0], basis_state(1, 0)).amps
-    pairs = (left[:, :, None] * right[:, None, :]).reshape(batch, half).T
-    joint = (control[:, None, None] * pairs).reshape(2 * half, batch)
-    for q in range(1, 1 + n_left):
-        joint = _apply_matrix(_FREDKIN, [0, q, q + n_left], joint)
-    joint = _apply_matrix(_H.matrix, [0], joint)
-    # Sum each row along a contiguous axis, in a single state's order.
-    return (np.abs(np.ascontiguousarray(joint[:half].T)) ** 2).sum(axis=1)
+    width = 1
+    while width < batch and 8 * half * width <= _SLICE_AMPS:
+        width *= 4
+    p0 = np.empty(batch)
+    for start in range(0, batch, width):
+        count = min(width, batch - start)
+        w = 1
+        while w < count:
+            w *= 4
+        rows = start + np.arange(w) % count
+        pairs = (left[rows, :, None] * right[rows, None, :]).reshape(w, half).T
+        joint = (_PLUS[:, None, None] * pairs) / math.sqrt(w)
+        state = StateVector(n_pair + (w.bit_length() - 1), joint.reshape(-1))
+        for q in range(1, 1 + n_left):
+            state = apply(_FREDKIN, [0, q, q + n_left], state)
+        state = apply(_H, [0], state)
+        final = state.amps[: half * w].reshape(half, w)[:, :count]
+        # Sum each pair along a contiguous axis, in a lone register's order.
+        p0[start : start + count] = (np.abs(np.ascontiguousarray(final.T)) ** 2).sum(axis=1) * w
+    return p0
 
 
 def _check_shots(shots: int) -> None:
@@ -130,15 +153,16 @@ def overlap_sq(p0):
 def swap_tests(
     a: StateVector, others, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact and estimated p0 of ``a`` against each amplitude row of
-    ``others``, as one batch (the estimate is exact without ``rng``)."""
-    others = np.atleast_2d(np.asarray(others, dtype=complex))
-    if others.shape[1] != a.dim:
-        raise DomainError(
-            f"swap test needs equal registers, got {a.dim} and {others.shape[1]} amplitudes"
-        )
+    """Exact and estimated p0 of ``a`` against each state of ``others``, as
+    one batch (the estimate is exact without ``rng``)."""
+    for b in others:
+        if b.n_qubits != a.n_qubits:
+            raise DomainError(
+                f"swap test needs equal registers, got {a.n_qubits} and {b.n_qubits} qubits"
+            )
     _check_shots(shots)
-    exact_p0 = _swap_test_p0(np.broadcast_to(a.amps, others.shape), others)
+    right = np.array([b.amps for b in others]).reshape(-1, a.dim)
+    exact_p0 = _swap_test_p0(np.broadcast_to(a.amps, right.shape), right)
     return exact_p0, _estimate_p0(exact_p0, shots, rng)
 
 
@@ -150,12 +174,21 @@ def swap_test(
     P(control = 0) equals 1/2 + |<a|b>|^2 / 2: one half for orthogonal
     inputs, one for identical inputs.
     """
-    (exact_p0,), (p0_hat,) = swap_tests(a, b.amps, shots, rng)
-    return OverlapEstimate(float(p0_hat), float(overlap_sq(p0_hat)), shots, float(exact_p0))
+    (exact_p0,), (p0_hat,) = swap_tests(a, [b], shots, rng)
+    return OverlapEstimate(
+        p0_hat=float(p0_hat),
+        overlap_sq_hat=float(overlap_sq(p0_hat)),
+        shots=shots,
+        exact_p0=float(exact_p0),
+    )
 
 
 def distances(
-    a, others, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None, mode: str = "exact"
+    a,
+    others,
+    shots: int = DEFAULT_SHOTS,
+    rng: RngStream | None = None,
+    mode: str = "exact",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Z and |a-b|^2 = 2Z o for each row b of ``others`` as one batch, with
     Z = |a|^2 + |b|^2 and o the squared ancilla overlap.
@@ -183,16 +216,25 @@ def distances(
 
 
 def dist_calc(
-    a, b, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None, mode: str = "exact"
+    a,
+    b,
+    shots: int = DEFAULT_SHOTS,
+    rng: RngStream | None = None,
+    mode: str = "exact",
 ) -> DistanceEstimate:
     """Squared Euclidean distance |a-b|^2 via state encoding (``distances``
     on one pair); the inner product a.b follows by polarization."""
     (z,), (dist_sq,) = distances(a, [b], shots, rng, mode)
-    return DistanceEstimate(float(z), float(dist_sq), float(z - dist_sq) / 2.0)
+    return DistanceEstimate(
+        z=float(z), dist_sq=float(dist_sq), inner_prod=float(z - dist_sq) / 2.0
+    )
 
 
 def median_calc(
-    points, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None, mode: str = "exact"
+    points,
+    shots: int = DEFAULT_SHOTS,
+    rng: RngStream | None = None,
+    mode: str = "exact",
 ) -> tuple[int, np.ndarray]:
     """The set median: the member minimizing the sum of Euclidean distances
     to all other members, with the argmin taken by quantum minimum finding.

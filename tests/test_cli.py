@@ -199,6 +199,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing-dir" in err
 
+    def test_swaptest_over_qubit_cap(self, tmp_path, capsys):
+        # Two 12-qubit states fit the cap; their 25-qubit swap-test register
+        # does not, and is refused before it is built.
+        a = write(tmp_path / "a.csv", "1.0\n" + "0.0\n" * 4095)
+        code, report = cli.run(["swaptest", "--a", a, "--b", a])
+        assert code == 1 and report is None
+        assert "error: 25 qubits exceeds the cap of 24" in capsys.readouterr().err
+
+    def test_dist_over_qubit_cap(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("qmlkit.state.MAX_QUBITS", 5)
+        a = write(tmp_path / "a.csv", ",".join(["1.0"] * 8) + "\n")
+        code, report = cli.run(["dist", "--a", a, "--b", a])
+        assert code == 1 and report is None
+        assert "error: 6 qubits exceeds the cap of 5" in capsys.readouterr().err
+
     def test_threads_flag_removed(self):
         code, _ = cli.run(["grover", "--bits", "2", "--marked", "2", "--threads", "4"])
         assert code == 2

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_state
-from qmlkit.errors import DomainError
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.gates import apply, controlled, standard_gate
 from qmlkit.minimizer import argmin_via_search
+from qmlkit import subroutines
 from qmlkit.rng import RngStream
 from qmlkit.state import StateVector, basis_state, inner_product
 from qmlkit.subroutines import (
@@ -82,6 +85,12 @@ def reference_median_index(points, shots: int, rng: RngStream, mode: str) -> int
             sums[i] += d
             sums[j] += d
     return argmin_via_search(sums, rng)
+
+
+def slice_caps():
+    """Slice sizes from one-pair slices up to the default, so that batches
+    run whole, in slices of 4 or 16, or with a short last slice."""
+    return st.sampled_from([2**k for k in range(3, 17)])
 
 
 def _next_draws(rng: RngStream) -> list[float]:
@@ -186,17 +195,20 @@ class TestSwapTest:
 
 class TestSwapTestBatch:
     @settings(max_examples=60)
-    @given(swap_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64))
-    def test_matches_per_pair_reference(self, case, seed, shots):
+    @given(swap_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64), slice_caps())
+    def test_matches_per_pair_reference(self, case, seed, shots, cap):
         a, others = case
-        amps = np.array([b.amps for b in others])
-        exact_p0, p0 = swap_tests(a, amps)
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
+            exact_p0, p0 = swap_tests(a, others)
         reference = [reference_swap_test(a, b, shots, None)[0] for b in others]
         assert np.max(np.abs(exact_p0 - reference)) <= 1e-12
         assert np.array_equal(p0, exact_p0)
+        # Slicing scales amplitudes by powers of two only: no bit changes.
+        assert np.array_equal(exact_p0, [swap_tests(a, [b])[0][0] for b in others])
 
         batched_rng, pair_rng = RngStream(seed), RngStream(seed)
-        _, p0_hat = swap_tests(a, amps, shots, batched_rng)
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
+            _, p0_hat = swap_tests(a, others, shots, batched_rng)
         pair_hat = [reference_swap_test(a, b, shots, pair_rng)[1] for b in others]
         assert p0_hat.tolist() == pair_hat
         assert _next_draws(batched_rng) == _next_draws(pair_rng)
@@ -204,28 +216,35 @@ class TestSwapTestBatch:
     def test_swap_test_is_a_batch_of_one(self, np_rng):
         a, b = random_state(np_rng, 3), random_state(np_rng, 3)
         estimate = swap_test(a, b, shots=500, rng=RngStream(3))
-        exact_p0, p0_hat = swap_tests(a, [b.amps], shots=500, rng=RngStream(3))
+        exact_p0, p0_hat = swap_tests(a, [b], shots=500, rng=RngStream(3))
         assert (estimate.exact_p0, estimate.p0_hat) == (exact_p0[0], p0_hat[0])
+
+    def test_register_over_qubit_cap_refused(self):
+        psi = basis_state(12, 0)
+        with pytest.raises(ConfigError, match="25 qubits exceeds the cap of 24"):
+            swap_test(psi, psi)
 
     def test_zero_shots_rejected(self, np_rng):
         psi = random_state(np_rng, 1)
         with pytest.raises(DomainError, match="shots must be >= 1, got 0"):
-            swap_tests(psi, [psi.amps], shots=0)
+            swap_tests(psi, [psi], shots=0)
 
 
 class TestDistanceBatch:
     @settings(max_examples=60)
-    @given(distance_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64))
-    def test_matches_per_pair_reference(self, case, seed, shots):
+    @given(distance_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64), slice_caps())
+    def test_matches_per_pair_reference(self, case, seed, shots, cap):
         a, others = case
-        z, dist_sq = distances(a, others)
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
+            z, dist_sq = distances(a, others)
         for j, b in enumerate(others):
             ref_z, ref_dist_sq = reference_dist_sq(a, b, shots, None, "exact")
             assert z[j] == pytest.approx(ref_z, rel=1e-12)
             assert abs(dist_sq[j] - ref_dist_sq) <= 1e-12 * max(ref_dist_sq, ref_z)
 
         batched_rng, pair_rng = RngStream(seed), RngStream(seed)
-        _, dist_hat = distances(a, others, shots, batched_rng, "shots")
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
+            _, dist_hat = distances(a, others, shots, batched_rng, "shots")
         pair_hat = [reference_dist_sq(a, b, shots, pair_rng, "shots")[1] for b in others]
         assert dist_hat == pytest.approx(pair_hat, rel=1e-12)
         assert _next_draws(batched_rng) == _next_draws(pair_rng)
@@ -245,6 +264,11 @@ class TestDistanceBatch:
     def test_zero_row_rejected(self):
         with pytest.raises(DomainError, match="zero vector"):
             distances([1.0, 2.0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            distances([1.0, 2.0], [[1.0, 0.0], [bad, 1.0]])
 
     def test_shots_mode_requires_stream(self):
         with pytest.raises(DomainError, match="RngStream"):
