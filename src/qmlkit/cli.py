@@ -230,7 +230,7 @@ def _cmd_qft(args, rng, warnings):
         psi = state.normalize(amps)
     else:
         psi = state.StateVector(args.qubits, amps)
-    out = gates.apply(fourier.qft_gate(args.qubits), list(range(args.qubits)), psi)
+    out = fourier.qft(psi)
     return {
         "amplitudes": _complex_pairs(out.amps),
         "probabilities": [float(p) for p in out.probabilities()],
@@ -261,9 +261,7 @@ def _cmd_dft(args, rng, warnings):
             if not 0 <= bin_index < len(kept):
                 raise DomainError(f"bin {bin_index} out of range for {len(kept)} samples")
             kept[bin_index] = 0.0
-        n = len(kept)
-        j = np.arange(n)
-        restored = np.exp(-2j * np.pi * np.outer(j, j) / n) @ kept / np.sqrt(n)
+        restored = np.fft.fft(kept, norm="ortho")
         results["denoised"] = [float(v) for v in restored.real]
     return results
 

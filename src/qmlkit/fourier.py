@@ -2,10 +2,15 @@
 estimation.
 
 Conventions: the transform uses the +i exponent and symmetric 1/sqrt(N)
-normalization, ``y_k = (1/sqrt(N)) sum_j x_j exp(2 pi i k j / N)``.  The
-circuit decomposition starts with the qubit-reversal SWAP network and then
-applies the Hadamard / controlled-phase ladder from the least significant
-qubit upward; its full matrix equals the gate matrix exactly.
+normalization, ``y_k = (1/sqrt(N)) sum_j x_j exp(2 pi i k j / N)``, which is
+``np.fft.ifft(x, norm="ortho")``; its inverse is ``np.fft.fft`` with the same
+norm.  Transforms of sample vectors, of whole registers and of the phase
+estimation control register run through ``np.fft`` in O(N log N) and never
+build a transform matrix.  The dense gate, its inverse and the circuit
+decomposition remain for circuits and known-value checks; the circuit starts
+with the qubit-reversal SWAP network and then applies the Hadamard /
+controlled-phase ladder from the least significant qubit upward, and its full
+matrix equals the gate matrix exactly.
 """
 from __future__ import annotations
 
@@ -17,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .gates import Circuit, GateMatrix, apply, controlled, standard_gate
+from .gates import Circuit, GateMatrix, controlled, standard_gate
 from .rng import RngStream
-from .state import StateVector, basis_state, tensor
+from .state import StateVector, _check_n_qubits
 
 QFT_MATRIX_CAP = 12   # dense 2^n x 2^n transform matrix cap
 
@@ -45,25 +50,42 @@ class FourierSpec:
         return 2**self.n_qubits
 
 
+def _check_cap(n_qubits: int, what: str) -> None:
+    if n_qubits > QFT_MATRIX_CAP:
+        raise ConfigError(f"transform {what} cap is {QFT_MATRIX_CAP} qubits")
+
+
 def classical_dft(x) -> np.ndarray:
-    """Reference transform on a plain sample vector (O(N^2) by design)."""
+    """The transform of a plain sample vector of any length, by FFT in
+    O(N log N); the tests keep the O(N^2) direct sum as the reference."""
     samples = np.asarray(x, dtype=complex)
     if samples.size == 0:
         raise DomainError("empty sample vector")
-    n = samples.size
-    j = np.arange(n)
-    phases = np.exp(2j * np.pi * np.outer(j, j) / n)
-    return (phases @ samples) / np.sqrt(n)
+    return np.fft.ifft(samples, norm="ortho")
+
+
+def qft(psi: StateVector) -> StateVector:
+    """``qft_gate(n)`` applied to every qubit of ``psi``, computed by FFT.
+
+    Held to the gate's ``QFT_MATRIX_CAP`` so it admits the same registers.
+    """
+    _check_cap(psi.n_qubits, "matrix")
+    return StateVector(psi.n_qubits, classical_dft(psi.amps))
 
 
 @lru_cache(maxsize=None)
 def qft_gate(n_qubits: int) -> GateMatrix:
-    """The transform as a dense unitary: F_jk = omega^(jk) / sqrt(N)."""
-    if n_qubits > QFT_MATRIX_CAP:
-        raise ConfigError(f"transform matrix cap is {QFT_MATRIX_CAP} qubits")
+    """The transform as a dense unitary: F_jk = omega^(jk) / sqrt(N).
+
+    Entries are read from a table of the N roots at index (j k) mod N, so
+    each is one correctly rounded root instead of a power whose error grows
+    with j k.
+    """
+    _check_cap(n_qubits, "matrix")
     spec = FourierSpec(n_qubits)
     j = np.arange(spec.dim)
-    matrix = spec.omega ** np.outer(j, j) / np.sqrt(spec.dim)
+    roots = np.exp(2j * np.pi * j / spec.dim) / np.sqrt(spec.dim)
+    matrix = roots[np.outer(j, j) & (spec.dim - 1)]
     return GateMatrix(spec.dim, matrix, name=f"QFT{n_qubits}")
 
 
@@ -80,8 +102,7 @@ def qft_circuit(n_qubits: int) -> Circuit:
     least to most significant, each preceded by the controlled phase shifts
     pi/2^(k-j) that link it to every less significant qubit.
     """
-    if n_qubits > QFT_MATRIX_CAP:
-        raise ConfigError(f"transform circuit cap is {QFT_MATRIX_CAP} qubits")
+    _check_cap(n_qubits, "circuit")
     steps: list[tuple[GateMatrix, tuple[int, ...]]] = []
     swap = standard_gate("SWAP")
     for i in range(n_qubits // 2):
@@ -121,26 +142,31 @@ def control_distribution(
 ) -> np.ndarray:
     """Analytic measurement distribution of the control register.
 
-    Runs the full circuit: Hadamards on the controls, controlled U^(2^j)
-    built by repeated squaring, then the inverse transform on the controls.
+    Holds the register as a (2^n_control, d) array, row a being the target
+    amplitudes paired with control value a.  It starts as H^(x)n|0>|v>; for
+    each control bit j the rows whose bit j is set take U^(2^j), built by
+    repeated squaring (the controlled gate [[I, 0], [0, U]] is applied
+    without building it); the inverse transform then runs down the rows by
+    FFT.  The tests keep the full controlled-gate circuit as the reference.
     """
     if n_control < 1:
         raise DomainError("need at least one control qubit")
-    m = eigenvector.n_qubits
-    state = tensor(basis_state(n_control, 0), eigenvector)
-    h = standard_gate("H")
-    for q in range(n_control):
-        state = apply(h, [q], state)
+    if u.dim != eigenvector.dim:
+        raise DomainError(
+            f"gate of dim {u.dim} cannot act on a {eigenvector.n_qubits}-qubit eigenvector"
+        )
+    n_qubits = _check_n_qubits(n_control + eigenvector.n_qubits)
+    register = np.tile(eigenvector.amps / math.sqrt(2**n_control), (2**n_control, 1))
     power = u
     for j in range(n_control):
-        ctrl = n_control - 1 - j          # least significant control gets U^(2^0)
-        gate = controlled(power)
-        state = apply(gate, [ctrl] + list(range(n_control, n_control + m)), state)
+        # Rows split as (high bits, bit j, low bits): bit j set is index 1.
+        rows = register.reshape(-1, 2, 2**j, u.dim)[:, 1]
+        rows[...] = rows @ power.matrix.T
         if j < n_control - 1:
             power = GateMatrix(power.dim, power.matrix @ power.matrix)
-    state = apply(inverse_qft_gate(n_control), list(range(n_control)), state)
-    probs = state.probabilities().reshape(2**n_control, 2**m).sum(axis=1)
-    return probs
+    register = np.fft.fft(register, axis=0, norm="ortho")
+    state = StateVector(n_qubits, register.reshape(-1))
+    return state.probabilities().reshape(register.shape).sum(axis=1)
 
 
 def phase_estimate(
@@ -154,8 +180,8 @@ def phase_estimate(
     to the true phase, read from the pre-measurement state; ``delta`` is the
     rounding error theta - a*/2^n of that nearest value.
     """
-    theta = _eigenphase(u, eigenvector)
     probs = control_distribution(u, eigenvector, n_control)
+    theta = _eigenphase(u, eigenvector)
     dim = 2**n_control
     measured = rng.choice(probs / probs.sum())
     nearest = int(round(theta * dim)) % dim

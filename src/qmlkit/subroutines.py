@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .gates import apply, controlled, standard_gate
 from .minimizer import argmin_via_search
 from .rng import RngStream
-from .state import StateVector, _check_n_qubits
+from .state import MAX_QUBITS, StateVector, _check_n_qubits
 
 DEFAULT_SHOTS = 4096
 
@@ -36,6 +36,9 @@ _PLUS = _H.matrix[:, 0]  # the control qubit after the first H
 # Amplitudes of one batched swap-test register (1 MiB); larger registers
 # ran slower per amplitude through the gate kernel's transposes.
 _SLICE_AMPS = 2**16
+# Shot draws of one batch may take as much memory as a state at the qubit
+# cap: 2^24 complex amplitudes, 256 MiB.
+_DRAW_BYTES_CAP = 16 * 2**MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,17 @@ def _estimate_p0(exact_p0: np.ndarray, shots: int, rng: RngStream | None) -> np.
 
     Each shot re-prepares the same state, so control measurements are
     i.i.d. Bernoulli draws at the exact probability; row b takes the b-th
-    block of ``shots`` draws, as one call per row would.
+    block of ``shots`` draws, as one call per row would.  A batch whose
+    draws would pass ``_DRAW_BYTES_CAP`` is refused before any draw.
     """
     if rng is None:
         return exact_p0
+    need = 8 * exact_p0.size * shots
+    if need > _DRAW_BYTES_CAP:
+        raise ConfigError(
+            f"{exact_p0.size} x {shots} shot draws need {need / 2**20:,.0f} MiB, "
+            f"over the {_DRAW_BYTES_CAP // 2**20} MiB budget"
+        )
     draws = rng.gen.random((exact_p0.size, shots))
     return np.count_nonzero(draws < exact_p0[:, None], axis=1) / shots
 

@@ -6,9 +6,13 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qmlkit import cli
 from qmlkit.errors import DomainError
+from qmlkit.fourier import qft_gate
+from qmlkit.gates import apply
+from qmlkit.state import StateVector
 
 
 def write(path, text):
@@ -214,6 +218,49 @@ class TestExitCodes:
         assert code == 1 and report is None
         assert "error: 6 qubits exceeds the cap of 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dist", "kmeans"])
+    def test_shot_draws_over_memory_budget(self, command, tmp_path, blob_csv, capsys):
+        # 10^12 shots per pair would need TiBs of draws; the request is
+        # refused with the estimate before anything is drawn.
+        vec = write(tmp_path / "vec.csv", "3.0,4.0\n")
+        inputs = {
+            "dist": (["--a", vec, "--b", vec], "1 x"),
+            "kmeans": (["--data", blob_csv, "--k", "2"], "2 x"),
+        }
+        argv, batch = inputs[command]
+        code, report = cli.run([command, *argv, "--mode", "shots", "--shots", str(10**12)])
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert f"error: {batch} 1000000000000 shot draws need" in err
+        assert "over the 256 MiB budget" in err
+
+    def test_phase_est_dimension_mismatch(self, tmp_path, capsys):
+        unitary = write(
+            tmp_path / "u.json", json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
+        )
+        eigvec = write(tmp_path / "v.csv", "1.0\n0.0\n0.0\n0.0\n")
+        code, report = cli.run(
+            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "2"]
+        )
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert "error: gate of dim 2 cannot act on a 2-qubit eigenvector" in err
+
+    def test_qft_at_matrix_cap(self, tmp_path, capsys):
+        gen = np.random.default_rng(12)
+        amps = gen.normal(size=2**12) + 1j * gen.normal(size=2**12)
+        amps /= np.linalg.norm(amps)
+        path = write(
+            tmp_path / "amps.csv", "\n".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in amps)
+        )
+        report = run_ok(["qft", "--qubits", "12", "--amps", path])
+        got = np.array(report["results"]["amplitudes"]) @ np.array([1.0, 1j])
+        assert np.max(np.abs(got - np.fft.ifft(amps, norm="ortho"))) <= 1e-12
+        over = write(tmp_path / "over.csv", "1.0\n" + "0.0\n" * (2**13 - 1))
+        code, report = cli.run(["qft", "--qubits", "13", "--amps", over])
+        assert code == 1 and report is None
+        assert "error: transform matrix cap is 12 qubits" in capsys.readouterr().err
+
     def test_threads_flag_removed(self):
         code, _ = cli.run(["grover", "--bits", "2", "--marked", "2", "--threads", "4"])
         assert code == 2
@@ -262,6 +309,20 @@ class TestSubcommands:
         path = write(tmp_path / "amps.csv", "1.0\n0.0\n0.0\n0.0\n")
         report = run_ok(["qft", "--qubits", "2", "--amps", path])
         assert np.allclose(report["results"]["probabilities"], 0.25)
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_qft_matches_gate(self, tmp_path_factory, n, seed):
+        gen = np.random.default_rng(seed)
+        amps = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+        psi = StateVector(n, amps / np.linalg.norm(amps))
+        path = write(
+            tmp_path_factory.mktemp("qft") / "amps.csv",
+            "\n".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in psi.amps),
+        )
+        report = run_ok(["qft", "--qubits", str(n), "--amps", path])
+        got = np.array(report["results"]["amplitudes"]) @ np.array([1.0, 1j])
+        want = apply(qft_gate(n), list(range(n)), psi).amps
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_dft_two_sine_bins(self, tmp_path):
         j = np.arange(1000)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_state, random_unitary
 from qmlkit.errors import DomainError
@@ -15,13 +16,54 @@ from qmlkit.fourier import (
     qft_gate,
     rounding_success_probability,
 )
-from qmlkit.gates import GateMatrix, apply, run_circuit, standard_gate
+from qmlkit.gates import GateMatrix, apply, controlled, run_circuit, standard_gate
 from qmlkit.rng import RngStream
-from qmlkit.state import StateVector, basis_state
+from qmlkit.state import StateVector, basis_state, tensor
 
 QFT2_LITERAL = 0.5 * np.array(
     [[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]
 )
+
+
+def reference_dft(x) -> np.ndarray:
+    """The O(N^2) direct sum y_k = sum_j x_j exp(2 pi i k j / N) / sqrt(N)."""
+    n = len(x)
+    j = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(j, j) / n) @ x / np.sqrt(n)
+
+
+def reference_control_distribution(
+    u: GateMatrix, eigenvector: StateVector, n_control: int
+) -> np.ndarray:
+    """The full circuit: Hadamards on the controls, controlled U^(2^j) built
+    by repeated squaring, then the inverse transform gate on the controls."""
+    m = eigenvector.n_qubits
+    state = tensor(basis_state(n_control, 0), eigenvector)
+    for q in range(n_control):
+        state = apply(standard_gate("H"), [q], state)
+    power = u
+    for j in range(n_control):
+        ctrl = n_control - 1 - j
+        state = apply(controlled(power), [ctrl] + list(range(n_control, n_control + m)), state)
+        if j < n_control - 1:
+            power = GateMatrix(power.dim, power.matrix @ power.matrix)
+    state = apply(inverse_qft_gate(n_control), list(range(n_control)), state)
+    return state.probabilities().reshape(2**n_control, 2**m).sum(axis=1)
+
+
+@st.composite
+def phase_estimation_cases(draw):
+    """A random unitary on 1-3 qubits, one of its eigenvectors or a random
+    state, and 1-5 control qubits."""
+    m = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = random_unitary(gen, 2**m)
+    if draw(st.booleans()):
+        vector = np.linalg.eig(matrix)[1][:, draw(st.integers(0, 2**m - 1))]
+        target = StateVector(m, vector / np.linalg.norm(vector))
+    else:
+        target = random_state(gen, m)
+    return GateMatrix(2**m, matrix), target, draw(st.integers(1, 5))
 
 
 def two_sine_signal(n_samples: int = 1000) -> np.ndarray:
@@ -51,6 +93,12 @@ class TestClassicalDft:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             classical_dft([])
+
+    @given(st.integers(1, 1024), st.integers(0, 2**32 - 1))
+    def test_matches_direct_sum(self, n, seed):
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=n) + 1j * gen.normal(size=n)
+        assert np.max(np.abs(classical_dft(x) - reference_dft(x))) <= 1e-9
 
 
 class TestFourierSpec:
@@ -86,6 +134,10 @@ class TestQftGate:
         for k in range(4):
             expected = sum(a[j] * cmath.exp(2j * math.pi * k * j / 4) for j in range(4)) / 2
             assert out.amps[k] == pytest.approx(expected, abs=1e-12)
+
+    def test_unitary_to_rounding_at_ten_qubits(self):
+        matrix = qft_gate(10).matrix
+        assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(2**10))) <= 1e-12
 
     def test_gate_matches_classical_transform(self, np_rng):
         for n in range(1, 11):
@@ -186,6 +238,22 @@ class TestPhaseEstimation:
         assert abs(estimate.theta_estimate - theta_true) <= 1 / 2**6 + 1e-9 or (
             1 - abs(estimate.theta_estimate - theta_true) <= 1 / 2**6 + 1e-9
         )
+
+
+class TestControlDistribution:
+    @settings(max_examples=60)
+    @given(phase_estimation_cases())
+    def test_matches_controlled_gate_circuit(self, case):
+        u, target, n_control = case
+        probs = control_distribution(u, target, n_control)
+        reference = reference_control_distribution(u, target, n_control)
+        assert np.max(np.abs(probs - reference)) <= 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError, match="gate of dim 2"):
+            control_distribution(standard_gate("H"), basis_state(2, 0), 2)
+        with pytest.raises(DomainError, match="gate of dim 2"):
+            phase_estimate(standard_gate("H"), basis_state(2, 0), 2, RngStream(0))
 
 
 class TestRoundingSuccessProbability:
