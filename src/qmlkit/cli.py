@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import clustering, fourier, gates, grover, minimizer, qnn, qpca, qsvm, state, subroutines
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .rng import RngStream
 
 SEED_ENV_VAR = "QMLKIT_SEED"
@@ -158,6 +158,8 @@ def _read_unitary(path: str) -> gates.GateMatrix:
         rows = doc["matrix"] if isinstance(doc, dict) else doc
         matrix = gates.matrix_from_json(rows)
         return gates.GateMatrix(matrix.shape[0], matrix)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path}: not a valid unitary document ({exc})") from None
 

@@ -22,11 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .gates import Circuit, GateMatrix, controlled, standard_gate
+from .gates import DENSE_MATRIX_CAP, Circuit, GateMatrix, controlled, standard_gate
 from .rng import RngStream
 from .state import StateVector, _check_n_qubits
 
-QFT_MATRIX_CAP = 12   # dense 2^n x 2^n transform matrix cap
+QFT_MATRIX_CAP = DENSE_MATRIX_CAP   # dense 2^n x 2^n transform matrix cap
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Gates are validated for unitarity eagerly at construction so a bad oracle
 fails fast.  ``apply`` updates only the addressed qubits' amplitude strides;
 the fully kron-expanded matrix is never materialized (the tests keep that
 construction as the reference).  The same transpose-contract-transpose kernel
-runs a circuit's steps on the identity to give ``Circuit.matrix``.
+runs a circuit's steps on the identity to give ``Circuit.matrix``, which is
+held to ``DENSE_MATRIX_CAP`` qubits.  ``run_circuit`` fuses consecutive steps
+into blocks of at most ``FUSION_WIDTH`` qubits and applies each block once
+(the tests keep the per-step loop as the reference).
 
 Control convention: for controlled gates the control qubit is the first
 (most significant) qubit of the gate's register, i.e. ``controlled(U)`` is
@@ -17,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .state import StateVector, _check_n_qubits, _validate_positions
 
 UNITARY_TOL = 1e-9
+DENSE_MATRIX_CAP = 12   # a dense 2^n x 2^n complex matrix is 256 MiB at 12
+FUSION_WIDTH = 6        # qubits in one fused block of ``run_circuit``
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -150,7 +155,16 @@ class Circuit:
                 )
 
     def matrix(self) -> np.ndarray:
-        """Full unitary of the circuit: its steps run on the identity."""
+        """Full unitary of the circuit: its steps run on the identity.
+
+        Refused above ``DENSE_MATRIX_CAP`` qubits before anything is built.
+        """
+        if self.n_qubits > DENSE_MATRIX_CAP:
+            raise ConfigError(
+                f"circuit matrix on {self.n_qubits} qubits needs "
+                f"{16 * 4**self.n_qubits:,} bytes; the dense-matrix cap is "
+                f"{DENSE_MATRIX_CAP} qubits"
+            )
         total = np.eye(2**self.n_qubits, dtype=complex)
         for gate, targets in self.steps:
             positions = _validate_positions(self.n_qubits, targets)
@@ -195,13 +209,47 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
+    """Run the circuit's steps on ``psi``, fused into blocks.
+
+    Consecutive steps are packed greedily, in order, while the union of
+    their qubits stays within ``FUSION_WIDTH``; a step that would widen the
+    union past it starts the next block.  A block of several steps becomes
+    one small unitary on its qubits (its steps run on the identity, as in
+    ``Circuit.matrix``) and is applied once; a block of one step applies
+    that step's own gate, so a gate wider than ``FUSION_WIDTH`` stands
+    alone.  Steps are never reordered, so the result equals the per-step
+    run up to rounding.
+    """
     if circuit.n_qubits != psi.n_qubits:
         raise DomainError(
             f"circuit on {circuit.n_qubits} qubits cannot run on {psi.n_qubits}-qubit state"
         )
-    for gate, targets in circuit.steps:
-        psi = apply(gate, list(targets), psi)
+    for block in _fusion_blocks(circuit.steps):
+        if len(block) == 1:
+            gate, targets = block[0]
+            psi = apply(gate, list(targets), psi)
+            continue
+        qubits = sorted({q for _, targets in block for q in targets})
+        local = {q: i for i, q in enumerate(qubits)}
+        steps = [(gate, tuple(local[q] for q in targets)) for gate, targets in block]
+        matrix = Circuit(len(qubits), steps).matrix()
+        psi = apply(GateMatrix(len(matrix), matrix), qubits, psi)
     return psi
+
+
+def _fusion_blocks(steps) -> list[list]:
+    """Consecutive runs of ``steps`` whose qubit union fits ``FUSION_WIDTH``."""
+    blocks: list[list] = []
+    qubits: set[int] = set()
+    for step in steps:
+        union = qubits | set(step[1])
+        if blocks and len(union) <= FUSION_WIDTH:
+            blocks[-1].append(step)
+            qubits = union
+        else:
+            blocks.append([step])
+            qubits = set(step[1])
+    return blocks
 
 
 def function_oracle(f, n_in: int, m_out: int) -> GateMatrix:

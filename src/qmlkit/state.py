@@ -188,7 +188,8 @@ def measure_subset(
     rest = [ax for ax in range(n) if ax not in positions]
 
     # Joint distribution over the measured qubits, in the order requested.
-    probs = np.square(np.abs(grid))
+    probs = np.abs(grid)
+    np.square(probs, out=probs)
     if rest:
         probs = probs.sum(axis=tuple(rest))
     probs = np.transpose(probs, [sorted(positions).index(q) for q in positions])
@@ -196,15 +197,14 @@ def measure_subset(
     outcome = rng.choice(flat)
     bits = format(outcome, f"0{len(positions)}b")
 
-    # Project onto the measured bits and renormalize.
+    # Keep the slice of the measured bits, scaled by its own norm.
     selector: list = [slice(None)] * n
     for q, bit in zip(positions, bits):
         selector[q] = int(bit)
+    kept = grid[tuple(selector)]
     projected = np.zeros_like(grid)
-    projected[tuple(selector)] = grid[tuple(selector)]
-    amps = projected.reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    return bits, StateVector(n, amps)
+    projected[tuple(selector)] = kept / np.linalg.norm(kept)
+    return bits, StateVector(n, projected.reshape(-1))
 
 
 def is_product_two_subsystems(psi: StateVector, split: int) -> bool:

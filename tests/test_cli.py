@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from importlib import resources
 
 import jsonschema
@@ -245,6 +246,22 @@ class TestExitCodes:
         assert code == 1 and report is None
         err = capsys.readouterr().err
         assert "error: gate of dim 2 cannot act on a 2-qubit eigenvector" in err
+
+    def test_phase_est_circuit_over_matrix_cap(self, tmp_path, capsys):
+        # A one-step 13-qubit circuit document would need a 1 GiB matrix.
+        unitary = write(
+            tmp_path / "u.json", '{"n_qubits": 13, "steps": [{"gate": "H", "targets": [0]}]}'
+        )
+        eigvec = write(tmp_path / "v.csv", "1.0\n0.0\n")
+        started = time.perf_counter()
+        code, report = cli.run(
+            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "2"]
+        )
+        assert time.perf_counter() - started < 5.0
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert f"error: {unitary}: circuit matrix on 13 qubits needs 1,073,741,824 bytes" in err
+        assert "the dense-matrix cap is 12 qubits" in err
 
     def test_qft_at_matrix_cap(self, tmp_path, capsys):
         gen = np.random.default_rng(12)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_state, random_unitary
-from qmlkit.errors import DomainError
+from qmlkit import fourier, gates
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.gates import (
+    DENSE_MATRIX_CAP,
+    FUSION_WIDTH,
     Circuit,
     GateMatrix,
     apply,
@@ -43,13 +46,21 @@ def _axis_permutation_matrix(order: list[int], n_qubits: int) -> np.ndarray:
     return perm
 
 
+def run_circuit_per_step(circuit: Circuit, psi: StateVector) -> StateVector:
+    """One ``apply`` per step, unfused; the reference for ``run_circuit``."""
+    for gate, targets in circuit.steps:
+        psi = apply(gate, list(targets), psi)
+    return psi
+
+
 @st.composite
-def random_circuits(draw):
-    """Up to six steps of random 1-3 qubit unitaries on n <= 6 qubits."""
-    n = draw(st.integers(1, 6))
+def random_circuits(draw, max_qubits=6, max_steps=6):
+    """Up to ``max_steps`` steps of random 1-3 qubit unitaries on
+    n <= ``max_qubits`` qubits."""
+    n = draw(st.integers(1, max_qubits))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, max_steps))):
         width = draw(st.integers(1, min(n, 3)))
         targets = tuple(draw(st.permutations(range(n)))[:width])
         steps.append((GateMatrix(2**width, random_unitary(gen, 2**width)), targets))
@@ -215,6 +226,11 @@ class TestCircuit:
             expected = expand_to_register(gate, list(targets), circuit.n_qubits) @ expected
         assert np.max(np.abs(circuit.matrix() - expected)) <= 1e-12
 
+    def test_matrix_refused_over_dense_cap(self):
+        assert fourier.QFT_MATRIX_CAP == DENSE_MATRIX_CAP == 12
+        with pytest.raises(ConfigError, match="13 qubits needs 1,073,741,824 bytes"):
+            Circuit(13, []).matrix()
+
     def test_json_round_trip(self, np_rng):
         custom = GateMatrix(2, random_unitary(np_rng, 2))
         circuit = Circuit(
@@ -229,6 +245,67 @@ class TestCircuit:
         restored = Circuit.from_json(circuit.to_json())
         assert restored.n_qubits == 3
         assert np.allclose(restored.matrix(), circuit.matrix(), atol=1e-12)
+
+
+def _recording_apply(monkeypatch) -> list:
+    """Route ``run_circuit``'s applies through a recorder of (gate, targets)."""
+    calls = []
+
+    def recording(gate, targets, psi):
+        calls.append((gate, list(targets)))
+        return apply(gate, targets, psi)
+
+    monkeypatch.setattr(gates, "apply", recording)
+    return calls
+
+
+class TestFusion:
+    @settings(max_examples=40)
+    @given(random_circuits(max_qubits=8, max_steps=20), st.integers(0, 2**32 - 1))
+    def test_matches_per_step_reference(self, circuit, seed):
+        psi = random_state(np.random.default_rng(seed), circuit.n_qubits)
+        fused = run_circuit(circuit, psi).amps
+        assert np.max(np.abs(fused - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
+
+    def test_layer_packs_into_two_blocks(self, np_rng, monkeypatch):
+        # One layer shaped like the benchmark's: four 1-qubit gates, then a
+        # controlled phase, a SWAP and a random 2-qubit unitary on fresh pairs.
+        # The SWAP would make the union 8 qubits, so it opens the second block.
+        steps = [
+            (standard_gate("H"), (3,)),
+            (standard_gate("H"), (9,)),
+            (standard_gate("X"), (0,)),
+            (standard_gate("R", phase=0.4), (11,)),
+            (controlled(standard_gate("R", phase=1.3)), (5, 2)),
+            (standard_gate("SWAP"), (7, 10)),
+            (GateMatrix(4, random_unitary(np_rng, 4)), (1, 8)),
+        ]
+        circuit = Circuit(12, steps)
+        psi = random_state(np_rng, 12)
+        calls = _recording_apply(monkeypatch)
+        out = run_circuit(circuit, psi)
+        assert [targets for _, targets in calls] == [[0, 2, 3, 5, 9, 11], [1, 7, 8, 10]]
+        assert np.max(np.abs(out.amps - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
+
+    def test_gate_wider_than_block_stands_alone(self, np_rng, monkeypatch):
+        wide = GateMatrix(2 ** (FUSION_WIDTH + 1), random_unitary(np_rng, 2 ** (FUSION_WIDTH + 1)))
+        cnot = controlled(standard_gate("X"))
+        circuit = Circuit(
+            8,
+            [
+                (standard_gate("H"), (7,)),
+                (wide, (6, 0, 1, 2, 3, 4, 5)),
+                (standard_gate("H"), (7,)),
+                (cnot, (6, 7)),
+            ],
+        )
+        psi = random_state(np_rng, 8)
+        calls = _recording_apply(monkeypatch)
+        out = run_circuit(circuit, psi)
+        # Single-step blocks apply the step's own gate object.
+        assert [targets for _, targets in calls] == [[7], [6, 0, 1, 2, 3, 4, 5], [6, 7]]
+        assert calls[0][0] is circuit.steps[0][0] and calls[1][0] is wide
+        assert np.max(np.abs(out.amps - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
 
 
 class TestFunctionOracle:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmlkit.errors import ConfigError, DomainError
 from qmlkit.rng import RngStream
@@ -18,8 +19,41 @@ from qmlkit.state import (
     normalize,
     tensor,
     variance,
+    _validate_positions,
 )
 from conftest import random_state
+
+
+def measure_subset_reference(psi: StateVector, qubits, rng: RngStream):
+    """``measure_subset`` as first written: zero a full copy, copy the kept
+    slice in, and renormalize the whole vector."""
+    positions = _validate_positions(psi.n_qubits, qubits)
+    n = psi.n_qubits
+    grid = psi.amps.reshape([2] * n)
+    rest = [ax for ax in range(n) if ax not in positions]
+    probs = np.square(np.abs(grid))
+    if rest:
+        probs = probs.sum(axis=tuple(rest))
+    probs = np.transpose(probs, [sorted(positions).index(q) for q in positions])
+    outcome = rng.choice(probs.reshape(-1))
+    bits = format(outcome, f"0{len(positions)}b")
+    selector: list = [slice(None)] * n
+    for q, bit in zip(positions, bits):
+        selector[q] = int(bit)
+    projected = np.zeros_like(grid)
+    projected[tuple(selector)] = grid[tuple(selector)]
+    amps = projected.reshape(-1)
+    return bits, StateVector(n, amps / np.linalg.norm(amps))
+
+
+@st.composite
+def subset_measurements(draw):
+    """A random state on n <= 8 qubits and 1-3 distinct qubits in any order."""
+    n = draw(st.integers(1, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, min(n, 3)))]
+    return random_state(gen, n), qubits, draw(st.integers(0, 2**32 - 1))
+
 
 EXAMPLE = StateVector(1, np.array([0.5j, math.sqrt(3) / 2]))
 POSITION = Observable(2, np.diag([1.0, 2.0]))
@@ -249,6 +283,15 @@ class TestMeasureSubset:
         assert bits == "10"
         bits, _ = measure_subset(psi, [0, 2], RngStream(0))
         assert bits == "01"
+
+    @settings(max_examples=60)
+    @given(subset_measurements())
+    def test_matches_reference(self, case):
+        psi, qubits, seed = case
+        bits, after = measure_subset(psi, qubits, RngStream(seed))
+        ref_bits, ref_after = measure_subset_reference(psi, qubits, RngStream(seed))
+        assert bits == ref_bits
+        assert np.max(np.abs(after.amps - ref_after.amps)) <= 1e-12
 
     def test_invalid_positions(self):
         psi = basis_state(2, 0)
