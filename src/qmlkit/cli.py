@@ -154,7 +154,7 @@ def _read_unitary(path: str) -> gates.GateMatrix:
         if isinstance(doc, dict) and "steps" in doc:
             circuit = gates.Circuit.from_json(text)
             matrix = circuit.matrix()
-            return gates.GateMatrix(matrix.shape[0], matrix)
+            return gates.GateMatrix._trusted(matrix.shape[0], matrix)
         rows = doc["matrix"] if isinstance(doc, dict) else doc
         matrix = gates.matrix_from_json(rows)
         return gates.GateMatrix(matrix.shape[0], matrix)

@@ -6,11 +6,11 @@ normalization, ``y_k = (1/sqrt(N)) sum_j x_j exp(2 pi i k j / N)``, which is
 ``np.fft.ifft(x, norm="ortho")``; its inverse is ``np.fft.fft`` with the same
 norm.  Transforms of sample vectors, of whole registers and of the phase
 estimation control register run through ``np.fft`` in O(N log N) and never
-build a transform matrix.  The dense gate, its inverse and the circuit
-decomposition remain for circuits and known-value checks; the circuit starts
-with the qubit-reversal SWAP network and then applies the Hadamard /
-controlled-phase ladder from the least significant qubit upward, and its full
-matrix equals the gate matrix exactly.
+build a transform matrix.  The dense gate (whose ``dagger()`` is the
+inverse) and the circuit decomposition remain for circuits and known-value
+checks; the circuit starts with the qubit-reversal SWAP network and then
+applies the Hadamard / controlled-phase ladder from the least significant
+qubit upward, and its full matrix equals the gate matrix exactly.
 """
 from __future__ import annotations
 
@@ -27,27 +27,6 @@ from .rng import RngStream
 from .state import StateVector, _check_n_qubits
 
 QFT_MATRIX_CAP = DENSE_MATRIX_CAP   # dense 2^n x 2^n transform matrix cap
-
-
-@dataclass(frozen=True)
-class FourierSpec:
-    """Transform parameters for an n-qubit register: the primitive root of
-    unity omega = e^(2 pi i / N) with N = 2^n."""
-
-    n_qubits: int
-    omega: complex = 0j
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise DomainError(f"need at least one qubit, got {self.n_qubits}")
-        omega = cmath.exp(2j * math.pi / self.dim) if self.omega == 0 else self.omega
-        if abs(omega**self.dim - 1.0) >= 1e-9:
-            raise DomainError(f"omega = {omega} is not a {self.dim}-th root of unity")
-        object.__setattr__(self, "omega", omega)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
 
 def _check_cap(n_qubits: int, what: str) -> None:
@@ -75,24 +54,19 @@ def qft(psi: StateVector) -> StateVector:
 
 @lru_cache(maxsize=None)
 def qft_gate(n_qubits: int) -> GateMatrix:
-    """The transform as a dense unitary: F_jk = omega^(jk) / sqrt(N).
+    """The transform as a dense unitary: F_jk = omega^(jk) / sqrt(N) with
+    omega = e^(2 pi i / N) and N = 2^n_qubits.
 
     Entries are read from a table of the N roots at index (j k) mod N, so
     each is one correctly rounded root instead of a power whose error grows
     with j k.
     """
     _check_cap(n_qubits, "matrix")
-    spec = FourierSpec(n_qubits)
-    j = np.arange(spec.dim)
-    roots = np.exp(2j * np.pi * j / spec.dim) / np.sqrt(spec.dim)
-    matrix = roots[np.outer(j, j) & (spec.dim - 1)]
-    return GateMatrix(spec.dim, matrix, name=f"QFT{n_qubits}")
-
-
-@lru_cache(maxsize=None)
-def inverse_qft_gate(n_qubits: int) -> GateMatrix:
-    gate = qft_gate(n_qubits)
-    return GateMatrix(gate.dim, gate.matrix.conj().T, name=f"IQFT{n_qubits}")
+    dim = 2 ** _check_n_qubits(n_qubits)
+    j = np.arange(dim)
+    roots = np.exp(2j * np.pi * j / dim) / np.sqrt(dim)
+    matrix = roots[np.outer(j, j) & (dim - 1)]
+    return GateMatrix._trusted(dim, matrix, name=f"QFT{n_qubits}")
 
 
 def qft_circuit(n_qubits: int) -> Circuit:
@@ -157,13 +131,13 @@ def control_distribution(
         )
     n_qubits = _check_n_qubits(n_control + eigenvector.n_qubits)
     register = np.tile(eigenvector.amps / math.sqrt(2**n_control), (2**n_control, 1))
-    power = u
+    power = u.matrix
     for j in range(n_control):
         # Rows split as (high bits, bit j, low bits): bit j set is index 1.
         rows = register.reshape(-1, 2, 2**j, u.dim)[:, 1]
-        rows[...] = rows @ power.matrix.T
+        rows[...] = rows @ power.T
         if j < n_control - 1:
-            power = GateMatrix(power.dim, power.matrix @ power.matrix)
+            power = power @ power
     register = np.fft.fft(register, axis=0, norm="ortho")
     state = StateVector(n_qubits, register.reshape(-1))
     return state.probabilities().reshape(register.shape).sum(axis=1)

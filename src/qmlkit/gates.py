@@ -1,9 +1,13 @@
 """Unitary gates, circuits, and their application to state vectors.
 
-Gates are validated for unitarity eagerly at construction so a bad oracle
-fails fast.  ``apply`` updates only the addressed qubits' amplitude strides;
-the fully kron-expanded matrix is never materialized (the tests keep that
-construction as the reference).  The same transpose-contract-transpose kernel
+Unitarity is checked where a matrix enters the program: the public
+``GateMatrix`` constructor, which the custom steps of circuit documents and
+the CLI's matrix documents go through.  Gates derived from checked ones
+(fixed tables, adjoints, Kronecker products, controlled gates, fused blocks)
+are unitary by construction and skip the d^3 product; every state they reach
+is still norm-checked.  ``apply`` updates only the addressed qubits'
+amplitude strides; the fully kron-expanded matrix is never materialized (the
+tests keep that construction as the reference).  The same transpose-contract-transpose kernel
 runs a circuit's steps on the identity to give ``Circuit.matrix``, which is
 held to ``DENSE_MATRIX_CAP`` qubits.  ``run_circuit`` fuses consecutive steps
 into blocks of at most ``FUSION_WIDTH`` qubits and applies each block once
@@ -62,12 +66,26 @@ class GateMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _trusted(cls, dim: int, matrix: np.ndarray, name: str | None = None) -> "GateMatrix":
+        # Skip the unitarity product for matrices that are unitary by
+        # construction (fixed tables, adjoints, products and blocks of checked
+        # gates).  All externally supplied matrices go through __init__ and
+        # are checked.
+        m = np.asarray(matrix, dtype=complex)
+        m.setflags(write=False)
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "dim", dim)
+        object.__setattr__(gate, "matrix", m)
+        object.__setattr__(gate, "name", name)
+        return gate
+
     @property
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
     def dagger(self) -> "GateMatrix":
-        return GateMatrix(self.dim, self.matrix.conj().T)
+        return GateMatrix._trusted(self.dim, self.matrix.conj().T)
 
 
 def standard_gate(name: str, phase: float | None = None) -> GateMatrix:
@@ -79,12 +97,12 @@ def standard_gate(name: str, phase: float | None = None) -> GateMatrix:
     if key == "R":
         if phase is None:
             raise DomainError("gate R requires a phase")
-        return GateMatrix(
+        return GateMatrix._trusted(
             2, np.diag([1.0, np.exp(1j * phase)]), name=f"R({phase!r})"
         )
     if key not in _FIXED_GATES:
         raise DomainError(f"unknown gate name {name!r}")
-    return GateMatrix(len(_FIXED_GATES[key]), _FIXED_GATES[key], name=key)
+    return GateMatrix._trusted(len(_FIXED_GATES[key]), _FIXED_GATES[key], name=key)
 
 
 def kron(gates: list[GateMatrix]) -> GateMatrix:
@@ -94,7 +112,7 @@ def kron(gates: list[GateMatrix]) -> GateMatrix:
     matrix = gates[0].matrix
     for g in gates[1:]:
         matrix = np.kron(matrix, g.matrix)
-    return GateMatrix(matrix.shape[0], matrix)
+    return GateMatrix._trusted(matrix.shape[0], matrix)
 
 
 def controlled(u: GateMatrix) -> GateMatrix:
@@ -103,7 +121,7 @@ def controlled(u: GateMatrix) -> GateMatrix:
     matrix = np.eye(2 * d, dtype=complex)
     matrix[d:, d:] = u.matrix
     name = f"C-{u.name}" if u.name else None
-    return GateMatrix(2 * d, matrix, name=name)
+    return GateMatrix._trusted(2 * d, matrix, name=name)
 
 
 def apply(gate: GateMatrix, targets, psi: StateVector) -> StateVector:
@@ -233,7 +251,7 @@ def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
         local = {q: i for i, q in enumerate(qubits)}
         steps = [(gate, tuple(local[q] for q in targets)) for gate, targets in block]
         matrix = Circuit(len(qubits), steps).matrix()
-        psi = apply(GateMatrix(len(matrix), matrix), qubits, psi)
+        psi = apply(GateMatrix._trusted(len(matrix), matrix), qubits, psi)
     return psi
 
 
@@ -250,26 +268,3 @@ def _fusion_blocks(steps) -> list[list]:
             blocks.append([step])
             qubits = set(step[1])
     return blocks
-
-
-def function_oracle(f, n_in: int, m_out: int) -> GateMatrix:
-    """Reversible embedding of ``f``: the unitary |x, y> -> |x, y XOR f(x)>.
-
-    ``f`` maps integers in [0, 2^n_in) to integers in [0, 2^m_out); with the
-    output register prepared at |0...0> this realizes |x, 0> -> |x, f(x)>.
-    """
-    if n_in < 1 or m_out < 1:
-        raise DomainError("function oracle needs at least one input and output qubit")
-    _check_n_qubits(n_in + m_out)
-    dim = 2 ** (n_in + m_out)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    out_dim = 2**m_out
-    for x in range(2**n_in):
-        value = int(f(x))
-        if not 0 <= value < out_dim:
-            raise DomainError(
-                f"f({x}) = {value} does not fit in {m_out} output bits"
-            )
-        for y in range(out_dim):
-            matrix[x * out_dim + (y ^ value), x * out_dim + y] = 1.0
-    return GateMatrix(dim, matrix)

@@ -1,13 +1,12 @@
 """Grover search over black-box sign oracles.
 
 The oracle is conceptually a diagonal gate flipping the amplitude sign of
-marked inputs; the diagonal is never materialized above
-``ORACLE_MATRIX_CAP`` bits.  Searches do not apply the rounds one by one:
-with k of N = 2^n inputs marked, oracle and inversion around the mean keep
-the state in span{|marked>, |unmarked>}, where each round is a rotation by
-2*theta with sin(theta) = sqrt(k/N) (Boyer, Brassard, Hoyer and Tapp,
-arXiv:quant-ph/9605034).  The final state after any number of rounds is
-therefore built directly in O(2^n) time.
+marked inputs; only its +-1 diagonal is ever built.  Searches do not apply
+the rounds one by one: with k of N = 2^n inputs marked, oracle and
+inversion around the mean keep the state in span{|marked>, |unmarked>},
+where each round is a rotation by 2*theta with sin(theta) = sqrt(k/N)
+(Boyer, Brassard, Hoyer and Tapp, arXiv:quant-ph/9605034).  The final state
+after any number of rounds is therefore built directly in O(2^n) time.
 """
 from __future__ import annotations
 
@@ -17,12 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .gates import GateMatrix
+from .errors import DomainError
 from .rng import RngStream
 from .state import MAX_QUBITS, StateVector
-
-ORACLE_MATRIX_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -64,25 +60,6 @@ class GroverResult:
     iterations_used: int
     final_state: StateVector
     success_probability: float
-
-
-def oracle_gate(o: SignOracle) -> GateMatrix:
-    """Materialize the oracle's diagonal as an explicit gate (small n only)."""
-    if o.n_bits > ORACLE_MATRIX_CAP:
-        raise ConfigError(
-            f"oracle matrix for {o.n_bits} bits exceeds the {ORACLE_MATRIX_CAP}-bit cap"
-        )
-    return GateMatrix(2**o.n_bits, np.diag(o.signs().astype(complex)))
-
-
-def diffusion(n_bits: int) -> GateMatrix:
-    """Inversion around the mean: 2A - I with A_ij = 1/2^n."""
-    if n_bits < 1:
-        raise DomainError("diffusion needs at least one qubit")
-    dim = 2**n_bits
-    matrix = np.full((dim, dim), 2.0 / dim, dtype=complex)
-    matrix -= np.eye(dim)
-    return GateMatrix(dim, matrix)
 
 
 def default_iterations(n_bits: int, marked_count: int) -> int:

@@ -19,7 +19,7 @@ from .errors import DomainError
 from .fourier import control_distribution
 from .gates import GateMatrix
 from .rng import RngStream
-from .state import Observable, StateVector, expectation
+from .state import StateVector
 from .subroutines import overlap_sq, swap_tests
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
@@ -126,7 +126,7 @@ def evolution_unitary(rho: DensityMatrix, t: float) -> GateMatrix:
         raise DomainError("evolution time must be > 0")
     values, vectors = rho.eigensystem()
     phases = np.exp(-1j * values * t)
-    return GateMatrix(rho.dim, (vectors * phases) @ vectors.conj().T)
+    return GateMatrix._trusted(rho.dim, (vectors * phases) @ vectors.conj().T)
 
 
 def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSample]:
@@ -197,13 +197,3 @@ def extract_scores(
         _, p0_hat = swap_tests(StateVector(n, row.astype(complex)), eigvecs, shots, rng)
         scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
     return ScoreMatrix(scores=scores)
-
-
-def expectation_feature(model: PcaModel, component: int, obs: Observable) -> float:
-    """Expectation of an observable on a sampled eigenvector."""
-    if not 0 <= component < model.eigenvectors.shape[1]:
-        raise DomainError(f"component {component} out of range")
-    eigvec = StateVector(
-        model.rho.n_qubits, model.eigenvectors[:, component].astype(complex)
-    )
-    return expectation(obs, eigvec)

@@ -59,7 +59,9 @@ class StateVector:
         return 2**self.n_qubits
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        """|c_i|^2 per basis state, squared in place in one temporary."""
+        probs = np.abs(self.amps)
+        return np.square(probs, out=probs)
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,7 @@ def measure_subset(
     rest = [ax for ax in range(n) if ax not in positions]
 
     # Joint distribution over the measured qubits, in the order requested.
-    probs = np.abs(grid)
-    np.square(probs, out=probs)
+    probs = psi.probabilities().reshape(grid.shape)
     if rest:
         probs = probs.sum(axis=tuple(rest))
     probs = np.transpose(probs, [sorted(positions).index(q) for q in positions])

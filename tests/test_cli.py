@@ -247,6 +247,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: gate of dim 2 cannot act on a 2-qubit eigenvector" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
+            {"n_qubits": 1, "steps": [{"gate": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]],
+                                       "targets": [0]}]},
+        ],
+        ids=["matrix", "circuit"],
+    )
+    def test_phase_est_non_unitary_document(self, doc, tmp_path, capsys):
+        unitary = write(tmp_path / "u.json", json.dumps(doc))
+        eigvec = write(tmp_path / "v.csv", "1.0\n0.0\n")
+        code, report = cli.run(
+            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "2"]
+        )
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert f"error: {unitary}: " in err and "matrix is not unitary" in err
+
     def test_phase_est_circuit_over_matrix_cap(self, tmp_path, capsys):
         # A one-step 13-qubit circuit document would need a 1 GiB matrix.
         unitary = write(

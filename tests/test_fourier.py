@@ -10,7 +10,6 @@ from qmlkit.errors import DomainError
 from qmlkit.fourier import (
     classical_dft,
     control_distribution,
-    inverse_qft_gate,
     phase_estimate,
     qft_circuit,
     qft_gate,
@@ -47,7 +46,7 @@ def reference_control_distribution(
         state = apply(controlled(power), [ctrl] + list(range(n_control, n_control + m)), state)
         if j < n_control - 1:
             power = GateMatrix(power.dim, power.matrix @ power.matrix)
-    state = apply(inverse_qft_gate(n_control), list(range(n_control)), state)
+    state = apply(qft_gate(n_control).dagger(), list(range(n_control)), state)
     return state.probabilities().reshape(2**n_control, 2**m).sum(axis=1)
 
 
@@ -99,23 +98,6 @@ class TestClassicalDft:
         gen = np.random.default_rng(seed)
         x = gen.normal(size=n) + 1j * gen.normal(size=n)
         assert np.max(np.abs(classical_dft(x) - reference_dft(x))) <= 1e-9
-
-
-class TestFourierSpec:
-    def test_omega_is_primitive_root(self):
-        from qmlkit.fourier import FourierSpec
-
-        spec = FourierSpec(2)
-        assert spec.omega == pytest.approx(1j, abs=1e-12)
-        for n in range(1, 9):
-            spec = FourierSpec(n)
-            assert abs(spec.omega**spec.dim - 1.0) < 1e-9
-
-    def test_rejects_non_root(self):
-        from qmlkit.fourier import FourierSpec
-
-        with pytest.raises(DomainError):
-            FourierSpec(2, omega=1.1 + 0j)
 
 
 class TestQftGate:
@@ -170,21 +152,23 @@ class TestQftCircuit:
 
 
 class TestInverseQft:
+    """The inverse transform is the gate's ``dagger()``."""
+
     def test_single_qubit_self_inverse(self):
-        assert np.allclose(inverse_qft_gate(1).matrix, standard_gate("H").matrix, atol=1e-12)
+        assert np.allclose(qft_gate(1).dagger().matrix, standard_gate("H").matrix, atol=1e-12)
 
     def test_round_trip(self, np_rng):
         psi = random_state(np_rng, 3)
         there = apply(qft_gate(3), [0, 1, 2], psi)
-        back = apply(inverse_qft_gate(3), [0, 1, 2], there)
+        back = apply(qft_gate(3).dagger(), [0, 1, 2], there)
         assert np.allclose(back.amps, psi.amps, atol=1e-12)
 
     def test_one_qubit_literal(self):
         expected = np.array([[1, 1], [1, cmath.exp(-1j * math.pi)]]) / math.sqrt(2)
-        assert np.allclose(inverse_qft_gate(1).matrix, expected, atol=1e-12)
+        assert np.allclose(qft_gate(1).dagger().matrix, expected, atol=1e-12)
 
     def test_product_is_identity(self):
-        prod = qft_gate(4).matrix @ inverse_qft_gate(4).matrix
+        prod = qft_gate(4).matrix @ qft_gate(4).dagger().matrix
         assert np.max(np.abs(prod - np.eye(16))) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_state, random_unitary
 from qmlkit import fourier, gates
+from qmlkit.density import mixed_density
 from qmlkit.errors import ConfigError, DomainError
 from qmlkit.gates import (
     DENSE_MATRIX_CAP,
@@ -14,11 +16,11 @@ from qmlkit.gates import (
     GateMatrix,
     apply,
     controlled,
-    function_oracle,
     kron,
     run_circuit,
     standard_gate,
 )
+from qmlkit.qpca import evolution_unitary
 from qmlkit.state import StateVector, _validate_positions, basis_state, from_bits
 
 def expand_to_register(gate: GateMatrix, targets, n_qubits: int) -> np.ndarray:
@@ -246,6 +248,13 @@ class TestCircuit:
         assert restored.n_qubits == 3
         assert np.allclose(restored.matrix(), circuit.matrix(), atol=1e-12)
 
+    def test_from_json_rejects_non_unitary_step(self):
+        shear = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+        doc = {"n_qubits": 2, "steps": [{"gate": "H", "targets": [0]},
+                                        {"gate": shear, "targets": [1]}]}
+        with pytest.raises(DomainError, match="not unitary"):
+            Circuit.from_json(json.dumps(doc))
+
 
 def _recording_apply(monkeypatch) -> list:
     """Route ``run_circuit``'s applies through a recorder of (gate, targets)."""
@@ -308,33 +317,50 @@ class TestFusion:
         assert np.max(np.abs(out.amps - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
 
 
-class TestFunctionOracle:
-    def test_zero_function_is_identity(self):
-        gate = function_oracle(lambda x: 0, 2, 1)
-        assert np.allclose(gate.matrix, np.eye(8))
+def _unitarity_error(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(len(matrix)))))
 
-    def test_parallel_evaluation(self):
-        f = lambda x: x % 2
-        gate = function_oracle(f, 2, 1)
-        uniform = np.full(4, 0.5)
-        joint = StateVector(3, np.kron(uniform, [1, 0]).astype(complex))
-        out = apply(gate, [0, 1, 2], joint)
-        expected = np.zeros(8)
-        for x in range(4):
-            expected[x * 2 + f(x)] = 0.5
-        assert np.allclose(out.amps, expected, atol=1e-12)
 
-    def test_identity_function_is_cnot(self):
-        gate = function_oracle(lambda x: x, 1, 1)
-        assert np.allclose(gate.matrix, controlled(standard_gate("X")).matrix)
+@st.composite
+def checked_gates(draw, max_qubits=3):
+    """A random unitary on 1-``max_qubits`` qubits, through the checked
+    public constructor."""
+    width = draw(st.integers(1, max_qubits))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return GateMatrix(2**width, random_unitary(gen, 2**width))
 
-    def test_involution(self, np_rng):
-        gate = function_oracle(lambda x: (x * 7 + 3) % 4, 2, 2)
-        assert np.allclose(gate.matrix @ gate.matrix, np.eye(16))
-        # Entries are a 0/1 permutation.
-        assert set(np.unique(gate.matrix.real)) <= {0.0, 1.0}
-        assert np.all(gate.matrix.sum(axis=0) == 1)
 
-    def test_range_overflow(self):
-        with pytest.raises(DomainError):
-            function_oracle(lambda x: 2, 2, 1)
+class TestDerivedGates:
+    """Gates derived from checked ones skip the constructor's unitarity
+    product; this property holds each such construction to it instead."""
+
+    @settings(max_examples=40)
+    @given(
+        checked_gates(),
+        checked_gates(),
+        st.floats(-2 * math.pi, 2 * math.pi),
+        st.integers(1, 10),
+        st.integers(0, 5),
+        random_circuits(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_unitary_to_rounding(self, a, b, phase, n_qft, squarings, circuit, seed):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 4))
+        weights = gen.dirichlet(np.ones(3))
+        rho = mixed_density([(float(w), random_state(gen, n)) for w in weights])
+        power = a.matrix
+        for _ in range(squarings):   # phase estimation's U^(2^j)
+            power = power @ power
+        derived = [
+            kron([a, b]).matrix,
+            controlled(a).matrix,
+            a.dagger().matrix,
+            standard_gate("R", phase=phase).matrix,
+            fourier.qft_gate(n_qft).matrix,
+            evolution_unitary(rho, float(gen.uniform(0.1, 10.0))).matrix,
+            power,
+            circuit.matrix(),   # a fused block of ``run_circuit``
+        ]
+        for matrix in derived:
+            assert _unitarity_error(matrix) <= 1e-12

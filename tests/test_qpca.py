@@ -11,12 +11,10 @@ from qmlkit.qpca import (
     build_model,
     eigen_sample,
     evolution_unitary,
-    expectation_feature,
     extract_scores,
     preprocess,
 )
 from qmlkit.rng import RngStream
-from qmlkit.state import Observable
 
 
 def manual_input(rows) -> PcaInput:
@@ -200,25 +198,3 @@ class TestExtractScores:
         scores = extract_scores(model, prepared, 4).scores
         second_moment = (scores**2).mean(axis=0)
         assert np.allclose(second_moment, model.eigenvalues, atol=1e-9)
-
-
-class TestExpectationFeature:
-    def test_identity(self):
-        model = build_model(tilted_pair_input())
-        assert expectation_feature(model, 0, Observable(2, np.eye(2))) == pytest.approx(1.0)
-
-    def test_density_observable_returns_eigenvalue(self):
-        model = build_model(tilted_pair_input())
-        obs = Observable(2, model.rho.matrix)
-        for j, lam in enumerate(model.eigenvalues):
-            assert expectation_feature(model, j, obs) == pytest.approx(lam, abs=1e-9)
-
-    def test_sigma3_on_ground_state(self):
-        model = build_model(manual_input([[1.0, 0.0], [-1.0, 0.0]]))
-        obs = Observable(2, np.diag([1.0, -1.0]))
-        assert expectation_feature(model, 0, obs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_component_out_of_range(self):
-        model = build_model(tilted_pair_input())
-        with pytest.raises(DomainError):
-            expectation_feature(model, 5, Observable(2, np.eye(2)))
