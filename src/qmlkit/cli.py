@@ -108,7 +108,7 @@ def _ingest_objective(path: str, rows):
         if len(cells) != 2:
             raise DomainError(f"{path}:{lineno}: expected 'bitstring,value'")
         bits, raw_value = cells
-        if not bits or any(ch not in "01" for ch in bits):
+        if not bits or bits.strip("01"):
             raise DomainError(f"{path}:{lineno}: invalid bitstring {bits!r}")
         if bits in seen:
             raise DomainError(

@@ -69,20 +69,20 @@ def default_iterations(n_bits: int, marked_count: int) -> int:
     return int(math.floor(math.pi / 4.0 * math.sqrt(2**n_bits / marked_count)))
 
 
-def _amplified_amplitudes(marked: np.ndarray, rounds: int) -> np.ndarray:
-    """Real amplitudes after ``rounds`` Grover rounds from the uniform state,
-    in the closed form ``grover_search`` documents.  The k = 0 and k = N
-    branches avoid dividing by a zero marked or unmarked count."""
-    dim = marked.size
-    k = int(np.count_nonzero(marked))
-    if k == 0:
-        return np.full(dim, 1.0 / math.sqrt(dim))
-    if k == dim:
-        return np.full(dim, (-1.0) ** rounds / math.sqrt(dim))
-    angle = (2 * rounds + 1) * math.asin(math.sqrt(k / dim))
-    return np.where(
-        marked, math.sin(angle) / math.sqrt(k), math.cos(angle) / math.sqrt(dim - k)
-    )
+def two_level_amplitudes(n_marked: int, dim: int, rounds: int) -> tuple[float, float]:
+    """(marked, unmarked) amplitude after ``rounds`` Grover rounds from the
+    uniform state over ``dim`` inputs with ``n_marked`` of them marked, in
+    the closed form ``grover_search`` documents.  The k = 0 and k = N
+    branches avoid dividing by a zero marked or unmarked count; there every
+    amplitude is the same."""
+    if n_marked == 0:
+        uniform = 1.0 / math.sqrt(dim)
+        return uniform, uniform
+    if n_marked == dim:
+        uniform = (-1.0) ** rounds / math.sqrt(dim)
+        return uniform, uniform
+    angle = (2 * rounds + 1) * math.asin(math.sqrt(n_marked / dim))
+    return math.sin(angle) / math.sqrt(n_marked), math.cos(angle) / math.sqrt(dim - n_marked)
 
 
 def grover_search(
@@ -109,7 +109,10 @@ def grover_search(
     if iterations < 0:
         raise DomainError(f"Grover round count must be >= 0, got {iterations}")
     marked = o.signs() < 0
-    amps = _amplified_amplitudes(marked, iterations)
+    amp_marked, amp_unmarked = two_level_amplitudes(
+        int(np.count_nonzero(marked)), marked.size, iterations
+    )
+    amps = np.where(marked, amp_marked, amp_unmarked)
     probs = amps**2
     measured = rng.choice(probs / probs.sum())
     final = StateVector(n, amps / np.linalg.norm(amps))

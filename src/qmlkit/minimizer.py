@@ -1,11 +1,21 @@
 """Quantum minimum finding over a black-box objective on n-bit inputs.
 
-The control loop iterates threshold searches: mark every input whose
-objective value is strictly below the current best, run Grover with a
-randomized round count (drawn from a growing window so the unknown marked
-count cannot trap the search), and accept the measured candidate when it
-improves.  The threshold comparison itself is an ordinary host-side
-comparison.
+The control loop is Durr and Hoyer's (arXiv:quant-ph/9607014): iterate
+threshold searches that mark every input whose objective value is strictly
+below the current best, run Grover with a randomized round count (drawn
+from a growing window so the unknown marked count cannot trap the search),
+and accept the measured candidate when it improves.  The threshold
+comparison itself is an ordinary host-side comparison.
+
+A Grover measurement with k of N inputs marked needs only two numbers, the
+marked and the unmarked probability of the two-level closed form
+(``grover.two_level_amplitudes``), plus the marked set.  The objective's
+value table is argsorted once per call; the inputs below a threshold are
+then a prefix of that order, taken in O(k log k) on each accepted
+improvement, and each main iteration inverts the cumulative distribution by
+binary search over the index in O(log^2 N), building no oracle, amplitude
+vector or state.  An objective given only as a callable is evaluated once
+per input into such a table first.
 """
 from __future__ import annotations
 
@@ -16,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .grover import SignOracle, grover_search
+from .grover import SignOracle, two_level_amplitudes
 from .rng import RngStream
 from .state import MAX_QUBITS
 
@@ -28,8 +38,8 @@ WINDOW_GROWTH = 8.0 / 7.0
 class ObjectiveFn:
     """Total real-valued objective on {0,1}^n, evaluated by integer index.
 
-    ``table`` is an optional dense value array backing ``eval``; when present
-    the threshold oracles mark inputs with one vectorized comparison.
+    ``table`` is an optional dense value array backing ``eval``; without it
+    ``minimize`` evaluates ``eval`` once per input to build one.
     """
 
     n_bits: int
@@ -51,6 +61,9 @@ class ObjectiveFn:
         n_bits = int(math.log2(len(table)))
         if 2**n_bits != len(table):
             raise DomainError(f"objective table length {len(table)} is not a power of two")
+        nan = np.flatnonzero(np.isnan(table))
+        if nan.size:
+            raise DomainError(f"objective table entry {nan[0]} is NaN")
         return ObjectiveFn(n_bits, lambda x: float(table[x]), table=table)
 
 
@@ -100,6 +113,31 @@ def default_budget(n_bits: int) -> int:
     return int(math.ceil(MAIN_ITERATION_FACTOR * math.sqrt(2**n_bits)))
 
 
+def _measure_marked(marked: np.ndarray, dim: int, rounds: int, u: float) -> int:
+    """Index measured after ``rounds`` Grover rounds with the ascending
+    indices ``marked`` marked, for the uniform draw ``u`` in [0, 1).
+
+    It is the inverse-CDF draw of ``RngStream.choice`` without the CDF: the
+    smallest i whose cumulative probability exceeds ``u`` times the total,
+    found by binary search.  The cumulative probability up to i is summed as
+    p_marked * M + p_unmarked * (i + 1 - M), with M = #marked <= i, so that
+    each term, and their rounded sum, is non-decreasing in i.
+    """
+    k = marked.size
+    amp_marked, amp_unmarked = two_level_amplitudes(k, dim, rounds)
+    p_marked, p_unmarked = amp_marked**2, amp_unmarked**2
+    target = u * (p_marked * k + p_unmarked * (dim - k))
+    lo, hi = 0, dim - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        below = int(marked.searchsorted(mid, "right"))
+        if p_marked * below + p_unmarked * (mid + 1 - below) > target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def minimize(
     f: ObjectiveFn,
     rng: RngStream,
@@ -113,27 +151,40 @@ def minimize(
     The per-iteration Grover round count is drawn uniformly from [0, m) with
     the window m starting at 1, growing by 8/7 on every failed iteration up
     to sqrt(2^n), and resetting to 1 on every accepted improvement.
+
+    The call costs one O(N log N) stable argsort of the value table (built
+    by evaluating ``f`` once per input when ``f`` has none), O(k log k) per
+    accepted improvement that leaves k inputs marked, and O(log^2 N) per
+    main iteration; each measurement consumes one ``rng.uniform()``, the
+    same double ``RngStream.choice`` would.  A NaN value is a
+    ``DomainError``, as in ``ObjectiveFn.from_table``.
     """
     n = f.n_bits
     budget = default_budget(n) if max_main_iterations is None else int(max_main_iterations)
     if budget < 0:
         raise DomainError(f"main-iteration budget must be >= 0, got {budget}")
-    best_x = rng.randint(2**n)
-    best_y = float(f.eval(best_x))
+    dim = 2**n
+    table = f.table
+    if table is None:
+        table = ObjectiveFn.from_table([f.eval(x) for x in range(dim)]).table
+    order = np.argsort(table, kind="stable")
+    sorted_values = table[order]
+    best_x = rng.randint(dim)
+    best_y = float(table[best_x])
+    marked = np.sort(order[: np.searchsorted(sorted_values, best_y, "left")])
     window = 1
-    window_cap = max(1, math.floor(math.sqrt(2**n)))
+    window_cap = max(1, math.floor(math.sqrt(dim)))
     trace: list[tuple[float, int]] = []
     oracle_calls = 0
     for _ in range(budget):
         rounds = rng.randint(window)
-        oracle = threshold_oracle(f, best_y)
-        result = grover_search(oracle, rng, iterations=rounds)
+        candidate = _measure_marked(marked, dim, rounds, rng.uniform())
         oracle_calls += rounds
-        candidate = result.measured_index
         trace.append((best_y, candidate))
-        value = float(f.eval(candidate))
+        value = float(table[candidate])
         if value < best_y:
             best_x, best_y = candidate, value
+            marked = np.sort(order[: np.searchsorted(sorted_values, best_y, "left")])
             window = 1
         else:
             window = min(math.ceil(window * WINDOW_GROWTH), window_cap)

@@ -37,7 +37,9 @@ class RngStream:
         """Sample an index from an explicit probability vector (inverse CDF)."""
         p = np.asarray(probabilities, dtype=float)
         total = p.sum()
-        if not np.isclose(total, 1.0, atol=1e-9):
+        # np.isclose's test (atol 1e-9 plus its default rtol 1e-5), without
+        # its array machinery; NaN fails the comparison.
+        if not abs(total - 1.0) <= 1e-9 + 1e-5:
             raise ValueError(f"probabilities sum to {total}, expected 1")
         # Clip tiny negative rounding residue before accumulating.
         cdf = np.cumsum(np.clip(p, 0.0, None))

@@ -66,6 +66,16 @@ class TestIngestCsv:
         with pytest.raises(DomainError, match="duplicate"):
             cli.ingest_csv(path, "objective")
 
+    def test_objective_invalid_bitstring(self, tmp_path):
+        path = write(tmp_path / "o.csv", "00,1.0\n0a1,2.0\n")
+        with pytest.raises(DomainError, match="o.csv:2: invalid bitstring '0a1'"):
+            cli.ingest_csv(path, "objective")
+
+    def test_objective_bitstring_width_differs(self, tmp_path):
+        path = write(tmp_path / "o.csv", "00,1.0\n01,2.0\n100,3.0\n")
+        with pytest.raises(DomainError, match="o.csv:3: bitstring width differs from 2"):
+            cli.ingest_csv(path, "objective")
+
     def test_objective_requires_full_coverage(self, tmp_path):
         path = write(tmp_path / "o.csv", "00,1.0\n01,2.0\n")
         with pytest.raises(DomainError, match="covers 2 of 4"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmlkit import minimizer
 from qmlkit.errors import DomainError
@@ -49,6 +50,46 @@ def _reference_grover(
         iterations_used=iterations,
         final_state=final,
         success_probability=success,
+    )
+
+
+def _reference_minimize(
+    f: minimizer.ObjectiveFn,
+    rng: RngStream,
+    max_main_iterations: int | None = None,
+    search=grover_search,
+) -> minimizer.MinimizeResult:
+    """Slow reference for ``minimizer.minimize``: every main iteration builds
+    the threshold oracle over all inputs, runs ``search`` on it and measures
+    through ``RngStream.choice``."""
+    n = f.n_bits
+    budget = (
+        minimizer.default_budget(n) if max_main_iterations is None else max_main_iterations
+    )
+    best_x = rng.randint(2**n)
+    best_y = float(f.eval(best_x))
+    window = 1
+    window_cap = max(1, math.floor(math.sqrt(2**n)))
+    trace = []
+    oracle_calls = 0
+    for _ in range(budget):
+        rounds = rng.randint(window)
+        oracle = minimizer.threshold_oracle(f, best_y)
+        candidate = search(oracle, rng, iterations=rounds).measured_index
+        oracle_calls += rounds
+        trace.append((best_y, candidate))
+        value = float(f.eval(candidate))
+        if value < best_y:
+            best_x, best_y = candidate, value
+            window = 1
+        else:
+            window = min(math.ceil(window * minimizer.WINDOW_GROWTH), window_cap)
+    return minimizer.MinimizeResult(
+        argmin_bits=f.bits(best_x),
+        min_value=best_y,
+        main_iterations=budget,
+        oracle_calls=oracle_calls,
+        trace=trace,
     )
 
 
@@ -230,12 +271,68 @@ class TestAgainstReference:
             assert fast.measured_index == slow.measured_index
 
     @pytest.mark.parametrize("n_bits, seed", [(10, 4), (12, 8)])
-    def test_minimize_trace_unchanged(self, monkeypatch, n_bits, seed):
+    def test_minimize_trace_unchanged(self, n_bits, seed):
         table = np.random.default_rng(seed).normal(size=2**n_bits)
         objective = minimizer.ObjectiveFn.from_table(table)
         fast = minimizer.minimize(objective, RngStream(seed))
-        monkeypatch.setattr(minimizer, "grover_search", _reference_grover)
-        slow = minimizer.minimize(objective, RngStream(seed))
+        slow = _reference_minimize(objective, RngStream(seed), search=_reference_grover)
         assert fast.trace == slow.trace
         assert fast.argmin_bits == slow.argmin_bits
         assert fast.oracle_calls == slow.oracle_calls
+
+
+class TestSortedThreshold:
+    """The table path of ``minimize`` (sorted marked set, binary-search
+    draw) against the oracle + ``grover_search`` + ``RngStream.choice``
+    path it replaced."""
+
+    @settings(max_examples=80)
+    @given(
+        n_bits=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        rounds=st.integers(0, 200),
+        data=st.data(),
+    )
+    def test_measurement_matches_grover_search(self, n_bits, seed, rounds, data):
+        dim = 2**n_bits
+        k = data.draw(st.integers(0, dim), label="k")
+        marked = np.sort(np.random.default_rng(seed).choice(dim, size=k, replace=False))
+        expected = grover_search(_set_oracle(n_bits, marked), RngStream(seed), iterations=rounds)
+        u = RngStream(seed).uniform()
+        assert minimizer._measure_marked(marked, dim, rounds, u) == expected.measured_index
+
+    def test_draw_on_cdf_boundary_goes_right(self):
+        # Like RngStream.choice's searchsorted(side="right"): a draw equal
+        # to a cumulative probability picks the next index.
+        none = np.array([], dtype=int)
+        assert [minimizer._measure_marked(none, 4, 0, u) for u in (0.0, 0.5, 0.75)] == [0, 2, 3]
+
+    @settings(max_examples=60)
+    @given(
+        n_bits=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from([1, 2, 3, 8, 64, None]),
+        infinite=st.integers(0, 3),
+        budget=st.one_of(st.none(), st.integers(0, 400)),
+    )
+    def test_minimize_matches_reference(self, n_bits, seed, levels, infinite, budget):
+        # ``levels`` forces ties (None draws distinct normals); up to three
+        # +inf entries stand in for ``argmin_via_search``'s padding.
+        gen = np.random.default_rng(seed)
+        dim = 2**n_bits
+        if levels is None:
+            table = gen.normal(size=dim)
+        else:
+            table = gen.integers(0, levels, size=dim).astype(float)
+        table[gen.choice(dim, size=min(infinite, dim - 1), replace=False)] = np.inf
+        objective = minimizer.ObjectiveFn.from_table(table)
+        fast = minimizer.minimize(objective, RngStream(seed), budget)
+        slow = _reference_minimize(objective, RngStream(seed), budget)
+        assert fast == slow
+
+    @pytest.mark.parametrize("seed", [9, 21, 33])
+    def test_callable_objective_matches_reference(self, seed):
+        popcount = minimizer.ObjectiveFn(6, lambda x: float(bin(x).count("1")))
+        fast = minimizer.minimize(popcount, RngStream(seed))
+        slow = _reference_minimize(popcount, RngStream(seed))
+        assert fast == slow

@@ -106,6 +106,20 @@ class TestMinimize:
         with pytest.raises(DomainError):
             ObjectiveFn.from_table([1.0, 2.0, 3.0])
 
+    def test_nan_entry_rejected_with_index(self):
+        with pytest.raises(DomainError, match="entry 1 is NaN"):
+            ObjectiveFn.from_table([0.5, math.nan, 2.0, math.nan])
+
+    def test_callable_nan_value_rejected(self):
+        objective = ObjectiveFn(2, lambda x: math.nan if x == 2 else float(x))
+        with pytest.raises(DomainError, match="entry 2 is NaN"):
+            minimize(objective, RngStream(1))
+
+    def test_infinite_entries_allowed(self):
+        objective = ObjectiveFn.from_table([math.inf, 2.0, -1.0, math.inf])
+        result = minimize(objective, RngStream(4))
+        assert result.argmin_bits == "10" and result.min_value == -1.0
+
 
 class TestArgminViaSearch:
     def test_returns_true_argmin_with_padding(self):

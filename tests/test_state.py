@@ -327,6 +327,22 @@ class TestRngStream:
         assert [s.randint(1000) for s in first][0] == [RngStream(99).randint(1000)][0]
         assert a == b
 
+    def test_choice_sum_tolerance(self):
+        # np.isclose's test: atol 1e-9 plus rtol 1e-5 of the expected 1.
+        assert RngStream(0).choice(np.array([0.5, 0.5 + 2e-6])) in (0, 1)
+        for bad in ([0.5, 0.5 + 1e-3], [math.nan, 0.5]):
+            with pytest.raises(ValueError, match="expected 1"):
+                RngStream(0).choice(np.array(bad))
+
+    def test_choice_consumes_one_uniform(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        cdf = np.cumsum(probs)
+        for seed in range(20):
+            sampled, reference = RngStream(seed), RngStream(seed)
+            index = sampled.choice(probs)
+            assert index == int(np.searchsorted(cdf, reference.uniform() * cdf[-1], "right"))
+            assert sampled.uniform() == reference.uniform()
+
     def test_split_streams_differ(self):
         left, right = RngStream(1).split(2)
         assert [left.randint(10**6) for _ in range(4)] != [
