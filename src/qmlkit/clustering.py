@@ -1,12 +1,14 @@
 """Lloyd-style k-means and k-medians with quantum distance estimation.
 
 Assignment distances run through the state-encoding distance subroutine
-(exact or shot-estimated); the nearest-centroid choice is either a host
-argmin or quantum minimum finding over the centroid indices.  Both
-algorithms run one Lloyd loop (``_lloyd``) and differ only in the centroid
-update and the stop rule: k-means takes member means and stops when no
-centroid moves by ``eta`` or more; k-medians takes the quantum set-median (so
-its centroids are always dataset rows) and stops when no centroid changes.
+(exact or shot-estimated), a whole Lloyd pass of (row, centroid) pairs per
+batch up to ``MAX_BATCH_PAIRS`` pairs; the nearest-centroid choice is
+either a host argmin or quantum minimum finding over the centroid indices.
+Both algorithms run one Lloyd loop (``_lloyd``) and differ only in the
+centroid update and the stop rule: k-means takes member means and stops
+when no centroid moves by ``eta`` or more; k-medians takes the quantum
+set-median (so its centroids are always dataset rows) and stops when no
+centroid changes.
 """
 from __future__ import annotations
 
@@ -18,7 +20,13 @@ import numpy as np
 from .errors import DomainError
 from .minimizer import argmin_via_search
 from .rng import RngStream
-from .subroutines import DEFAULT_SHOTS, distances, median_calc
+from .subroutines import (
+    DEFAULT_SHOTS,
+    MAX_BATCH_PAIRS,
+    distance_p0,
+    estimate_dist_sq,
+    median_calc,
+)
 
 ZERO_NORM_TOL = 1e-12
 
@@ -92,23 +100,47 @@ def _assign(
     rng: RngStream,
     warnings: list[str],
 ) -> np.ndarray:
+    """Nearest-centroid index of every row.  The (row, centroid) pairs run
+    in row-major order, in distance batches of whole rows of at most
+    ``MAX_BATCH_PAIRS`` pairs (a pass of up to 2^16 / k rows is one batch).
+    """
     # A mean update can produce the zero vector, which has no amplitude
     # encoding; distances to it fall back to host arithmetic.
     zero = np.linalg.norm(centroids, axis=1) <= ZERO_NORM_TOL
     for j in np.flatnonzero(zero):
         warnings.append(f"centroid {j} has zero norm; host-side distance used")
-    assignments = np.empty(data.m, dtype=int)
-    dists = np.empty(len(centroids))
-    for i, point in enumerate(data.vectors):
-        dists[zero] = np.sum((point - centroids[zero]) ** 2, axis=1)
-        if not zero.all():
-            dists[~zero] = distances(
-                point, centroids[~zero], cfg.shots, rng, cfg.distance_mode
-            )[1]
-        if cfg.use_grover_argmin:
-            assignments[i] = argmin_via_search(dists, rng)
-        else:
-            assignments[i] = int(np.argmin(dists))
+    step = max(1, MAX_BATCH_PAIRS // len(centroids))
+    return np.concatenate(
+        [
+            _assign_rows(data.vectors[start : start + step], centroids, zero, cfg, rng)
+            for start in range(0, data.m, step)
+        ]
+    )
+
+
+def _assign_rows(
+    rows: np.ndarray, centroids: np.ndarray, zero: np.ndarray, cfg: ClusterConfig, rng: RngStream
+) -> np.ndarray:
+    """Nearest-centroid indices of ``rows`` from one distance batch.  The
+    search-based argmin draws from the stream between rows, so with it each
+    row's shot estimates are drawn just before its argmin, as one batch per
+    row would draw them."""
+    live = ~zero
+    n_live = int(np.count_nonzero(live))
+    dists = np.empty((len(rows), len(centroids)))
+    dists[:, zero] = np.sum((rows[:, None, :] - centroids[zero]) ** 2, axis=2)
+    pairs = (np.repeat(np.arange(len(rows)), n_live), np.tile(np.arange(n_live), len(rows)))
+    z, p0 = distance_p0(rows, centroids[live], pairs)
+    draw_rng = rng if cfg.distance_mode == "shots" else None
+    if not cfg.use_grover_argmin:
+        dist_sq = estimate_dist_sq(z, p0, cfg.shots, draw_rng, n_live)
+        dists[:, live] = dist_sq.reshape(len(rows), -1)
+        return np.argmin(dists, axis=1)
+    assignments = np.empty(len(rows), dtype=int)
+    for i in range(len(rows)):
+        row = slice(i * n_live, (i + 1) * n_live)
+        dists[i, live] = estimate_dist_sq(z[row], p0[row], cfg.shots, draw_rng)
+        assignments[i] = argmin_via_search(dists[i], rng)
     return assignments
 
 

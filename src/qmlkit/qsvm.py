@@ -19,6 +19,7 @@ from .minimizer import ObjectiveFn, minimize
 from .rng import RngStream
 
 GRID_BITS_CAP = 20   # dense table of 2^bits objective values
+_TABLE_CHUNK = 2**16  # grid indices whose multipliers are built at once
 
 
 @dataclass(frozen=True)
@@ -117,29 +118,30 @@ def _default_penalty(kernel: np.ndarray) -> float:
     return coeff
 
 
-def _grid_tables(data: LabeledDataset, grid: AlphaGrid):
+def _penalized_table(
+    data: LabeledDataset, kernel: np.ndarray, grid: AlphaGrid, penalty: float
+) -> np.ndarray:
+    """The penalized dual at every grid index, built ``_TABLE_CHUNK``
+    indices at a time: a whole 20-bit grid of ten multipliers would hold
+    2^20 x 10 int64 levels and their float multipliers (80 MiB each) at
+    once, while each entry needs only its own row."""
     total_bits = data.m * grid.bits_per_alpha
     if total_bits > GRID_BITS_CAP:
         raise DomainError(
             f"{data.m} multipliers at {grid.bits_per_alpha} bits exceed the "
             f"{GRID_BITS_CAP}-bit search cap"
         )
-    indices = np.arange(2**total_bits, dtype=np.int64)
     shifts = [(data.m - 1 - i) * grid.bits_per_alpha for i in range(data.m)]
-    levels = np.stack(
-        [(indices >> s) & (grid.levels - 1) for s in shifts], axis=1
-    )
-    return levels * grid.step
-
-
-def _penalized_table(
-    data: LabeledDataset, kernel: np.ndarray, grid: AlphaGrid, penalty: float
-) -> np.ndarray:
-    alphas = _grid_tables(data, grid)
     q = (data.labels[:, None] * data.labels[None, :]) * kernel
-    quad = 0.5 * np.einsum("ij,jk,ik->i", alphas, q, alphas)
-    balance = alphas @ data.labels
-    return quad - alphas.sum(axis=1) + penalty * balance**2
+    table = np.empty(2**total_bits)
+    for start in range(0, table.size, _TABLE_CHUNK):
+        indices = np.arange(start, min(start + _TABLE_CHUNK, table.size), dtype=np.int64)
+        levels = np.stack([(indices >> s) & (grid.levels - 1) for s in shifts], axis=1)
+        alphas = levels * grid.step
+        quad = 0.5 * np.einsum("ij,jk,ik->i", alphas, q, alphas)
+        balance = alphas @ data.labels
+        table[start : start + indices.size] = quad - alphas.sum(axis=1) + penalty * balance**2
+    return table
 
 
 def _neighbor_descent(index: int, table: np.ndarray, m: int, bits: int) -> int:

@@ -41,7 +41,9 @@ class RngStream:
         # its array machinery; NaN fails the comparison.
         if not abs(total - 1.0) <= 1e-9 + 1e-5:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        # Clip tiny negative rounding residue before accumulating.
-        cdf = np.cumsum(np.clip(p, 0.0, None))
+        # Clip tiny negative rounding residue into one fresh buffer and
+        # accumulate it in place.
+        cdf = np.clip(p, 0.0, None)
+        np.cumsum(cdf, out=cdf)
         index = int(np.searchsorted(cdf, self.gen.random() * cdf[-1], side="right"))
         return min(index, len(p) - 1)

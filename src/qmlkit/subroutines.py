@@ -8,12 +8,16 @@ construction whose ancilla overlap encodes |a-b|^2 / 2Z.
 One kernel, ``_swap_test_p0``, runs every swap test, on a batch of pairs:
 a slice of pairs is one register with extra qubits that index the pairs,
 and the gates act on it through ``gates.apply``.  A batch is one point
-against many (a row against the k-means centroids, a median candidate
-against the later points, a QPCA row against the top eigenvectors), and a
-slice holds at most 2^16 amplitudes unless one pair alone needs more, so
-memory never grows with all pairs; a pair over the qubit cap is refused
-before anything is allocated.  Each estimator carries the exact value from
-the simulated final state and a shot-based value.
+against many (a QPCA row against the top eigenvectors) or a list of index
+pairs between two row sets: the rows against the live centroids of a
+k-means pass, or the pairs i < j of a set median, cut into batches of
+whole rows of at most ``MAX_BATCH_PAIRS`` pairs.  Distance pairs are
+encoded in chunks and a slice holds at most ``_SLICE_AMPS`` amplitudes
+unless one pair alone needs more, so memory is bounded per batch and
+chunk; a pair over the qubit cap is refused before anything is allocated.
+Each estimator carries the exact value from the simulated final state and
+a shot-based value, drawn in slice-sized chunks in the order of one batch
+per point.
 """
 from __future__ import annotations
 
@@ -33,11 +37,18 @@ DEFAULT_SHOTS = 4096
 _H = standard_gate("H")
 _FREDKIN = controlled(standard_gate("SWAP"))
 _PLUS = _H.matrix[:, 0]  # the control qubit after the first H
-# Amplitudes of one batched swap-test register (1 MiB); larger registers
-# ran slower per amplitude through the gate kernel's transposes.
-_SLICE_AMPS = 2**16
-# Shot draws of one batch may take as much memory as a state at the qubit
-# cap: 2^24 complex amplitudes, 256 MiB.
+# Amplitudes of one batched swap-test register (64 KiB), which also bounds
+# the pairs encoded at once and the bytes of one chunk of shot draws.  With
+# a k-means pass as one batch, the clustering benchmark peaked at 45 MiB RSS
+# with slices of 2^16 amplitudes against 41 MiB at 2^12, and ran slower;
+# drawing a pass's shots at once added another 7 MiB.
+_SLICE_AMPS = 2**12
+# Pairs of one k-means or set-median distance batch: their per-pair arrays
+# (indices, Z, p0, estimates) take a few MiB, where a whole pass or median
+# would grow with rows x centroids or with the square of the point count.
+MAX_BATCH_PAIRS = 2**16
+# The shot draws of one point's pairs may take as much memory as a state at
+# the qubit cap, 2^24 complex amplitudes (256 MiB); more is refused.
 _DRAW_BYTES_CAP = 16 * 2**MAX_QUBITS
 
 
@@ -135,24 +146,36 @@ def _check_shots(shots: int) -> None:
         raise DomainError(f"shots must be >= 1, got {shots}")
 
 
-def _estimate_p0(exact_p0: np.ndarray, shots: int, rng: RngStream | None) -> np.ndarray:
+def _estimate_p0(
+    exact_p0: np.ndarray, shots: int, rng: RngStream | None, row: int | None = None
+) -> np.ndarray:
     """Shot estimates of each p0 (the exact values when ``rng`` is None).
 
     Each shot re-prepares the same state, so control measurements are
-    i.i.d. Bernoulli draws at the exact probability; row b takes the b-th
-    block of ``shots`` draws, as one call per row would.  A batch whose
-    draws would pass ``_DRAW_BYTES_CAP`` is refused before any draw.
+    i.i.d. Bernoulli draws at the exact probability; pair b takes the b-th
+    block of ``shots`` draws, as one call per pair would.  The draws are
+    made in chunks of pairs, each within the 16 * ``_SLICE_AMPS`` bytes of
+    one slice register unless one pair alone needs more (Philox gives the
+    same stream in any chunking).  A row of ``row`` pairs (by default the
+    whole batch) whose draws would pass ``_DRAW_BYTES_CAP`` is refused
+    before any draw.
     """
     if rng is None:
         return exact_p0
-    need = 8 * exact_p0.size * shots
+    row = exact_p0.size if row is None else int(row)
+    need = 8 * row * shots
     if need > _DRAW_BYTES_CAP:
         raise ConfigError(
-            f"{exact_p0.size} x {shots} shot draws need {need / 2**20:,.0f} MiB, "
+            f"{row} x {shots} shot draws need {need / 2**20:,.0f} MiB, "
             f"over the {_DRAW_BYTES_CAP // 2**20} MiB budget"
         )
-    draws = rng.gen.random((exact_p0.size, shots))
-    return np.count_nonzero(draws < exact_p0[:, None], axis=1) / shots
+    step = max(1, 2 * _SLICE_AMPS // shots)
+    p0_hat = np.empty_like(exact_p0)
+    for start in range(0, exact_p0.size, step):
+        exact = exact_p0[start : start + step]
+        draws = rng.gen.random((exact.size, shots))
+        p0_hat[start : start + step] = np.count_nonzero(draws < exact[:, None], axis=1) / shots
+    return p0_hat
 
 
 def overlap_sq(p0):
@@ -193,36 +216,88 @@ def swap_test(
     )
 
 
+def distance_p0(left, right, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Z = |a|^2 + |b|^2 and the exact swap-test p0 of each distance pair.
+
+    ``pairs`` = (rows of ``left``, rows of ``right``) lists the pairs by
+    index; a 1-D ``left`` is one row.  Each row is encoded once, and the
+    pairs run through the kernel in pair order, in chunks whose psi states
+    hold ``_SLICE_AMPS`` amplitudes.
+
+    Each pair prepares psi = (|0,a> + |1,b>)/sqrt(2) and
+    phi = (|a| |0> - |b| |1>)/sqrt(Z) and swap-tests phi against psi's
+    ancilla qubit (the data register rides along uncontracted).
+    """
+    left = np.atleast_2d(np.asarray(left, dtype=float))
+    right = np.atleast_2d(np.asarray(right, dtype=float))
+    if left.size == 0:
+        raise DomainError("encode expects a nonempty 1-D vector")
+    if left.shape[1] != right.shape[1]:
+        raise DomainError(f"dimension mismatch: {left.shape[1]} vs {right.shape[1]}")
+    rows, cols = (np.asarray(index) for index in pairs)
+    if rows.shape != cols.shape:
+        raise DomainError(f"{rows.size} left rows cannot pair with {cols.size} right rows")
+    left_norms, left_amps = _unit_rows(left)
+    right_norms, right_amps = _unit_rows(right)
+    # Python's float power squares each left norm, as the one-vector batch
+    # always did: numpy's square differs from it in the last bit on about
+    # one value in a thousand, and seeded results keep their bits.
+    left_sq = np.array([float(norm) ** 2 for norm in left_norms])
+    z = left_sq[rows] + right_norms[cols] ** 2
+    p0 = np.empty(z.size)
+    chunk = max(1, _SLICE_AMPS // (2 * left_amps.shape[1]))
+    for start in range(0, z.size, chunk):
+        i, j = rows[start : start + chunk], cols[start : start + chunk]
+        phi = np.stack([left_norms[i], -right_norms[j]], axis=1).astype(complex)
+        psi = np.concatenate([left_amps[i], right_amps[j]], axis=1)
+        p0[start : start + chunk] = _swap_test_p0(
+            phi / np.sqrt(z[start : start + chunk])[:, None], psi / math.sqrt(2.0)
+        )
+    return z, p0
+
+
+def estimate_dist_sq(
+    z: np.ndarray,
+    exact_p0: np.ndarray,
+    shots: int = DEFAULT_SHOTS,
+    rng: RngStream | None = None,
+    row: int | None = None,
+) -> np.ndarray:
+    """|a-b|^2 = 2Z o for pairs from ``distance_p0``, with o the squared
+    ancilla overlap: exact without ``rng``, else from ``shots`` draws per
+    pair in pair order, where a row of ``row`` pairs (by default all of
+    them) whose draws pass the shot-memory budget is refused."""
+    _check_shots(shots)
+    return 2.0 * z * overlap_sq(_estimate_p0(exact_p0, shots, rng, row))
+
+
 def distances(
     a,
     others,
     shots: int = DEFAULT_SHOTS,
     rng: RngStream | None = None,
     mode: str = "exact",
+    pairs=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Z and |a-b|^2 = 2Z o for each row b of ``others`` as one batch, with
-    Z = |a|^2 + |b|^2 and o the squared ancilla overlap.
+    """Z and |a-b|^2 for pairs of rows as one batch: exact, or estimated
+    from shots in ``shots`` mode (see ``distance_p0``).
 
-    Each pair prepares psi = (|0,a> + |1,b>)/sqrt(2) and
-    phi = (|a| |0> - |b| |1>)/sqrt(Z) and swap-tests phi against psi's
-    ancilla qubit (the data register rides along uncontracted).
+    A vector ``a`` pairs with each row of ``others``; a matrix ``a`` pairs
+    row b with row b of ``others``; ``pairs`` = (rows of ``a``, rows of
+    ``others``) lists the pairs by index instead.  The pairs of one row of
+    ``a`` are the unit the shot-memory budget refuses.
     """
     if mode not in ("exact", "shots"):
         raise DomainError(f"unknown distance mode {mode!r}")
-    _check_shots(shots)
     if mode == "shots" and rng is None:
         raise DomainError("shots mode requires an RngStream")
-    ea = encode(a)
-    rows = np.atleast_2d(np.asarray(others, dtype=float))
-    if rows.shape[1] != ea.raw.size:
-        raise DomainError(f"dimension mismatch: {ea.raw.size} vs {rows.shape[1]}")
-    norms, amps = _unit_rows(rows)
-    z = ea.norm**2 + norms**2
-    phi = np.stack([np.full_like(norms, ea.norm), -norms], axis=1).astype(complex)
-    psi = np.concatenate([np.broadcast_to(ea.state.amps, amps.shape), amps], axis=1)
-    p0 = _swap_test_p0(phi / np.sqrt(z)[:, None], psi / math.sqrt(2.0))
-    p0 = _estimate_p0(p0, shots, rng if mode == "shots" else None)
-    return z, 2.0 * z * overlap_sq(p0)
+    left = np.asarray(a, dtype=float)
+    if pairs is None:
+        cols = np.arange(len(np.atleast_2d(others)))
+        pairs = (np.zeros_like(cols) if left.ndim == 1 else np.arange(len(left)), cols)
+    z, p0 = distance_p0(left, others, pairs)
+    row = np.bincount(pairs[0]).max(initial=0)
+    return z, estimate_dist_sq(z, p0, shots, rng if mode == "shots" else None, row)
 
 
 def dist_calc(
@@ -248,7 +323,10 @@ def median_calc(
 ) -> tuple[int, np.ndarray]:
     """The set median: the member minimizing the sum of Euclidean distances
     to all other members, with the argmin taken by quantum minimum finding.
-    Point i's distances to the points after it run as one batch.
+    The pairs i < j run in i-major order, in ``distances`` batches of whole
+    points of at most ``MAX_BATCH_PAIRS`` pairs (up to 257 points are one
+    batch), and the sums accumulate point by point as per-point batches
+    would.
     """
     vectors = [np.asarray(p, dtype=float) for p in points]
     if not vectors:
@@ -259,10 +337,19 @@ def median_calc(
         return 0, vectors[0]
     if rng is None:
         raise DomainError("median_calc requires an RngStream")
-    sums = np.zeros(len(vectors))
-    for i in range(len(vectors) - 1):
-        d = np.sqrt(distances(vectors[i], vectors[i + 1 :], shots, rng, mode)[1])
-        sums[i] += d.sum()
-        sums[i + 1 :] += d
+    m = len(vectors)
+    matrix = np.array(vectors)
+    sums = np.zeros(m)
+    step = max(1, MAX_BATCH_PAIRS // (m - 1))
+    for first in range(0, m - 1, step):
+        block = np.arange(first, min(first + step, m - 1))
+        i, j = np.nonzero(np.arange(m) > block[:, None])
+        d = np.sqrt(distances(matrix, matrix, shots, rng, mode, (block[i], j))[1])
+        start = 0
+        for point in block:
+            row = d[start : start + m - 1 - point]
+            sums[point] += row.sum()
+            sums[point + 1 :] += row
+            start += row.size
     best = argmin_via_search(sums, rng)
     return best, vectors[best]

@@ -245,6 +245,15 @@ class TestExitCodes:
         assert f"error: {batch} 1000000000000 shot draws need" in err
         assert "over the 256 MiB budget" in err
 
+    def test_kmeans_pass_draws_over_budget_only_in_total(self, blob_csv, monkeypatch):
+        # One row's draws (2 centroids x 64 shots) fit the budget; a pass
+        # over all 16 rows does not, and still runs, with the same results.
+        argv = ["kmeans", "--data", blob_csv, "--k", "2", "--mode", "shots",
+                "--shots", "64", "--seed", "5"]
+        want = run_ok(argv)
+        monkeypatch.setattr("qmlkit.subroutines._DRAW_BYTES_CAP", 8 * 2 * 64)
+        assert canonical(run_ok(argv)) == canonical(want)
+
     def test_phase_est_dimension_mismatch(self, tmp_path, capsys):
         unitary = write(
             tmp_path / "u.json", json.dumps({"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})

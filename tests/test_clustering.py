@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmlkit.clustering import ClusterConfig, Dataset, kmeans, kmedians
+from qmlkit import clustering, subroutines
+from qmlkit.clustering import ZERO_NORM_TOL, ClusterConfig, Dataset, kmeans, kmedians
 from qmlkit.errors import DomainError
 from qmlkit.minimizer import argmin_via_search
 from qmlkit.rng import RngStream
+from qmlkit.subroutines import distances
 
 
 def reference_lloyd(vectors, initial, eta=1e-4, max_iterations=100):
@@ -41,6 +46,51 @@ def reference_lloyd(vectors, initial, eta=1e-4, max_iterations=100):
             converged = True
             break
     return centroids, assignments, iterations, converged
+
+
+def reference_assign(data, centroids, cfg, rng, warnings, argmin=argmin_via_search):
+    """One distance batch per row: the assignment pass before all its pairs
+    ran as one batch."""
+    zero = np.linalg.norm(centroids, axis=1) <= ZERO_NORM_TOL
+    for j in np.flatnonzero(zero):
+        warnings.append(f"centroid {j} has zero norm; host-side distance used")
+    assignments = np.empty(data.m, dtype=int)
+    dists = np.empty(len(centroids))
+    for i, point in enumerate(data.vectors):
+        dists[zero] = np.sum((point - centroids[zero]) ** 2, axis=1)
+        if not zero.all():
+            dists[~zero] = distances(
+                point, centroids[~zero], cfg.shots, rng, cfg.distance_mode
+            )[1]
+        if cfg.use_grover_argmin:
+            assignments[i] = argmin(dists, rng)
+        else:
+            assignments[i] = int(np.argmin(dists))
+    return assignments
+
+
+@st.composite
+def assign_passes(draw):
+    """1-12 rows of up to 9 features and 1-5 centroids at mixed scales; a
+    centroid may be the zero vector (a mean update can produce it), a copy
+    of a row, or shrunk to just above the zero-norm tolerance."""
+    m, dim, k = draw(st.integers(1, 12)), draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = gen.normal(size=(m, dim)) * 10.0 ** gen.uniform(-1, 1, size=(m, 1))
+    centroids = gen.normal(size=(k, dim))
+    for j in range(k):
+        kind = draw(st.sampled_from(["random", "random", "zero", "row", "tiny"]))
+        if kind == "zero":
+            centroids[j] = 0.0
+        elif kind == "row":
+            centroids[j] = data[draw(st.integers(0, m - 1))]
+        elif kind == "tiny":
+            centroids[j] *= 1e-11
+    return Dataset(data), centroids
+
+
+def _next_draws(rng):
+    return rng.gen.random(4).tolist()
 
 
 def two_blobs(gen, per_blob=12):
@@ -172,6 +222,46 @@ class TestKmeans:
     def test_zero_row_rejected(self):
         with pytest.raises(DomainError):
             Dataset([[1.0, 0.0], [0.0, 0.0]])
+
+
+class TestAssignBatch:
+    @settings(max_examples=80)
+    @given(
+        assign_passes(), st.sampled_from(["exact", "shots"]), st.booleans(),
+        st.integers(0, 2**32 - 1), st.sampled_from([2**3, 2**5, 2**8, 2**12]),
+        st.sampled_from([1, 7, 2**16]),
+    )
+    def test_matches_row_reference(self, case, mode, grover, seed, cap, batch):
+        # Small slices, batches of one or more rows, and a draw budget that
+        # one row fits but the pass passes: the batches span several slices
+        # and draw chunks, and give the rows, warnings, argmin inputs and
+        # stream of one batch per row.
+        data, centroids = case
+        cfg = ClusterConfig(k=len(centroids), distance_mode=mode, shots=40,
+                            use_grover_argmin=grover)
+        live = int(np.count_nonzero(np.linalg.norm(centroids, axis=1) > ZERO_NORM_TOL))
+        seen, seen_ref = [], []
+
+        def recording(log):
+            def argmin(values, rng):
+                log.append(np.array(values))
+                return argmin_via_search(values, rng)
+            return argmin
+
+        batched_rng, row_rng = RngStream(seed), RngStream(seed)
+        warnings, warnings_ref = [], []
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap), \
+                mock.patch.object(clustering, "MAX_BATCH_PAIRS", batch), \
+                mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * cfg.shots * max(live, 1)), \
+                mock.patch.object(clustering, "argmin_via_search", recording(seen)):
+            got = clustering._assign(data, centroids, cfg, batched_rng, warnings)
+            want = reference_assign(
+                data, centroids, cfg, row_rng, warnings_ref, recording(seen_ref)
+            )
+        assert got.tolist() == want.tolist()
+        assert warnings == warnings_ref
+        assert [v.tobytes() for v in seen] == [v.tobytes() for v in seen_ref]
+        assert _next_draws(batched_rng) == _next_draws(row_rng)
 
 
 class TestKmedians:

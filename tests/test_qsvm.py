@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qmlkit import qsvm
 from qmlkit.errors import DomainError
 from qmlkit.qsvm import (
     AlphaGrid,
     KernelSpec,
     LabeledDataset,
     SvmSolution,
+    _default_penalty,
+    _penalized_table,
     decision_value,
     dual_objective,
     kernel_matrix,
@@ -51,6 +54,18 @@ def grid_alphas(index, m, grid):
             for i in range(m)
         ]
     )
+
+
+def reference_penalized_table(data, kernel, grid, penalty):
+    """The whole-grid build: every index's levels and multipliers at once."""
+    indices = np.arange(2 ** (data.m * grid.bits_per_alpha), dtype=np.int64)
+    shifts = [(data.m - 1 - i) * grid.bits_per_alpha for i in range(data.m)]
+    levels = np.stack([(indices >> s) & (grid.levels - 1) for s in shifts], axis=1)
+    alphas = levels * grid.step
+    q = (data.labels[:, None] * data.labels[None, :]) * kernel
+    quad = 0.5 * np.einsum("ij,jk,ik->i", alphas, q, alphas)
+    balance = alphas @ data.labels
+    return quad - alphas.sum(axis=1) + penalty * balance**2
 
 
 class TestKernelMatrix:
@@ -233,6 +248,21 @@ class TestSolve:
         data = LabeledDataset(gen.normal(size=(8, 2)), [1, -1] * 4)
         with pytest.raises(DomainError):
             solve(data, LINEAR, AlphaGrid(bits_per_alpha=3), RngStream(0))
+
+
+class TestPenalizedTable:
+    @pytest.mark.parametrize("chunk", [3, 1000, 2**12, 2**16])
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_chunked_build_matches_whole_grid(self, monkeypatch, chunk, kind):
+        gen = np.random.default_rng(41)
+        data = LabeledDataset(gen.normal(size=(7, 3)), [1, -1, 1, 1, -1, -1, 1])
+        spec = KernelSpec(kind, gamma=0.7 if kind == "gaussian" else None)
+        kernel = kernel_matrix(data, spec)
+        grid = AlphaGrid(bits_per_alpha=2, alpha_max=3.0)  # 14 bits
+        monkeypatch.setattr(qsvm, "_TABLE_CHUNK", chunk)
+        table = _penalized_table(data, kernel, grid, _default_penalty(kernel))
+        want = reference_penalized_table(data, kernel, grid, _default_penalty(kernel))
+        assert table.tobytes() == want.tobytes()
 
 
 class TestPredict:

@@ -343,6 +343,13 @@ class TestRngStream:
             assert index == int(np.searchsorted(cdf, reference.uniform() * cdf[-1], "right"))
             assert sampled.uniform() == reference.uniform()
 
+    def test_choice_leaves_probabilities_unchanged(self):
+        # The clipped copy is accumulated in place, never the caller's array.
+        probs = np.array([0.25, -1e-18, 0.5, 0.25])
+        before = probs.tobytes()
+        RngStream(3).choice(probs)
+        assert probs.tobytes() == before
+
     def test_split_streams_differ(self):
         left, right = RngStream(1).split(2)
         assert [left.randint(10**6) for _ in range(4)] != [

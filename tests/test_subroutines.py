@@ -87,6 +87,18 @@ def reference_median_index(points, shots: int, rng: RngStream, mode: str) -> int
     return argmin_via_search(sums, rng)
 
 
+def reference_median_sums(points, shots: int, rng: RngStream, mode: str) -> np.ndarray:
+    """Summed distances with one ``distances`` batch per point against the
+    points after it, as the set median ran before it was one batch."""
+    m = len(points)
+    sums = np.zeros(m)
+    for i in range(m - 1):
+        d = np.sqrt(distances(points[i], points[i + 1 :], shots, rng, mode)[1])
+        sums[i] += d.sum()
+        sums[i + 1 :] += d
+    return sums
+
+
 def slice_caps():
     """Slice sizes from one-pair slices up to the default, so that batches
     run whole, in slices of 4 or 16, or with a short last slice."""
@@ -249,6 +261,63 @@ class TestDistanceBatch:
         assert dist_hat == pytest.approx(pair_hat, rel=1e-12)
         assert _next_draws(batched_rng) == _next_draws(pair_rng)
 
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 6), st.integers(1, 5), st.integers(1, 33), st.integers(0, 2**32 - 1),
+        st.integers(1, 64), slice_caps(),
+    )
+    def test_index_pairs_match_row_batches(self, n_left, n_right, dim, seed, shots, cap):
+        # Each left row against a random subset of the right rows, in
+        # row-major order: one indexed batch equals one batch per left row,
+        # bit for bit, and leaves the stream where they leave it.
+        gen = np.random.default_rng(seed)
+        left = gen.normal(size=(n_left, dim)) * 10.0 ** gen.uniform(-2, 2, size=(n_left, 1))
+        right = gen.normal(size=(n_right, dim)) * 10.0 ** gen.uniform(-2, 2, size=(n_right, 1))
+        right[0] = left[0] * gen.choice([1.0, -0.5])
+        cols = [np.flatnonzero(gen.random(n_right) < 0.7) for _ in range(n_left)]
+        pairs = (np.repeat(np.arange(n_left), [c.size for c in cols]), np.concatenate(cols))
+        for mode in ("exact", "shots"):
+            batched_rng, row_rng = RngStream(seed), RngStream(seed)
+            with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
+                z, dist_sq = distances(left, right, shots, batched_rng, mode, pairs)
+                rows = [
+                    distances(a, right[c], shots, row_rng, mode)
+                    for a, c in zip(left, cols) if c.size
+                ]
+            want_z = np.concatenate([r[0] for r in rows] or [np.empty(0)])
+            want_dist_sq = np.concatenate([r[1] for r in rows] or [np.empty(0)])
+            assert z.tobytes() == want_z.tobytes()
+            assert dist_sq.tobytes() == want_dist_sq.tobytes()
+            assert _next_draws(batched_rng) == _next_draws(row_rng)
+
+    def test_matrix_pairs_row_by_row(self, np_rng):
+        left, right = np_rng.normal(size=(3, 5)), np_rng.normal(size=(3, 5))
+        z, dist_sq = distances(left, right, shots=200, rng=RngStream(4), mode="shots")
+        want = distances(left, right, 200, RngStream(4), "shots", (np.arange(3), np.arange(3)))
+        assert (z.tobytes(), dist_sq.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+        with pytest.raises(DomainError, match="3 left rows cannot pair with 2 right rows"):
+            distances(left, right[:2])
+
+    def test_row_draws_over_budget_refused(self, np_rng):
+        # The pairs of one left row are the unit the budget refuses; the
+        # whole batch may pass it.
+        left, right = np_rng.normal(size=(4, 3)), np_rng.normal(size=(2, 3))
+        pairs = (np.repeat(np.arange(4), 2), np.tile(np.arange(2), 4))
+        with mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * 2 * 100):
+            distances(left, right, 100, RngStream(0), "shots", pairs)
+            with pytest.raises(ConfigError, match="2 x 101 shot draws need"):
+                distances(left, right, 101, RngStream(0), "shots", pairs)
+
+    def test_left_norm_squared_as_one_vector(self):
+        # |a| squares to 0.05982499999999999 by Python's float power and to
+        # 0.059824999999999996 by numpy's square; every batch form keeps the
+        # value a one-vector batch gives (|b|^2 is below the last bit of Z).
+        a, b = np.array([-0.052, 0.239]), np.array([[1e-9, 0.0]])
+        norm = encode(a).norm
+        assert norm**2 != float(np.square(norm))
+        for left in (a, a[None]):
+            assert distances(left, b)[0][0] == norm**2
+
     def test_dist_calc_is_a_batch_of_one(self, np_rng):
         a, b = np_rng.normal(size=5), np_rng.normal(size=5)
         estimate = dist_calc(a, b, shots=300, rng=RngStream(8), mode="shots")
@@ -353,6 +422,37 @@ class TestMedianCalc:
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
             median_calc([], rng=RngStream(0))
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(2, 12), st.integers(1, 9), st.integers(0, 2**32 - 1),
+        st.sampled_from(["exact", "shots"]), st.integers(1, 64), slice_caps(),
+        st.sampled_from([1, 10, 2**16]),
+    )
+    def test_sums_match_point_batches(self, m, dim, seed, mode, shots, cap, batch):
+        # Batches of several points' pairs (or all of them) give the same
+        # sums, bit for bit, as one batch per point, under a draw budget that
+        # one point's row fits but the whole set passes; the argmin then
+        # sees the same stream.
+        gen = np.random.default_rng(seed)
+        points = list(gen.normal(size=(m, dim)) * 10.0 ** gen.uniform(-1, 1, size=(m, 1)))
+        points[-1] = points[0].copy()
+        seen = []
+
+        def recording_argmin(values, rng):
+            seen.append(np.array(values))
+            return argmin_via_search(values, rng)
+
+        batched_rng, point_rng = RngStream(seed), RngStream(seed)
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap), \
+                mock.patch.object(subroutines, "MAX_BATCH_PAIRS", batch), \
+                mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * (m - 1) * shots), \
+                mock.patch.object(subroutines, "argmin_via_search", recording_argmin):
+            index, _ = median_calc(points, shots, batched_rng, mode)
+            sums = reference_median_sums(points, shots, point_rng, mode)
+        assert seen[0].tobytes() == sums.tobytes()
+        assert index == argmin_via_search(sums, point_rng)
+        assert _next_draws(batched_rng) == _next_draws(point_rng)
 
     @pytest.mark.parametrize("mode", ["exact", "shots"])
     def test_matches_per_pair_reference(self, np_rng, mode):
