@@ -71,8 +71,8 @@ class ClusterConfig:
             raise DomainError("k must be >= 1")
         if self.max_iterations < 1:
             raise DomainError(f"iteration budget must be >= 1, got {self.max_iterations}")
-        if self.eta <= 0:
-            raise DomainError("eta must be > 0")
+        if not 0 < self.eta < np.inf:
+            raise DomainError(f"eta must be finite and > 0, got {self.eta}")
         if self.distance_mode not in ("exact", "shots"):
             raise DomainError(f"unknown distance mode {self.distance_mode!r}")
 

@@ -4,13 +4,13 @@ estimation.
 Conventions: the transform uses the +i exponent and symmetric 1/sqrt(N)
 normalization, ``y_k = (1/sqrt(N)) sum_j x_j exp(2 pi i k j / N)``, which is
 ``np.fft.ifft(x, norm="ortho")``; its inverse is ``np.fft.fft`` with the same
-norm.  Transforms of sample vectors, of whole registers and of the phase
-estimation control register run through ``np.fft`` in O(N log N) and never
-build a transform matrix.  The dense gate (whose ``dagger()`` is the
-inverse) and the circuit decomposition remain for circuits and known-value
-checks; the circuit starts with the qubit-reversal SWAP network and then
-applies the Hadamard / controlled-phase ladder from the least significant
-qubit upward, and its full matrix equals the gate matrix exactly.
+norm.  Sample vectors, whole registers (up to ``MAX_QUBITS``) and the phase
+estimation control register are transformed by ``np.fft`` in O(N log N) with
+no matrix.  The dense gate (``dagger()`` is its inverse; at most
+``DENSE_MATRIX_CAP`` qubits) and the circuit decomposition remain for
+circuits and known-value checks; the circuit (qubit-reversal SWAPs, then the
+Hadamard / controlled-phase ladder from the least significant qubit up)
+equals the gate matrix exactly.
 """
 from __future__ import annotations
 
@@ -21,18 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .gates import DENSE_MATRIX_CAP, Circuit, GateMatrix, controlled, standard_gate
+from .errors import DomainError
+from .gates import Circuit, GateMatrix, _check_dense_cap, controlled, standard_gate
 from .rng import RngStream
 from .state import StateVector, _check_n_qubits
-
-QFT_MATRIX_CAP = DENSE_MATRIX_CAP   # dense 2^n x 2^n transform matrix cap
-
-
-def _check_cap(n_qubits: int, what: str) -> None:
-    if n_qubits > QFT_MATRIX_CAP:
-        raise ConfigError(f"transform {what} cap is {QFT_MATRIX_CAP} qubits")
-
 
 def classical_dft(x) -> np.ndarray:
     """The transform of a plain sample vector of any length, by FFT in
@@ -44,11 +36,8 @@ def classical_dft(x) -> np.ndarray:
 
 
 def qft(psi: StateVector) -> StateVector:
-    """``qft_gate(n)`` applied to every qubit of ``psi``, computed by FFT.
-
-    Held to the gate's ``QFT_MATRIX_CAP`` so it admits the same registers.
-    """
-    _check_cap(psi.n_qubits, "matrix")
+    """``qft_gate(n)`` applied to every qubit of ``psi``, computed by FFT
+    with no matrix, so it takes any register up to ``MAX_QUBITS``."""
     return StateVector(psi.n_qubits, classical_dft(psi.amps))
 
 
@@ -59,9 +48,9 @@ def qft_gate(n_qubits: int) -> GateMatrix:
 
     Entries are read from a table of the N roots at index (j k) mod N, so
     each is one correctly rounded root instead of a power whose error grows
-    with j k.
+    with j k.  Refused above ``DENSE_MATRIX_CAP`` qubits up front.
     """
-    _check_cap(n_qubits, "matrix")
+    _check_dense_cap(n_qubits, "transform matrix")
     dim = 2 ** _check_n_qubits(n_qubits)
     j = np.arange(dim)
     roots = np.exp(2j * np.pi * j / dim) / np.sqrt(dim)
@@ -76,7 +65,6 @@ def qft_circuit(n_qubits: int) -> Circuit:
     least to most significant, each preceded by the controlled phase shifts
     pi/2^(k-j) that link it to every less significant qubit.
     """
-    _check_cap(n_qubits, "circuit")
     steps: list[tuple[GateMatrix, tuple[int, ...]]] = []
     swap = standard_gate("SWAP")
     for i in range(n_qubits // 2):

@@ -156,6 +156,14 @@ def _apply_matrix(matrix: np.ndarray, positions: list[int], amps: np.ndarray) ->
     return np.transpose(grid, np.argsort(order)).reshape(amps.shape)
 
 
+def _check_dense_cap(n_qubits: int, what: str) -> None:
+    if n_qubits > DENSE_MATRIX_CAP:
+        raise ConfigError(
+            f"{what} on {n_qubits} qubits needs {16 * 4**n_qubits:,} bytes; "
+            f"the dense-matrix cap is {DENSE_MATRIX_CAP} qubits"
+        )
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate applications on a fixed-size register."""
@@ -177,12 +185,7 @@ class Circuit:
 
         Refused above ``DENSE_MATRIX_CAP`` qubits before anything is built.
         """
-        if self.n_qubits > DENSE_MATRIX_CAP:
-            raise ConfigError(
-                f"circuit matrix on {self.n_qubits} qubits needs "
-                f"{16 * 4**self.n_qubits:,} bytes; the dense-matrix cap is "
-                f"{DENSE_MATRIX_CAP} qubits"
-            )
+        _check_dense_cap(self.n_qubits, "circuit matrix")
         total = np.eye(2**self.n_qubits, dtype=complex)
         for gate, targets in self.steps:
             positions = _validate_positions(self.n_qubits, targets)

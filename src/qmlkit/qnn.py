@@ -2,14 +2,14 @@
 
 Features and the label ride in one register: two k-bit feature groups and an
 m-bit label group initialized to zero.  The network is U = exp(iH) where H
-is a real-weighted sum over all tensor words of Pauli matrices; the weights
-are the only trainable parameters.  H is built by contracting the weight
-tensor with the single-qubit Pauli matrices one qubit at a time, the same
-way for every register size.  The label prediction is the reduced density of
-the label qubits after applying U (one ``partial_trace``), scored either by
-fidelity against the target basis state or by matching the Pauli
-expectations of each label qubit, read from its own one-qubit reduction, and
-trained by finite-difference gradient descent.
+is a real-weighted sum over all tensor words of Pauli matrices, built by
+contracting the weights (the only trainable parameters) with the Pauli
+matrices one qubit at a time.  A basis input |x> goes to column x of U, so
+the label prediction, the reduced density of the label qubits, is one einsum
+over the feature axis of U's input columns, for all examples at once (the
+tests keep the per-example state, density and partial trace as the
+reference).  It is scored by fidelity against the target basis state or by
+each label qubit's Pauli expectations, and trained by finite differences.
 """
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, partial_trace, pure_density
+from .density import DensityMatrix
 from .errors import DomainError
 from .rng import RngStream
-from .state import StateVector, basis_state
+from .state import basis_state
 
 QUBIT_CAP = 6                 # 4^6 parameters is the trainability ceiling
 
@@ -54,10 +54,6 @@ class QnnEncoding:
     def n_total(self) -> int:
         return 2 * self.k + self.m
 
-    @property
-    def label_qubits(self) -> list[int]:
-        return list(range(2 * self.k, self.n_total))
-
 
 @dataclass(frozen=True)
 class QnnParameters:
@@ -83,8 +79,10 @@ class QnnTrainConfig:
     f_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.eta <= 0 or self.fd_step <= 0:
-            raise DomainError("eta and fd_step must be > 0")
+        if not 0 < self.eta < np.inf:
+            raise DomainError(f"eta must be finite and > 0, got {self.eta}")
+        if not 0 < self.fd_step < np.inf:
+            raise DomainError(f"fd_step must be finite and > 0, got {self.fd_step}")
         if self.epochs < 0:
             raise DomainError(f"epoch count must be >= 0, got {self.epochs}")
         if self.cost_kind not in ("overlap", "pauli"):
@@ -130,41 +128,41 @@ def build_unitary(params: QnnParameters, enc: QnnEncoding) -> np.ndarray:
     return unitary_from_pauli_coefficients(params.alphas, enc.n_total)
 
 
+def _input_index(x1, x2, enc: QnnEncoding) -> np.ndarray:
+    """Register indices of |bits(x1), bits(x2), 0...0>, elementwise."""
+    x1, x2 = np.atleast_1d(x1), np.atleast_1d(x2)
+    over = np.flatnonzero((x1 >> enc.k != 0) | (x2 >> enc.k != 0))   # outside [0, 2^k)
+    if over.size:
+        raise DomainError(f"features ({x1[over[0]]}, {x2[over[0]]}) overflow {enc.k} bits")
+    return (x1 << (enc.k + enc.m)) | (x2 << enc.m)
+
+
 def encode_example(x1: int, x2: int, enc: QnnEncoding):
     """Basis state |bits(x1), bits(x2), 0...0> of the full register."""
-    if not 0 <= x1 < 2**enc.k or not 0 <= x2 < 2**enc.k:
-        raise DomainError(f"features ({x1}, {x2}) overflow {enc.k} bits")
-    index = (x1 << (enc.k + enc.m)) | (x2 << enc.m)
-    return basis_state(enc.n_total, index)
+    return basis_state(enc.n_total, int(_input_index(x1, x2, enc)[0]))
+
+
+def _label_densities(unitary: np.ndarray, enc: QnnEncoding, inputs: np.ndarray) -> np.ndarray:
+    """Reduced label densities of U|x> per input x, shape (M, 2^m, 2^m): U|x>
+    is column x of U, and one einsum traces out its feature bits."""
+    columns = unitary.T[inputs].reshape(len(inputs), -1, 2**enc.m)
+    return np.einsum("jfa,jfb->jab", columns, columns.conj())
 
 
 def forward(params: QnnParameters, enc: QnnEncoding, x1: int, x2: int) -> DensityMatrix:
     """Reduced label density after the network unitary."""
-    return _forward_from_unitary(build_unitary(params, enc), enc, x1, x2)
+    rho = _label_densities(build_unitary(params, enc), enc, _input_index(x1, x2, enc))
+    return DensityMatrix._trusted(2**enc.m, rho[0])
 
 
-def _forward_from_unitary(
-    unitary: np.ndarray, enc: QnnEncoding, x1: int, x2: int
-) -> DensityMatrix:
-    state = encode_example(x1, x2, enc)
-    out = StateVector(enc.n_total, unitary @ state.amps)
-    return partial_trace(pure_density(out), enc.label_qubits)
-
-
-def _label_expectations(rho_y: DensityMatrix, m: int) -> np.ndarray:
-    """<sigma_i> per label qubit: rows are qubits, columns the 3 Pauli axes."""
-    out = np.empty((m, 3))
+def _label_expectations(rho: np.ndarray, m: int) -> np.ndarray:
+    """<sigma_i> of each label qubit q of each density in an (M, 2^m, 2^m)
+    stack, shape (M, m, 3); the einsum traces out the qubits before q (l)
+    and after it (r)."""
+    out = np.empty((rho.shape[0], m, 3))
     for q in range(m):
-        single = partial_trace(rho_y, [q]).matrix
-        out[q] = np.einsum("ab,iba->i", single, _PAULI[1:]).real
-    return out
-
-
-def _target_expectations(label: int, m: int) -> np.ndarray:
-    out = np.zeros((m, 3))
-    for q in range(m):
-        bit = (label >> (m - 1 - q)) & 1
-        out[q, 2] = 1.0 - 2.0 * bit       # <sigma_3> on a basis qubit
+        grid = rho.reshape(-1, 2**q, 2, 2 ** (m - 1 - q), 2**q, 2, 2 ** (m - 1 - q))
+        out[:, q] = np.einsum("jlarlbr,iba->ji", grid, _PAULI[1:]).real
     return out
 
 
@@ -176,26 +174,23 @@ def cost(
     The overlap kind is the negative summed fidelity <y|rho_y|y> of the
     reduced label state against the target basis state, so a perfect
     classifier scores -M.  The pauli kind sums weighted squared differences
-    of per-label-qubit Pauli expectations between model and target.
+    of per-label-qubit Pauli expectations between model and target; row j
+    of ``cfg.f_weights`` weights example j, broadcast over its (m, 3).
     """
-    unitary = build_unitary(params, enc)
-    return _cost_from_unitary(unitary, enc, dataset, cfg)
-
-
-def _cost_from_unitary(unitary, enc: QnnEncoding, dataset, cfg: QnnTrainConfig) -> float:
-    total = 0.0
-    for j, (x1, x2, y) in enumerate(dataset):
-        if not 0 <= y < 2**enc.m:
-            raise DomainError(f"label {y} overflows {enc.m} bits")
-        rho_y = _forward_from_unitary(unitary, enc, x1, x2)
-        if cfg.cost_kind == "overlap":
-            total -= float(rho_y.matrix[y, y].real)
-        else:
-            model = _label_expectations(rho_y, enc.m)
-            target = _target_expectations(y, enc.m)
-            weights = np.ones(3) if cfg.f_weights is None else np.asarray(cfg.f_weights)[j]
-            total += float(np.sum(weights * (model - target) ** 2))
-    return total
+    x1, x2, labels = np.asarray(dataset, dtype=int).reshape(-1, 3).T
+    examples = np.arange(labels.size)
+    over = np.flatnonzero(labels >> enc.m != 0)
+    if over.size:
+        raise DomainError(f"label {labels[over[0]]} overflows {enc.m} bits")
+    rho = _label_densities(build_unitary(params, enc), enc, _input_index(x1, x2, enc))
+    if cfg.cost_kind == "overlap":
+        return -float(np.sum(rho[examples, labels, labels].real))
+    diff = _label_expectations(rho, enc.m)
+    # Targets are basis qubits: <sigma_3> is 1 - 2 bit, the other two are 0.
+    diff[:, :, 2] -= 1.0 - 2.0 * ((labels[:, None] >> np.arange(enc.m - 1, -1, -1)) & 1)
+    weights = np.ones(labels.size) if cfg.f_weights is None else np.asarray(cfg.f_weights)[examples]
+    # Example axes last, so each example's weights align with its (m, 3).
+    return float(np.sum(np.moveaxis(weights, 0, -1) * np.moveaxis(diff**2, 0, -1)))
 
 
 def finite_difference_gradient(

@@ -20,7 +20,7 @@ from .fourier import control_distribution
 from .gates import GateMatrix
 from .rng import RngStream
 from .state import StateVector
-from .subroutines import overlap_sq, swap_tests
+from .subroutines import _check_draw_budget, overlap_sq, swap_tests
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
 DEFAULT_CONTROLS = 8
@@ -141,6 +141,9 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
     """
     if m_samples < 1:
         raise DomainError("need at least one sample")
+    # Refused before any draw: per draw, a uniform double, an int64 index and
+    # its sorted copy (18 bytes measured at the peak).
+    _check_draw_budget(24 * m_samples, f"{m_samples:,} eigen-sample draws")
     probs = np.clip(model.eigenvalues, 0.0, None)
     component_counts = rng.gen.multinomial(m_samples, probs / probs.sum())
     forward = evolution_unitary(model.rho, model.t).dagger()

@@ -52,6 +52,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise DomainError(f"unknown kernel {self.kind!r}")
+        if self.gamma is not None and not np.isfinite(self.gamma):
+            raise DomainError(f"gamma must be finite, got {self.gamma}")
         if self.kind == "gaussian" and (self.gamma is None or self.gamma <= 0):
             raise DomainError("gaussian kernel requires gamma > 0")
 
@@ -67,8 +69,10 @@ class AlphaGrid:
     def __post_init__(self):
         if self.bits_per_alpha < 1:
             raise DomainError("need at least one bit per multiplier")
-        if self.alpha_max <= 0:
-            raise DomainError("alpha_max must be > 0")
+        if not 0 < self.alpha_max < np.inf:
+            raise DomainError(f"alpha_max must be finite and > 0, got {self.alpha_max}")
+        if self.penalty_coeff is not None and not 0 <= self.penalty_coeff < np.inf:
+            raise DomainError(f"penalty_coeff must be finite and >= 0, got {self.penalty_coeff}")
 
     @property
     def levels(self) -> int:

@@ -141,6 +141,14 @@ def _swap_test_p0(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return p0
 
 
+def _check_draw_budget(need: int, what: str) -> None:
+    """Refuse draws whose arrays would take more than ``_DRAW_BYTES_CAP``."""
+    if need > _DRAW_BYTES_CAP:
+        raise ConfigError(
+            f"{what} need {need / 2**20:,.0f} MiB, over the {_DRAW_BYTES_CAP // 2**20} MiB budget"
+        )
+
+
 def _check_shots(shots: int) -> None:
     if shots < 1:
         raise DomainError(f"shots must be >= 1, got {shots}")
@@ -163,12 +171,7 @@ def _estimate_p0(
     if rng is None:
         return exact_p0
     row = exact_p0.size if row is None else int(row)
-    need = 8 * row * shots
-    if need > _DRAW_BYTES_CAP:
-        raise ConfigError(
-            f"{row} x {shots} shot draws need {need / 2**20:,.0f} MiB, "
-            f"over the {_DRAW_BYTES_CAP // 2**20} MiB budget"
-        )
+    _check_draw_budget(8 * row * shots, f"{row} x {shots} shot draws")
     step = max(1, 2 * _SLICE_AMPS // shots)
     p0_hat = np.empty_like(exact_p0)
     for start in range(0, exact_p0.size, step):

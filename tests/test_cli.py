@@ -302,19 +302,69 @@ class TestExitCodes:
         assert "the dense-matrix cap is 12 qubits" in err
 
     def test_qft_at_matrix_cap(self, tmp_path, capsys):
+        # The transform builds no matrix, so the dense-matrix cap of 12
+        # qubits does not bound it; the report cap does, before any read.
         gen = np.random.default_rng(12)
-        amps = gen.normal(size=2**12) + 1j * gen.normal(size=2**12)
-        amps /= np.linalg.norm(amps)
-        path = write(
-            tmp_path / "amps.csv", "\n".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in amps)
-        )
-        report = run_ok(["qft", "--qubits", "12", "--amps", path])
-        got = np.array(report["results"]["amplitudes"]) @ np.array([1.0, 1j])
-        assert np.max(np.abs(got - np.fft.ifft(amps, norm="ortho"))) <= 1e-12
-        over = write(tmp_path / "over.csv", "1.0\n" + "0.0\n" * (2**13 - 1))
-        code, report = cli.run(["qft", "--qubits", "13", "--amps", over])
+        for n in (12, 13):
+            amps = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+            amps /= np.linalg.norm(amps)
+            path = write(
+                tmp_path / f"amps{n}.csv",
+                "\n".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in amps),
+            )
+            report = run_ok(["qft", "--qubits", str(n), "--amps", path])
+            got = np.array(report["results"]["amplitudes"]) @ np.array([1.0, 1j])
+            assert np.max(np.abs(got - np.fft.ifft(amps, norm="ortho"))) <= 1e-12
+        over = str(cli.QFT_REPORT_CAP + 1)
+        code, report = cli.run(["qft", "--qubits", over, "--amps", str(tmp_path / "absent.csv")])
         assert code == 1 and report is None
-        assert "error: transform matrix cap is 12 qubits" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: qft on {over} qubits needs about 225 MiB to read and report its "
+            f"amplitudes; the report cap is {cli.QFT_REPORT_CAP} qubits\n"
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag, field",
+        [
+            ("kmeans", "--eta", "eta"),
+            ("kmedians", "--eta", "eta"),
+            ("qsvm", "--gamma", "gamma"),
+            ("qsvm", "--alpha-max", "alpha_max"),
+            ("qsvm", "--penalty", "penalty_coeff"),
+            ("qnn", "--eta", "eta"),
+        ],
+    )
+    def test_non_finite_float_flag(self, command, flag, field, value, tmp_path, blob_csv, capsys):
+        inputs = {
+            "kmeans": ["--data", blob_csv, "--k", "2"],
+            "kmedians": ["--data", blob_csv, "--k", "2"],
+            "qsvm": ["--data", write(tmp_path / "l.csv", "-1.0,-1\n1.0,1\n"),
+                     "--kernel", "gaussian", "--gamma", "1.0"],
+            "qnn": ["--data", write(tmp_path / "nn.csv", "0,0,1\n1,0,-1\n"), "--k-bits", "1",
+                    "--m-bits", "1", "--epochs", "1", "--params-out", str(tmp_path / "p.csv")],
+        }
+        code, report = cli.run([command, *inputs[command], f"{flag}={value}"])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+
+    def test_negative_penalty(self, tmp_path, capsys):
+        data = write(tmp_path / "l.csv", "-1.0,-1\n1.0,1\n")
+        code, report = cli.run(["qsvm", "--data", data, "--penalty", "-5"])
+        assert code == 1 and report is None
+        assert "error: penalty_coeff must be finite and >= 0, got -5.0" in capsys.readouterr().err
+
+    def test_qpca_samples_over_draw_budget(self, blob_csv, capsys):
+        started = time.perf_counter()
+        code, report = cli.run(
+            ["qpca", "--data", blob_csv, "--components", "1", "--samples", str(10**12)]
+        )
+        assert time.perf_counter() - started < 5.0
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == (
+            "error: 1,000,000,000,000 eigen-sample draws need 22,888,184 MiB, "
+            "over the 256 MiB budget\n"
+        )
 
     def test_threads_flag_removed(self):
         code, _ = cli.run(["grover", "--bits", "2", "--marked", "2", "--threads", "4"])
@@ -494,6 +544,15 @@ class TestSubcommands:
         )
         assert os.path.exists(params_out)
         assert len(report["results"]["trace"]) == 6
+
+    def test_qnn_params_file_reads_back(self, tmp_path):
+        # One plain float repr per line, which the CSV reader accepts (a
+        # numpy scalar's repr, "np.float64(...)", it rejects).
+        data = write(tmp_path / "nn.csv", "0,0,1\n1,0,-1\n")
+        params_out = str(tmp_path / "params.csv")
+        run_ok(["qnn", "--data", data, "--k-bits", "1", "--m-bits", "1", "--epochs", "1",
+                "--params-out", params_out])
+        assert cli.ingest_csv(params_out, "vectors").shape == (64, 1)
 
     def test_paper_check_all_pass(self):
         report = run_ok(["paper-check"])

@@ -229,9 +229,11 @@ class TestCircuit:
         assert np.max(np.abs(circuit.matrix() - expected)) <= 1e-12
 
     def test_matrix_refused_over_dense_cap(self):
-        assert fourier.QFT_MATRIX_CAP == DENSE_MATRIX_CAP == 12
+        assert DENSE_MATRIX_CAP == 12
         with pytest.raises(ConfigError, match="13 qubits needs 1,073,741,824 bytes"):
             Circuit(13, []).matrix()
+        with pytest.raises(ConfigError, match="transform matrix on 13 qubits needs 1,073,741,824"):
+            fourier.qft_gate(13)
 
     def test_json_round_trip(self, np_rng):
         custom = GateMatrix(2, random_unitary(np_rng, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_state
-from qmlkit.density import mixed_density
+from qmlkit.density import mixed_density, partial_trace, pure_density
 from qmlkit.errors import DomainError
 from qmlkit.qnn import (
     _PAULI,
@@ -24,6 +24,7 @@ from qmlkit.qnn import (
     unitary_from_pauli_coefficients,
 )
 from qmlkit.rng import RngStream
+from qmlkit.state import StateVector
 
 ENC = QnnEncoding(k=1, m=1)
 NOT_TASK = [(0, 0, 1), (1, 0, 0)]
@@ -85,8 +86,69 @@ class TestLabelExpectations:
         gen = np.random.default_rng(seed)
         weights = gen.random(parts)
         rho = mixed_density([(float(w), random_state(gen, m)) for w in weights / weights.sum()])
-        got = _label_expectations(rho, m)
+        got = _label_expectations(rho.matrix[None], m)[0]
         assert np.max(np.abs(got - reference_label_expectations(rho.matrix, m))) <= 1e-12
+
+
+def reference_forward(unitary, enc, x1, x2):
+    """The reduced label density the generic way: a basis state, a matvec,
+    the pure density of the result and an n-qubit partial trace."""
+    out = StateVector(enc.n_total, unitary @ encode_example(x1, x2, enc).amps)
+    return partial_trace(pure_density(out), list(range(2 * enc.k, enc.n_total)))
+
+
+def reference_cost(params, enc, dataset, cfg) -> float:
+    """The cost one example at a time, each label qubit read from its own
+    one-qubit partial trace."""
+    unitary = build_unitary(params, enc)
+    total = 0.0
+    for j, (x1, x2, y) in enumerate(dataset):
+        if not 0 <= y < 2**enc.m:
+            raise DomainError(f"label {y} overflows {enc.m} bits")
+        rho_y = reference_forward(unitary, enc, x1, x2)
+        if cfg.cost_kind == "overlap":
+            total -= float(rho_y.matrix[y, y].real)
+            continue
+        model = np.empty((enc.m, 3))
+        target = np.zeros((enc.m, 3))
+        for q in range(enc.m):
+            single = partial_trace(rho_y, [q]).matrix
+            model[q] = np.einsum("ab,iba->i", single, _PAULI[1:]).real
+            target[q, 2] = 1.0 - 2.0 * ((y >> (enc.m - 1 - q)) & 1)
+        weights = np.ones(3) if cfg.f_weights is None else np.asarray(cfg.f_weights)[j]
+        total += float(np.sum(weights * (model - target) ** 2))
+    return total
+
+
+class TestReadoutMatchesReference:
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_cost_and_forward(self, data):
+        k, m = data.draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1)]))
+        enc = QnnEncoding(k=k, m=m)
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.floats(0.05, 1.5))
+        params = QnnParameters(gen.normal(scale=scale, size=4**enc.n_total))
+        example = st.tuples(
+            st.integers(0, 2**k - 1), st.integers(0, 2**k - 1), st.integers(0, 2**m - 1)
+        )
+        dataset = data.draw(st.lists(example, min_size=1, max_size=8))
+        dataset += dataset[: data.draw(st.integers(0, len(dataset)))]   # repeated inputs
+        weight_shape = data.draw(st.sampled_from([None, (), (3,), (m, 1), (m, 3)]))
+        f_weights = None if weight_shape is None else gen.random((len(dataset), *weight_shape))
+        unitary = build_unitary(params, enc)
+        for kind in ("overlap", "pauli"):
+            cfg = QnnTrainConfig(cost_kind=kind, f_weights=f_weights)
+            got = cost(params, enc, dataset, cfg)
+            assert abs(got - reference_cost(params, enc, dataset, cfg)) <= 1e-12
+        for x1, x2, _ in dataset:
+            got = forward(params, enc, x1, x2).matrix
+            want = reference_forward(unitary, enc, x1, x2).matrix
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_feature_overflow_in_cost(self):
+        with pytest.raises(DomainError, match=r"features \(0, 2\) overflow 1 bits"):
+            cost(QnnParameters(np.zeros(64)), ENC, [(1, 1, 0), (0, 2, 0)], QnnTrainConfig())
 
 
 def label_fidelity(params, enc, x1, x2, y) -> float:
@@ -261,6 +323,12 @@ class TestTrain:
     def test_negative_epochs_rejected(self):
         with pytest.raises(DomainError, match="epoch count must be >= 0, got -1"):
             QnnTrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("field", ["eta", "fd_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_step_sizes_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite and > 0"):
+            QnnTrainConfig(**{field: value})
 
     def test_zero_epochs_returns_initial_cost(self):
         _, trace = train(ENC, NOT_TASK, QnnTrainConfig(epochs=0), RngStream(0))
