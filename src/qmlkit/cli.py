@@ -5,10 +5,20 @@ seed included), ``results`` (the payload), ``warnings``, and ``timings_ms``.
 For a fixed seed and fixed inputs the report is byte-identical across runs
 except for ``timings_ms``.  Reports go to stdout as JSON by default; ``--format
 csv`` flattens the results into plot-ready rows instead.
+
+``run`` may be called any number of times in one process.  The argument
+parser is built on the first call and reused by every later one, because
+building it (14 subcommands, about 130 arguments) costs a few milliseconds,
+as much as a small job.  In-process callers gain: a benchmark loop, the test
+suite, library code that calls ``run`` many times.  A one-shot ``qmlkit``
+shell command builds the parser once, as it always did.  Parsing never
+changes the parser: each call's values, the ``$QMLKIT_SEED`` fallback
+included, live on that call's own namespace.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -150,21 +160,23 @@ def _read_amplitudes(path: str) -> np.ndarray:
 
 def _read_unitary(path: str) -> gates.GateMatrix:
     """Unitary from JSON: either {"matrix": [[[re,im],...]]} (or the bare
-    nested rows) or a serialized circuit document with "steps"."""
+    nested rows) or a serialized circuit document with "steps".  A
+    malformed document is an error that names the file and the bad field."""
     text = "".join(_read_lines(path))
     try:
         doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError(f"{path}: not valid JSON ({exc})") from None
+    try:
         if isinstance(doc, dict) and "steps" in doc:
-            circuit = gates.Circuit.from_json(text)
-            matrix = circuit.matrix()
+            matrix = gates.Circuit._from_doc(doc).matrix()
             return gates.GateMatrix._trusted(matrix.shape[0], matrix)
-        rows = doc["matrix"] if isinstance(doc, dict) else doc
-        matrix = gates.matrix_from_json(rows)
+        if isinstance(doc, dict) and "matrix" not in doc:
+            raise DomainError("missing key 'matrix' (or 'steps' for a circuit document)")
+        matrix = gates.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc)
         return gates.GateMatrix(matrix.shape[0], matrix)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"{path}: not a valid unitary document ({exc})") from None
+    except DomainError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _complex_pairs(amps: np.ndarray) -> list[list[float]]:
@@ -576,6 +588,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that ``run`` reuses, built on first use, not at import.
+    It is shared, so nothing may change it; ``build_parser`` gives a fresh
+    one to a caller that wants to."""
+    return build_parser()
+
+
 def _csv_flatten(results: dict) -> str:
     """Uniform plot-ready rows: scalars as key,value; arrays indexed per cell."""
     lines = []
@@ -595,8 +615,12 @@ def _csv_flatten(results: dict) -> str:
 
 
 def run(argv) -> tuple[int, dict | None]:
-    """Execute one command; returns (exit code, report)."""
-    parser = build_parser()
+    """Execute one command; returns (exit code, report).
+
+    Every call parses ``argv`` with the same process-wide parser (see the
+    module docstring); no state carries over from one call to the next.
+    """
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.seed is None:

@@ -20,6 +20,8 @@ the block-diagonal ``[[I, 0], [0, U]]``.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +63,8 @@ class GateMatrix:
         n = int(np.log2(self.dim))
         if 2**n != self.dim:
             raise DomainError(f"gate dimension {self.dim} is not a power of two")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("matrix has NaN or infinite entries")
         if np.max(np.abs(m @ m.conj().T - np.eye(self.dim))) >= UNITARY_TOL:
             raise DomainError("matrix is not unitary")
         m.setflags(write=False)
@@ -173,11 +177,14 @@ class Circuit:
 
     def __post_init__(self):
         _check_n_qubits(self.n_qubits)
-        for gate, targets in self.steps:
-            positions = _validate_positions(self.n_qubits, targets)
+        for index, (gate, targets) in enumerate(self.steps):
+            try:
+                positions = _validate_positions(self.n_qubits, targets)
+            except DomainError as exc:
+                raise DomainError(f"step {index}: {exc}") from None
             if gate.dim != 2 ** len(positions):
                 raise DomainError(
-                    f"step gate dim {gate.dim} does not match {len(positions)} targets"
+                    f"step {index}: gate dim {gate.dim} does not match {len(positions)} targets"
                 )
 
     def matrix(self) -> np.ndarray:
@@ -210,23 +217,102 @@ class Circuit:
 
     @staticmethod
     def from_json(text: str) -> "Circuit":
-        doc = json.loads(text)
+        """The circuit of a ``to_json`` document.  A malformed document is a
+        ``DomainError`` that names the missing key or the bad field, and the
+        index of the step it is in."""
+        return Circuit._from_doc(json.loads(text))
+
+    @staticmethod
+    def _from_doc(doc) -> "Circuit":
+        if not isinstance(doc, dict):
+            raise DomainError(f"a circuit document must be a JSON object, got {reprlib.repr(doc)}")
+        n_qubits = _integer(_key(doc, "n_qubits"), "'n_qubits'")
+        entries = _key(doc, "steps")
+        if not isinstance(entries, list):
+            raise DomainError(f"'steps' must be a list, got {reprlib.repr(entries)}")
         steps = []
-        for entry in doc["steps"]:
-            spec = entry["gate"]
-            if isinstance(spec, str):
-                gate = standard_gate(spec, phase=entry.get("phase"))
-            else:
-                gate = GateMatrix(len(spec), matrix_from_json(spec))
-            steps.append((gate, tuple(entry["targets"])))
-        return Circuit(int(doc["n_qubits"]), steps)
+        for index, entry in enumerate(entries):
+            try:
+                steps.append(_step_from_doc(entry))
+            except DomainError as exc:
+                raise type(exc)(f"step {index}: {exc}") from None
+        return Circuit(n_qubits, steps)
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    """Nested ``[[re, im], ...]`` rows back to a complex matrix."""
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-    )
+def _key(doc: dict, key: str):
+    if key not in doc:
+        raise DomainError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _step_from_doc(entry) -> tuple[GateMatrix, tuple[int, ...]]:
+    if not isinstance(entry, dict):
+        raise DomainError(f"a step must be a JSON object, got {reprlib.repr(entry)}")
+    spec = _key(entry, "gate")
+    targets = _key(entry, "targets")
+    if not isinstance(targets, list):
+        raise DomainError(f"'targets' must be a list, got {reprlib.repr(targets)}")
+    for q in targets:
+        _integer(q, "'targets' entry")
+    if isinstance(spec, str):
+        phase = entry.get("phase")
+        if phase is not None and not _finite(phase):
+            raise DomainError(f"'phase' must be a finite number, got {reprlib.repr(phase)}")
+        gate = standard_gate(spec, phase=phase)
+    elif isinstance(spec, list):
+        gate = GateMatrix(len(spec), matrix_from_json(spec, "'gate'"))
+    else:
+        raise DomainError(f"'gate' must be a gate name or a matrix, got {reprlib.repr(spec)}")
+    return gate, tuple(targets)
+
+
+def _finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+    """Nested ``[[re, im], ...]`` rows back to a complex matrix.  Rows that
+    do not convert are a ``DomainError`` naming the first bad row or entry
+    of ``what``."""
+    try:
+        return np.array(
+            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+        )
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(_matrix_fault(rows, what)) from None
+
+
+def _matrix_fault(rows, what: str) -> str:
+    """Why ``matrix_from_json`` could not convert ``rows``."""
+    if not isinstance(rows, list):
+        return f"{what} must be a list of rows, got {reprlib.repr(rows)}"
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            return f"{what} row {i} must be a list of [re, im] pairs, got {reprlib.repr(row)}"
+        for j, pair in enumerate(row):
+            entry = f"{what} entry [{i}][{j}]"
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(isinstance(v, (int, float)) for v in pair)
+            ):
+                return f"{entry} must be a pair [re, im] of numbers, got {reprlib.repr(pair)}"
+            try:
+                complex(*pair)
+            except OverflowError:
+                return f"{entry} is out of the float range, got {reprlib.repr(pair)}"
+    return f"{what} rows differ in length: {sorted({len(row) for row in rows})}"
 
 
 def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:

@@ -19,8 +19,15 @@ from .errors import DomainError
 from .fourier import control_distribution
 from .gates import GateMatrix
 from .rng import RngStream
-from .state import StateVector
-from .subroutines import _check_draw_budget, overlap_sq, swap_tests
+from .state import NORM_TOL, StateVector
+from .subroutines import (
+    MAX_BATCH_PAIRS,
+    _check_draw_budget,
+    _check_shots,
+    _estimate_p0,
+    _swap_test_p0,
+    overlap_sq,
+)
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
 DEFAULT_CONTROLS = 8
@@ -167,6 +174,17 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
     return samples
 
 
+def _check_unit_rows(amps: np.ndarray, what: str) -> None:
+    """The ``StateVector`` norm check on every row of ``amps`` at once."""
+    norm_sq = np.einsum("ij,ij->i", amps.conj(), amps).real
+    # Written so that a NaN norm fails the comparison and is rejected.
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORM_TOL))
+    if bad.size:
+        raise DomainError(
+            f"{what} {bad[0]} not normalized: sum |c_i|^2 = {float(norm_sq[bad[0]])!r}"
+        )
+
+
 def extract_scores(
     model: PcaModel,
     input: PcaInput,
@@ -179,7 +197,12 @@ def extract_scores(
 
     Exact mode computes the overlaps directly.  Swap-test mode estimates the
     magnitude |s|^2 from control measurements and takes the sign from the
-    exact overlap (the squared readout alone cannot recover it).
+    exact overlap (the squared readout alone cannot recover it).  The
+    (row, component) pairs run through the swap-test kernel in row-major
+    order, in batches of whole rows of at most ``MAX_BATCH_PAIRS`` pairs;
+    each row's ``shots`` draws per pair come in that order, as one batch
+    per row would draw them, and one row's draws are the unit the
+    shot-memory budget refuses.
     """
     available = model.eigenvectors.shape[1]
     if not 1 <= r_components <= available:
@@ -193,10 +216,20 @@ def extract_scores(
         return ScoreMatrix(scores=exact)
     if rng is None:
         raise DomainError("swaptest mode requires an RngStream")
-    n = model.rho.n_qubits
-    eigvecs = [StateVector(n, v.astype(complex)) for v in vectors.T]
+    row_amps = rows.astype(complex)
+    eigvecs = np.ascontiguousarray(vectors.T, dtype=complex)
+    _check_unit_rows(eigvecs, "eigenvector")
+    _check_unit_rows(row_amps, "row")
+    _check_shots(shots)
     scores = np.empty_like(exact)
-    for i, row in enumerate(rows):
-        _, p0_hat = swap_tests(StateVector(n, row.astype(complex)), eigvecs, shots, rng)
-        scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
+    step = max(1, MAX_BATCH_PAIRS // r_components)
+    for start in range(0, len(rows), step):
+        block = row_amps[start : start + step]
+        exact_p0 = _swap_test_p0(
+            np.repeat(block, r_components, axis=0), np.tile(eigvecs, (len(block), 1))
+        )
+        p0_hat = _estimate_p0(exact_p0, shots, rng, row=r_components).reshape(len(block), -1)
+        scores[start : start + step] = np.copysign(
+            np.sqrt(overlap_sq(p0_hat)), exact[start : start + step]
+        )
     return ScoreMatrix(scores=scores)

@@ -52,6 +52,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise DomainError(f"unknown kernel {self.kind!r}")
+        if self.kind != "gaussian" and self.gamma is not None:
+            raise DomainError(
+                f"gamma is read only by the gaussian kernel, got gamma={self.gamma} "
+                f"with the {self.kind} kernel"
+            )
         if self.gamma is not None and not np.isfinite(self.gamma):
             raise DomainError(f"gamma must be finite, got {self.gamma}")
         if self.kind == "gaussian" and (self.gamma is None or self.gamma <= 0):

@@ -1,18 +1,24 @@
+import contextlib
+import io
 import json
 import math
 import os
+import reprlib
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmlkit import cli
 from qmlkit.errors import DomainError
 from qmlkit.fourier import qft_gate
-from qmlkit.gates import apply
+from qmlkit.gates import apply, standard_gate
 from qmlkit.state import StateVector
 
 
@@ -370,6 +376,240 @@ class TestExitCodes:
         code, _ = cli.run(["grover", "--bits", "2", "--marked", "2", "--threads", "4"])
         assert code == 2
         assert "threads" not in run_ok(["grover", "--bits", "2", "--marked", "2"])["config"]
+
+    def test_gamma_on_linear_kernel(self, tmp_path, capsys):
+        data = write(tmp_path / "l.csv", "-1.0,-1\n1.0,1\n")
+        code, report = cli.run(["qsvm", "--data", data, "--kernel", "linear", "--gamma", "5"])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == (
+            "error: gamma is read only by the gaussian kernel, got gamma=5.0 "
+            "with the linear kernel\n"
+        )
+        assert "gamma" not in run_ok(["qsvm", "--data", data, "--kernel", "linear"])["config"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_qubits": 1, "steps": [{"targets": [0]}]}', "step 0: missing key 'gate'"),
+            ('{"unitary": []}', "missing key 'matrix' (or 'steps' for a circuit document)"),
+            ('{"steps": []}', "missing key 'n_qubits'"),
+            ('{"n_qubits": 1, "steps": [{"gate": 3, "targets": [0]}]}',
+             "step 0: 'gate' must be a gate name or a matrix, got 3"),
+            ('{"n_qubits": 1, "steps": [{"gate": "H", "targets": 0}]}',
+             "step 0: 'targets' must be a list, got 0"),
+            ('{"n_qubits": 1, "steps": [{"gate": "H", "targets": [0.5]}]}',
+             "step 0: 'targets' entry must be an integer, got 0.5"),
+            ('{"n_qubits": 2, "steps": [{"gate": "H", "targets": [0]}, '
+             '{"gate": "R", "targets": [1]}]}', "step 1: gate R requires a phase"),
+            ('{"n_qubits": 1, "steps": [{"gate": "R", "phase": Infinity, "targets": [0]}]}',
+             "step 0: 'phase' must be a finite number, got inf"),
+            ('{"n_qubits": 2, "steps": [{"gate": "H", "targets": [2]}]}',
+             "step 0: qubit position 2 out of range for 2 qubits"),
+            ('{"n_qubits": 2, "steps": [{"gate": "SWAP", "targets": [1]}]}',
+             "step 0: gate dim 4 does not match 1 targets"),
+            ('{"n_qubits": "2", "steps": []}', "'n_qubits' must be an integer, got '2'"),
+            ('{"n_qubits": 1, "steps": {}}', "'steps' must be a list, got {}"),
+            ('{"n_qubits": 1, "steps": ["H"]}', "step 0: a step must be a JSON object, got 'H'"),
+            ('{"n_qubits": 1, "steps": [{"gate": [[[1, 0]], 5], "targets": [0]}]}',
+             "step 0: 'gate' row 1 must be a list of [re, im] pairs, got 5"),
+            ('{"matrix": 7}', "matrix must be a list of rows, got 7"),
+            ('{"matrix": [[[1, 0], [0, 0]], [[0, 0], "x"]]}',
+             "matrix entry [1][1] must be a pair [re, im] of numbers, got 'x'"),
+            ('[[[1, 0], [0, 0]], [[0, 0]]]', "matrix rows differ in length: [1, 2]"),
+            ('{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1e400, 0]]]}',
+             "matrix has NaN or infinite entries"),
+            ('{"matrix": [[[1, 0], [0, 0]], [[0, 0], [%d, 0]]]}' % 10**400,
+             "matrix entry [1][1] is out of the float range, got %s" % reprlib.repr([10**400, 0])),
+        ],
+        ids=["no-gate", "no-matrix", "no-n-qubits", "gate-int", "targets-int", "target-float",
+             "no-phase", "phase-inf", "target-range", "target-count", "n-qubits-str",
+             "steps-dict", "step-str", "gate-row", "matrix-int", "matrix-entry", "ragged",
+             "entry-inf", "entry-overflow"],
+    )
+    def test_unitary_document_error_names_field(self, text, message, tmp_path, capsys):
+        unitary = write(tmp_path / "u.json", text)
+        eigvec = write(tmp_path / "v.csv", "1.0\n0.0\n")
+        code, report = cli.run(
+            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "2"]
+        )
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {unitary}: {message}\n"
+
+    def test_unitary_document_not_json(self, tmp_path, capsys):
+        unitary = write(tmp_path / "u.json", '{"matrix": [')
+        eigvec = write(tmp_path / "v.csv", "1.0\n0.0\n")
+        code, report = cli.run(
+            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "2"]
+        )
+        assert code == 1 and report is None
+        assert capsys.readouterr().err.startswith(f"error: {unitary}: not valid JSON (")
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_malformed_unitary_documents_fuzz(self, tmp_path_factory, data):
+        # A valid matrix or circuit document with one field corrupted, or cut
+        # short, ends in exit 1 with an error that names the file; it never
+        # raises out of ``run``.
+        doc = data.draw(st.sampled_from([_MATRIX_DOC, _CIRCUIT_DOC]), label="doc")
+        if data.draw(st.booleans(), label="truncate"):
+            full = json.dumps(doc)
+            text = full[: data.draw(st.integers(0, len(full) - 1), label="cut")]
+        else:
+            path = data.draw(st.sampled_from(list(_doc_paths(doc))), label="path")
+            delete = bool(path) and data.draw(st.booleans(), label="delete")
+            if delete and _in_steps_list(path):
+                delete = False  # dropping a whole step leaves a valid circuit
+            junk = None if delete else data.draw(_JUNK, label="junk")
+            text = json.dumps(_corrupt(doc, path, delete, junk))
+        directory = tmp_path_factory.mktemp("unitary")
+        unitary = write(directory / "u.json", text)
+        eigvec = write(directory / "v.csv", "1.0\n" + "0.0\n" * 3)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code, report = cli.run(
+                ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "2"]
+            )
+        assert code in (1, 2) and report is None, text
+        assert err.getvalue().startswith(f"error: {unitary}: "), (text, err.getvalue())
+
+
+_IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_MATRIX_DOC = {"matrix": _IDENTITY}
+_CIRCUIT_DOC = {
+    "n_qubits": 2,
+    "steps": [
+        {"gate": "H", "targets": [0]},
+        {"gate": "R", "phase": 0.5, "targets": [1]},
+        {"gate": _IDENTITY, "targets": [1]},
+        {"gate": "SWAP", "targets": [0, 1]},
+    ],
+}
+
+
+def _is_gate_name(text: str) -> bool:
+    try:
+        standard_gate(text, phase=0.5)
+    except DomainError:
+        return False
+    return True
+
+
+# Values that are wrong in every field of a matrix or circuit document.
+_JUNK = st.one_of(
+    st.none(),
+    st.text(max_size=4).filter(lambda text: not _is_gate_name(text)),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+)
+
+
+def _doc_paths(value, path=()):
+    """Every position in a JSON value, as the keys and indices leading to it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _doc_paths(item, (*path, key))
+
+
+def _in_steps_list(path) -> bool:
+    return len(path) == 2 and path[0] == "steps"
+
+
+def _corrupt(doc, path, delete: bool, junk):
+    """A deep copy of ``doc`` with the value at ``path`` replaced or removed."""
+    if not path:
+        return junk
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = junk
+    return copy
+
+
+def _fresh_config(argv) -> dict:
+    """The ``config`` echo of ``argv`` as a newly built parser reads it."""
+    args = cli.build_parser().parse_args(argv)
+    return {
+        key: value
+        for key, value in sorted(vars(args).items())
+        if key not in ("output", "verbose") and value is not None
+    }
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for seed in range(4):
+            run_ok(["grover", "--bits", "2", "--marked", "2", "--seed", str(seed)])
+        assert cli.run(["grover", "--frobnicate"]) == (2, None)
+        run_ok(["minimize", "--objective", "builtin:demo3"])
+        assert len(built) == 1
+
+    def test_not_built_at_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import qmlkit.cli as c; print(c._parser.cache_info().currsize)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "0\n"
+
+    def test_flags_do_not_leak_between_runs(self, tmp_path, blob_csv):
+        labeled = write(tmp_path / "l.csv", "-1.0,-1\n1.0,1\n")
+        plain = ["kmeans", "--data", blob_csv, "--k", "2", "--seed", "3"]
+        argvs = [
+            plain,
+            plain + ["--grover-argmin"],
+            plain,
+            ["qsvm", "--data", labeled, "--penalty", "2", "--seed", "1"],
+            ["qsvm", "--data", labeled, "--seed", "1"],
+        ]
+        reports = [run_ok(argv) for argv in argvs]
+        for argv, report in zip(argvs, reports):
+            assert report["config"] == _fresh_config(argv), argv
+        assert reports[1]["config"]["grover_argmin"] is True
+        assert reports[2]["config"]["grover_argmin"] is False
+        assert canonical(reports[2]) == canonical(reports[0])
+        assert reports[3]["config"]["penalty"] == 2.0
+        assert "penalty" not in reports[4]["config"]
+
+    def test_usage_error_then_valid_run(self, capsys):
+        assert cli.run(["grover", "--bits", "2"]) == (2, None)
+        assert "--marked" in capsys.readouterr().err
+        report = run_ok(["grover", "--bits", "2", "--marked", "2", "--seed", "7"])
+        assert report["results"]["measured"] == 2
+        assert report["config"] == {
+            "bits": 2, "command": "grover", "format": "json", "marked": "2", "seed": 7
+        }
+
+    def test_seed_env_read_per_call(self, monkeypatch):
+        argv = ["grover", "--bits", "2", "--marked", "1"]
+        for seed in ("5", "6"):
+            monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+            assert run_ok(argv)["config"]["seed"] == int(seed)
+        monkeypatch.delenv(cli.SEED_ENV_VAR)
+        assert run_ok(argv)["config"]["seed"] == 0
+
+    def test_help_twice(self, capsys):
+        for _ in range(2):
+            assert cli.run(["--help"]) == (0, None)
+            assert capsys.readouterr().out.startswith("usage: qmlkit")
+            assert cli.run(["kmeans", "--help"]) == (0, None)
+            assert "--grover-argmin" in capsys.readouterr().out
 
 
 class TestSubcommands:

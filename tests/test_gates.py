@@ -99,6 +99,12 @@ class TestStandardGates:
         with pytest.raises(DomainError):
             GateMatrix(2, np.array([[1, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # A NaN would fail no comparison in the unitarity check.
+        with pytest.raises(DomainError, match="matrix has NaN or infinite entries"):
+            GateMatrix(2, np.array([[1, 0], [0, bad]]))
+
 
 class TestKron:
     def test_hadamard_with_identity(self):
@@ -256,6 +262,31 @@ class TestCircuit:
                                         {"gate": shear, "targets": [1]}]}
         with pytest.raises(DomainError, match="not unitary"):
             Circuit.from_json(json.dumps(doc))
+
+    def test_constructor_errors_name_the_step(self):
+        h = standard_gate("H")
+        with pytest.raises(DomainError, match=r"^step 1: qubit position 5 out of range for 2"):
+            Circuit(2, [(h, (0,)), (h, (5,))])
+        with pytest.raises(DomainError, match=r"^step 0: gate dim 2 does not match 2 targets$"):
+            Circuit(2, [(h, (0, 1))])
+        shear = [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]
+        doc = {"n_qubits": 1, "steps": [{"gate": "H", "targets": [0]},
+                                        {"gate": shear, "targets": [0]}]}
+        with pytest.raises(DomainError, match=r"^step 1: matrix is not unitary$"):
+            Circuit.from_json(json.dumps(doc))
+
+    def test_from_json_valid_document_unchanged(self):
+        # Integer targets, an R phase and a custom matrix read back as the
+        # constructors build them.
+        doc = {"n_qubits": 2, "steps": [
+            {"gate": "h", "targets": [1]},
+            {"gate": "R", "phase": 1, "targets": [0]},
+            {"gate": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "targets": [1]},
+        ]}
+        circuit = Circuit.from_json(json.dumps(doc))
+        assert [targets for _, targets in circuit.steps] == [(1,), (0,), (1,)]
+        assert circuit.steps[1][0].name == "R(1)"
+        assert np.array_equal(circuit.steps[2][0].matrix, standard_gate("X").matrix)
 
 
 def _recording_apply(monkeypatch) -> list:

@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmlkit import qpca, subroutines
 from qmlkit.density import DensityMatrix
-from qmlkit.errors import DomainError
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.qpca import (
     PcaInput,
     build_density,
@@ -15,11 +18,28 @@ from qmlkit.qpca import (
     preprocess,
 )
 from qmlkit.rng import RngStream
+from qmlkit.state import StateVector
+from qmlkit.subroutines import overlap_sq, swap_tests
 
 
 def manual_input(rows) -> PcaInput:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return PcaInput(raw=rows, demeaned=rows, rows=rows, standardize=False)
+
+
+def reference_swaptest_scores(model, prepared, r, shots, rng) -> np.ndarray:
+    """Swap-test scores with one ``swap_tests`` batch per row, as they were
+    computed before the rows were batched."""
+    rows = qpca._padded_rows(prepared)
+    vectors = model.eigenvectors[:, :r]
+    exact = rows @ vectors.real
+    n = model.rho.n_qubits
+    eigvecs = [StateVector(n, v.astype(complex)) for v in vectors.T]
+    scores = np.empty_like(exact)
+    for i, row in enumerate(rows):
+        _, p0_hat = swap_tests(StateVector(n, row.astype(complex)), eigvecs, shots, rng)
+        scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
+    return scores
 
 
 def tilted_pair_input():
@@ -186,6 +206,72 @@ class TestExtractScores:
         )
         assert np.allclose(noisy.scores, exact.scores, atol=0.02)
         assert np.all(np.sign(noisy.scores) == np.sign(exact.scores))
+
+    @settings(max_examples=25)
+    @given(
+        m=st.integers(2, 12),
+        features=st.integers(2, 9),
+        seed=st.integers(0, 2**16),
+        shots=st.sampled_from([1, 7, 256]),
+        cap=st.sampled_from([2**4, 2**6, 2**12]),
+        batch=st.sampled_from([1, 5, 2**16]),
+        data=st.data(),
+    )
+    def test_matches_per_row_reference(self, m, features, seed, shots, cap, batch, data):
+        # Batches of whole rows (a row per batch up to all rows in one) give
+        # the scores of one batch per row, bit for bit, and leave the stream
+        # where it left it.
+        prepared = preprocess(np.random.default_rng(seed).normal(size=(m, features)))
+        model = build_model(prepared)
+        r = data.draw(st.integers(1, model.eigenvectors.shape[1]))
+        batched_rng, row_rng = RngStream(seed), RngStream(seed)
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap), \
+                mock.patch.object(qpca, "MAX_BATCH_PAIRS", batch):
+            got = extract_scores(model, prepared, r, "swaptest", shots, batched_rng).scores
+            want = reference_swaptest_scores(model, prepared, r, shots, row_rng)
+        assert got.tobytes() == want.tobytes()
+        assert batched_rng.gen.random(4).tolist() == row_rng.gen.random(4).tolist()
+
+    def test_one_kernel_call_per_batch(self, np_rng):
+        prepared = preprocess(np_rng.normal(size=(200, 8)))
+        model = build_model(prepared)
+        calls = []
+
+        def counting(left, right):
+            calls.append(len(left))
+            return subroutines._swap_test_p0(left, right)
+
+        with mock.patch.object(qpca, "_swap_test_p0", counting):
+            extract_scores(model, prepared, 3, "swaptest", 64, RngStream(0))
+            assert calls == [600]
+            with mock.patch.object(qpca, "MAX_BATCH_PAIRS", 250):
+                extract_scores(model, prepared, 3, "swaptest", 64, RngStream(0))
+        assert calls[1:] == [249] * 2 + [102]
+
+    def test_swaptest_rejects_non_unit_row(self):
+        prepared = manual_input([[1.0, 0.0], [0.6, 0.0]])
+        model = build_model(manual_input([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match=r"row 1 not normalized: sum \|c_i\|\^2 = 0\.36"):
+            extract_scores(model, prepared, 1, "swaptest", 64, RngStream(0))
+
+    def test_swaptest_shots_checked(self):
+        prepared = tilted_pair_input()
+        model = build_model(prepared)
+        with pytest.raises(DomainError, match="shots must be >= 1, got 0"):
+            extract_scores(model, prepared, 1, "swaptest", 0, RngStream(0))
+
+    def test_swaptest_draw_budget_per_row(self, np_rng):
+        # One row's draws (2 components x 64 shots) fit the budget; the whole
+        # table's do not, and still runs, with the same scores.
+        prepared = preprocess(np_rng.normal(size=(6, 4)))
+        model = build_model(prepared)
+        want = extract_scores(model, prepared, 2, "swaptest", 64, RngStream(3)).scores
+        with mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * 2 * 64):
+            got = extract_scores(model, prepared, 2, "swaptest", 64, RngStream(3)).scores
+        assert got.tobytes() == want.tobytes()
+        with mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * 2 * 64 - 1):
+            with pytest.raises(ConfigError, match="2 x 64 shot draws"):
+                extract_scores(model, prepared, 2, "swaptest", 64, RngStream(3))
 
     def test_component_count_validated(self):
         model = build_model(tilted_pair_input())

@@ -68,6 +68,21 @@ def reference_penalized_table(data, kernel, grid, penalty):
     return quad - alphas.sum(axis=1) + penalty * balance**2
 
 
+class TestKernelSpec:
+    @pytest.mark.parametrize("gamma", [5.0, 0.0, -1.0, math.nan])
+    def test_gamma_rejected_on_linear_kernel(self, gamma):
+        # Only the gaussian kernel reads gamma; on the linear kernel it would
+        # be a setting that does nothing.
+        with pytest.raises(DomainError, match=r"gamma is read only by the gaussian kernel"):
+            KernelSpec("linear", gamma=gamma)
+
+    def test_gaussian_requires_positive_gamma(self):
+        assert KernelSpec("gaussian", gamma=0.5).gamma == 0.5
+        for gamma in (None, 0.0, -1.0):
+            with pytest.raises(DomainError, match="gaussian kernel requires gamma > 0"):
+                KernelSpec("gaussian", gamma=gamma)
+
+
 class TestKernelMatrix:
     def test_linear_orthonormal_rows(self):
         data = LabeledDataset([[1.0, 0.0], [0.0, 1.0]], [1, -1])
