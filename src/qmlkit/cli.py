@@ -4,7 +4,13 @@ Every run emits a report with four top-level keys: ``config`` (argument echo,
 seed included), ``results`` (the payload), ``warnings``, and ``timings_ms``.
 For a fixed seed and fixed inputs the report is byte-identical across runs
 except for ``timings_ms``.  Reports go to stdout as JSON by default; ``--format
-csv`` flattens the results into plot-ready rows instead.
+csv`` flattens the results into plot-ready rows instead, and
+``timings_ms.serialize`` times whichever of the two serializers ran.
+
+The published contract is two schemas in ``qmlkit/schemas/``: a report
+validates against ``report.json``, the envelope shared by every subcommand,
+and its ``results`` validate against ``<config.command>.json``.  Errors from
+an input file name the file.
 
 ``run`` may be called any number of times in one process.  The argument
 parser is built on the first call and reused by every later one, because
@@ -149,13 +155,23 @@ def _ingest_objective(path: str, rows):
     return table
 
 
-def _read_amplitudes(path: str) -> np.ndarray:
+def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False):
+    """The state in an amplitude CSV of ``re`` or ``re,im`` rows.  With
+    ``n_qubits`` the rows must fill that register; ``normalize`` rescales
+    instead of rejecting an unnormalized vector, and without ``n_qubits``
+    needs a power-of-two row count.  Every error names the file."""
     matrix = ingest_csv(path, "vectors")
-    if matrix.shape[1] == 1:
-        return matrix[:, 0].astype(complex)
-    if matrix.shape[1] == 2:
-        return matrix[:, 0] + 1j * matrix[:, 1]
-    raise DomainError(f"{path}: amplitude rows must have 1 (re) or 2 (re,im) columns")
+    try:
+        if matrix.shape[1] > 2:
+            raise DomainError("amplitude rows must have 1 (re) or 2 (re,im) columns")
+        amps = matrix[:, 0] + 1j * matrix[:, 1] if matrix.shape[1] == 2 else matrix[:, 0]
+        if n_qubits is not None and len(amps) != 2**n_qubits:
+            raise DomainError(f"{len(amps)} amplitudes do not fill a {n_qubits}-qubit register")
+        if normalize:
+            return state.normalize(amps, n_qubits)
+        return state.StateVector(n_qubits, amps)
+    except DomainError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_unitary(path: str) -> gates.GateMatrix:
@@ -174,6 +190,8 @@ def _read_unitary(path: str) -> gates.GateMatrix:
         if isinstance(doc, dict) and "matrix" not in doc:
             raise DomainError("missing key 'matrix' (or 'steps' for a circuit document)")
         matrix = gates.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc)
+        if matrix.shape[0] < 2:
+            raise DomainError("a 1x1 matrix acts on no qubit; a gate needs at least 2x2")
         return gates.GateMatrix(matrix.shape[0], matrix)
     except DomainError as exc:
         raise type(exc)(f"{path}: {exc}") from None
@@ -243,11 +261,7 @@ def _cmd_qft(args, rng, warnings):
             f"qft on {args.qubits} qubits needs about {450 * 2**args.qubits / 2**20:,.0f} MiB "
             f"to read and report its amplitudes; the report cap is {QFT_REPORT_CAP} qubits"
         )
-    amps = _read_amplitudes(args.amps)
-    if len(amps) != 2**args.qubits:
-        raise DomainError(f"{len(amps)} amplitudes do not fill {args.qubits} qubits")
-    psi = state.normalize(amps) if args.normalize else state.StateVector(args.qubits, amps)
-    out = fourier.qft(psi)
+    out = fourier.qft(_read_state(args.amps, args.qubits, args.normalize))
     return {
         "amplitudes": _complex_pairs(out.amps),
         "probabilities": [float(p) for p in out.probabilities()],
@@ -285,10 +299,7 @@ def _cmd_dft(args, rng, warnings):
 
 def _cmd_phase_est(args, rng, warnings):
     unitary = _read_unitary(args.unitary)
-    amps = _read_amplitudes(args.eigvec)
-    eigvec = state.normalize(amps) if args.normalize else state.StateVector(
-        int(math.log2(len(amps))), amps
-    )
+    eigvec = _read_state(args.eigvec, unitary.n_qubits, args.normalize)
     estimate = fourier.phase_estimate(unitary, eigvec, args.controls, rng)
     return {
         "n_control": estimate.n_control,
@@ -300,8 +311,8 @@ def _cmd_phase_est(args, rng, warnings):
 
 
 def _cmd_swaptest(args, rng, warnings):
-    a = state.normalize(_read_amplitudes(args.a))
-    b = state.normalize(_read_amplitudes(args.b))
+    a = _read_state(args.a, normalize=True)
+    b = _read_state(args.b, normalize=True)
     estimate = subroutines.swap_test(a, b, shots=args.shots, rng=rng)
     return {
         "p0_hat": estimate.p0_hat,
@@ -314,8 +325,9 @@ def _cmd_swaptest(args, rng, warnings):
 def _cmd_dist(args, rng, warnings):
     a = ingest_csv(args.a, "vectors")
     b = ingest_csv(args.b, "vectors")
-    if a.shape[0] != 1 or b.shape[0] != 1:
-        raise DomainError("dist expects single-row vector files")
+    for path, rows in ((args.a, a), (args.b, b)):
+        if rows.shape[0] != 1:
+            raise DomainError(f"{path}: dist expects one vector row, found {rows.shape[0]}")
     estimate = subroutines.dist_calc(
         a[0], b[0], shots=args.shots, rng=rng, mode=args.mode
     )
@@ -412,7 +424,10 @@ def _cmd_qnn(args, rng, warnings):
     vectors, labels = ingest_csv(args.data, "labeled-integers")
     enc = qnn.QnnEncoding(k=args.k_bits, m=args.m_bits)
     if vectors.shape[1] != 2:
-        raise DomainError("qnn expects exactly two integer features per row")
+        raise DomainError(
+            f"{args.data}: qnn expects exactly two integer features per row, "
+            f"found {vectors.shape[1]}"
+        )
     dataset = [
         (int(row[0]), int(row[1]), 0 if label < 0 else 1)
         for row, label in zip(vectors, labels)
@@ -645,9 +660,12 @@ def run(argv) -> tuple[int, dict | None]:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
     executed = time.perf_counter()
-    # Serialization cost is dominated by the results payload; probe it so the
-    # per-stage numbers can ride inside the emitted document.
-    payload_text = json.dumps(results, sort_keys=True, allow_nan=False)
+    # Serialization cost is dominated by the results payload; time the
+    # serializer that runs so the per-stage numbers can ride in the report.
+    if args.format == "csv":
+        payload_text = _csv_flatten(results)
+    else:
+        payload_text = json.dumps(results, sort_keys=True, allow_nan=False)
     serialized = time.perf_counter()
 
     report = {
@@ -660,9 +678,8 @@ def run(argv) -> tuple[int, dict | None]:
             "total": (serialized - started) * 1000.0,
         },
     }
-    if args.format == "csv":
-        text = _csv_flatten(results)
-    else:
+    text = payload_text
+    if args.format == "json":
         text = (
             '{"config": %s, "results": %s, "timings_ms": %s, "warnings": %s}\n'
             % (

@@ -127,6 +127,13 @@ def _default_penalty(kernel: np.ndarray) -> float:
     return coeff
 
 
+def _grid_alphas(indices: np.ndarray, m: int, grid: AlphaGrid) -> np.ndarray:
+    """The multipliers at each grid index, one row per index: multiplier i
+    is the ``bits_per_alpha``-bit field at (m - 1 - i) * bits_per_alpha."""
+    shifts = np.arange(m - 1, -1, -1, dtype=np.int64) * grid.bits_per_alpha
+    return ((indices[:, None] >> shifts) & (grid.levels - 1)) * grid.step
+
+
 def _penalized_table(
     data: LabeledDataset, kernel: np.ndarray, grid: AlphaGrid, penalty: float
 ) -> np.ndarray:
@@ -140,13 +147,11 @@ def _penalized_table(
             f"{data.m} multipliers at {grid.bits_per_alpha} bits exceed the "
             f"{GRID_BITS_CAP}-bit search cap"
         )
-    shifts = [(data.m - 1 - i) * grid.bits_per_alpha for i in range(data.m)]
     q = (data.labels[:, None] * data.labels[None, :]) * kernel
     table = np.empty(2**total_bits)
     for start in range(0, table.size, _TABLE_CHUNK):
         indices = np.arange(start, min(start + _TABLE_CHUNK, table.size), dtype=np.int64)
-        levels = np.stack([(indices >> s) & (grid.levels - 1) for s in shifts], axis=1)
-        alphas = levels * grid.step
+        alphas = _grid_alphas(indices, data.m, grid)
         quad = 0.5 * np.einsum("ij,jk,ik->i", alphas, q, alphas)
         balance = alphas @ data.labels
         table[start : start + indices.size] = quad - alphas.sum(axis=1) + penalty * balance**2
@@ -192,11 +197,7 @@ def solve(
     best = _neighbor_descent(
         int(result.argmin_bits, 2), table, data.m, grid.bits_per_alpha
     )
-
-    shifts = [(data.m - 1 - i) * grid.bits_per_alpha for i in range(data.m)]
-    alphas = np.array(
-        [((best >> s) & (grid.levels - 1)) * grid.step for s in shifts]
-    )
+    alphas = _grid_alphas(np.array([best], dtype=np.int64), data.m, grid)[0]
     support = [i for i in range(data.m) if alphas[i] > 0]
     theta = None
     if spec.kind == "linear":

@@ -42,6 +42,18 @@ def run_ok(argv):
     return report
 
 
+def load_schema(name):
+    return json.loads(
+        (resources.files("qmlkit") / "schemas" / f"{name}.json").read_text(encoding="utf-8")
+    )
+
+
+def validate_report(report):
+    """The two-step contract: the envelope, then the command's results."""
+    jsonschema.validate(report, load_schema("report"))
+    jsonschema.validate(report["results"], load_schema(report["config"]["command"]))
+
+
 def canonical(report):
     stripped = {k: v for k, v in report.items() if k != "timings_ms"}
     return json.dumps(stripped, sort_keys=True)
@@ -270,7 +282,42 @@ class TestExitCodes:
         )
         assert code == 1 and report is None
         err = capsys.readouterr().err
-        assert "error: gate of dim 2 cannot act on a 2-qubit eigenvector" in err
+        assert f"error: {eigvec}: 4 amplitudes do not fill a 1-qubit register" in err
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["phase-est", "--unitary", "{u}", "--eigvec", "{bad}", "--controls", "2"],
+             "1.0\n0.0\n0.0\n", "3 amplitudes do not fill a 1-qubit register"),
+            (["qft", "--qubits", "1", "--amps", "{bad}"], "1.0\n1.0\n",
+             "state not normalized"),
+            (["swaptest", "--a", "{amps}", "--b", "{bad}"], "1.0\n0.0\n0.0\n",
+             "length 3 is not a power of two"),
+            (["dist", "--a", "{row}", "--b", "{bad}"], "1.0,0.0\n0.0,1.0\n",
+             "dist expects one vector row, found 2"),
+            (["qnn", "--data", "{bad}", "--k-bits", "1", "--m-bits", "1", "--epochs", "1",
+              "--params-out", "{params}"], "0,0,0,1\n1,0,0,-1\n",
+             "qnn expects exactly two integer features per row, found 3"),
+            (["phase-est", "--unitary", "{bad}", "--eigvec", "{amps}", "--controls", "2"],
+             '{"matrix": [[[true, false]]]}', "a 1x1 matrix acts on no qubit"),
+        ],
+        ids=["phase-est-rows", "qft-unnormalized", "swaptest-rows", "dist-rows", "qnn-columns",
+             "unitary-1x1"],
+    )
+    def test_input_file_error_names_the_file(self, argv, text, message, tmp_path, capsys):
+        # A 2-qubit eigenvector against a 1-qubit unitary is
+        # test_phase_est_dimension_mismatch above.
+        files = {
+            "u": write(tmp_path / "u.json", json.dumps({"matrix": [[[1, 0], [0, 0]],
+                                                                   [[0, 0], [1, 0]]]})),
+            "amps": write(tmp_path / "amps.csv", "1.0\n0.0\n"),
+            "row": write(tmp_path / "row.csv", "1.0,0.0\n"),
+            "bad": write(tmp_path / "bad.txt", text),
+            "params": str(tmp_path / "params.csv"),
+        }
+        code, report = cli.run([arg.format(**files) for arg in argv])
+        assert code == 1 and report is None
+        assert f"error: {files['bad']}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc",
@@ -813,11 +860,57 @@ class TestReportContract:
     def test_reports_validate_against_published_schemas(self, tmp_path, blob_csv):
         for argv in _all_command_invocations(tmp_path, blob_csv):
             report = run_ok(argv)
-            name = argv[0]
-            schema_text = (
-                resources.files("qmlkit") / "schemas" / f"{name}.json"
-            ).read_text(encoding="utf-8")
-            jsonschema.validate(report, json.loads(schema_text))
+            assert report["config"]["command"] == argv[0]
+            validate_report(report)
+
+    def test_schema_files_match_commands(self):
+        folder = resources.files("qmlkit") / "schemas"
+        names = sorted(entry.name for entry in folder.iterdir())
+        assert names == sorted(["report.json"] + [f"{c}.json" for c in cli._HANDLERS])
+        for name in names:
+            jsonschema.Draft7Validator.check_schema(load_schema(name[: -len(".json")]))
+        envelope = load_schema("report")
+        assert envelope["properties"]["config"]["properties"]["command"]["enum"] == list(
+            cli._HANDLERS
+        )
+        for command in cli._HANDLERS:
+            # Each command file describes only its results, never the envelope.
+            assert not {"config", "warnings", "timings_ms"} & set(
+                load_schema(command)["properties"]
+            )
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda r: r.update(metrics={}),
+            lambda r: r["config"].update(command="teleport"),
+            lambda r: r["config"].pop("seed"),
+            lambda r: r["results"].update(measured="5"),
+        ],
+        ids=["extra-key", "unknown-command", "missing-seed", "results-type"],
+    )
+    def test_spoiled_report_rejected(self, spoil):
+        report = run_ok(["grover", "--bits", "3", "--marked", "5"])
+        validate_report(report)
+        spoil(report)
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(report)
+
+    def test_csv_serialize_timing_runs_no_json(self, monkeypatch, capsys):
+        flatten = cli._csv_flatten
+
+        def slow_flatten(results):
+            time.sleep(0.05)
+            return flatten(results)
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("JSON serialized on the CSV path")
+
+        monkeypatch.setattr(cli, "_csv_flatten", slow_flatten)
+        monkeypatch.setattr(cli.json, "dumps", no_json)
+        report = run_ok(["grover", "--bits", "2", "--marked", "2", "--format", "csv"])
+        assert report["timings_ms"]["serialize"] >= 50.0
+        assert "success_probability,1.0" in capsys.readouterr().out
 
     def test_output_file_and_csv_format(self, tmp_path):
         out = tmp_path / "report.json"

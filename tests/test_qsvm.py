@@ -279,6 +279,14 @@ class TestPenalizedTable:
         want = reference_penalized_table(data, kernel, grid, _default_penalty(kernel))
         assert table.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m, bits", [(1, 3), (4, 2), (10, 2), (5, 4)])
+    def test_grid_alphas_match_per_index_decode(self, m, bits):
+        grid = AlphaGrid(bits_per_alpha=bits, alpha_max=3.0)
+        indices = np.random.default_rng(m).integers(0, 2 ** (m * bits), size=64)
+        got = qsvm._grid_alphas(indices, m, grid)
+        want = np.array([grid_alphas(int(i), m, grid) for i in indices])
+        assert got.shape == (64, m) and got.tobytes() == want.tobytes()
+
 
 class TestPredict:
     def test_training_points_recovered(self):
