@@ -313,6 +313,11 @@ def _cmd_phase_est(args, rng, warnings):
 def _cmd_swaptest(args, rng, warnings):
     a = _read_state(args.a, normalize=True)
     b = _read_state(args.b, normalize=True)
+    if a.n_qubits != b.n_qubits:
+        raise DomainError(
+            f"{args.a}, {args.b}: swap test needs equal registers, "
+            f"got {a.n_qubits} and {b.n_qubits} qubits"
+        )
     estimate = subroutines.swap_test(a, b, shots=args.shots, rng=rng)
     return {
         "p0_hat": estimate.p0_hat,
@@ -328,6 +333,10 @@ def _cmd_dist(args, rng, warnings):
     for path, rows in ((args.a, a), (args.b, b)):
         if rows.shape[0] != 1:
             raise DomainError(f"{path}: dist expects one vector row, found {rows.shape[0]}")
+    if a.shape[1] != b.shape[1]:
+        raise DomainError(
+            f"{args.a}, {args.b}: dimension mismatch: {a.shape[1]} vs {b.shape[1]} columns"
+        )
     estimate = subroutines.dist_calc(
         a[0], b[0], shots=args.shots, rng=rng, mode=args.mode
     )
@@ -395,7 +404,10 @@ def _cmd_qsvm(args, rng, warnings):
 
 def _cmd_qpca(args, rng, warnings):
     matrix = ingest_csv(args.data, "vectors")
-    prepared = qpca.preprocess(matrix, standardize=args.standardize)
+    try:
+        prepared = qpca.preprocess(matrix, standardize=args.standardize)
+    except DomainError as exc:
+        raise type(exc)(f"{args.data}: {exc}") from None
     model = qpca.build_model(prepared, n_control=args.controls)
     samples = qpca.eigen_sample(model, args.samples, rng)
     score_rng = rng.child() if args.mode == "swaptest" else None

@@ -8,14 +8,15 @@ and accept the measured candidate when it improves.  The threshold
 comparison itself is an ordinary host-side comparison.
 
 A Grover measurement with k of N inputs marked needs only two numbers, the
-marked and the unmarked probability of the two-level closed form
-(``grover.two_level_amplitudes``), plus the marked set.  The objective's
-value table is argsorted once per call; the inputs below a threshold are
-then a prefix of that order, taken in O(k log k) on each accepted
-improvement, and each main iteration inverts the cumulative distribution by
-binary search over the index in O(log^2 N), building no oracle, amplitude
-vector or state.  An objective given only as a callable is evaluated once
-per input into such a table first.
+marked and the unmarked probability of the two-level closed form, plus the
+sorted marked set.  The objective's value table is argsorted once per call;
+the inputs below a threshold are then a prefix of that order, taken in
+O(k log k) on each accepted improvement.  Each main iteration then measures
+through ``grover._measure_marked``, the sampler ``grover.grover_search``
+also uses, which inverts the cumulative distribution by binary search over
+the index in O(log^2 N), building no oracle, amplitude vector or state.  An
+objective given only as a callable is evaluated once per input into such a
+table first.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .grover import SignOracle, two_level_amplitudes
+from .grover import SignOracle, _measure_marked
 from .rng import RngStream
 from .state import MAX_QUBITS
 
@@ -111,31 +112,6 @@ def argmin_via_search(values, rng: RngStream, max_main_iterations: int | None = 
 
 def default_budget(n_bits: int) -> int:
     return int(math.ceil(MAIN_ITERATION_FACTOR * math.sqrt(2**n_bits)))
-
-
-def _measure_marked(marked: np.ndarray, dim: int, rounds: int, u: float) -> int:
-    """Index measured after ``rounds`` Grover rounds with the ascending
-    indices ``marked`` marked, for the uniform draw ``u`` in [0, 1).
-
-    It is the inverse-CDF draw of ``RngStream.choice`` without the CDF: the
-    smallest i whose cumulative probability exceeds ``u`` times the total,
-    found by binary search.  The cumulative probability up to i is summed as
-    p_marked * M + p_unmarked * (i + 1 - M), with M = #marked <= i, so that
-    each term, and their rounded sum, is non-decreasing in i.
-    """
-    k = marked.size
-    amp_marked, amp_unmarked = two_level_amplitudes(k, dim, rounds)
-    p_marked, p_unmarked = amp_marked**2, amp_unmarked**2
-    target = u * (p_marked * k + p_unmarked * (dim - k))
-    lo, hi = 0, dim - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        below = int(marked.searchsorted(mid, "right"))
-        if p_marked * below + p_unmarked * (mid + 1 - below) > target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def minimize(

@@ -320,6 +320,30 @@ class TestExitCodes:
         assert f"error: {files['bad']}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, first, second, message",
+        [
+            ("swaptest", "1.0\n0.0\n", "1.0\n0.0\n0.0\n0.0\n",
+             "swap test needs equal registers, got 1 and 2 qubits"),
+            ("dist", "1.0,0.0\n", "1.0,0.0,0.0\n", "dimension mismatch: 2 vs 3 columns"),
+        ],
+        ids=["swaptest-registers", "dist-columns"],
+    )
+    def test_two_file_error_names_both_files(
+        self, command, first, second, message, tmp_path, capsys
+    ):
+        a = write(tmp_path / "a.csv", first)
+        b = write(tmp_path / "b.csv", second)
+        code, report = cli.run([command, "--a", a, "--b", b])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {a}, {b}: {message}\n"
+
+    def test_qpca_one_row_names_the_file(self, tmp_path, capsys):
+        data = write(tmp_path / "one.csv", "1.0,2.0\n")
+        code, report = cli.run(["qpca", "--data", data, "--components", "1"])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {data}: need at least two rows\n"
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},

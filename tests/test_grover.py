@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from qmlkit import minimizer
 from qmlkit.errors import DomainError
 from qmlkit.grover import (
-    GroverResult,
     SignOracle,
     default_iterations,
     grover_search,
+    two_level_amplitudes,
 )
 from qmlkit.rng import RngStream
 from qmlkit.state import StateVector
@@ -30,9 +35,10 @@ def _invert_about_mean(amps: np.ndarray) -> np.ndarray:
 
 def _reference_grover(
     o: SignOracle, rng: RngStream, iterations: int | None = None
-) -> GroverResult:
+) -> SimpleNamespace:
     """Slow reference for ``grover_search``: simulates every round as an
-    oracle sign flip followed by inversion around the mean."""
+    oracle sign flip followed by inversion around the mean, and measures
+    through ``RngStream.choice``."""
     n = o.n_bits
     dim = 2**n
     if iterations is None:
@@ -45,7 +51,7 @@ def _reference_grover(
     measured = rng.choice(probs / probs.sum())
     final = StateVector(n, amps / np.linalg.norm(amps))
     success = float(probs[signs < 0].sum())
-    return GroverResult(
+    return SimpleNamespace(
         measured_index=measured,
         iterations_used=iterations,
         final_state=final,
@@ -283,8 +289,8 @@ class TestAgainstReference:
 
 class TestSortedThreshold:
     """The table path of ``minimize`` (sorted marked set, binary-search
-    draw) against the oracle + ``grover_search`` + ``RngStream.choice``
-    path it replaced."""
+    draw) against the oracle + ``grover_search`` path it replaced, and the
+    binary-search draw against ``RngStream.choice``."""
 
     @settings(max_examples=80)
     @given(
@@ -297,7 +303,11 @@ class TestSortedThreshold:
         dim = 2**n_bits
         k = data.draw(st.integers(0, dim), label="k")
         marked = np.sort(np.random.default_rng(seed).choice(dim, size=k, replace=False))
-        expected = grover_search(_set_oracle(n_bits, marked), RngStream(seed), iterations=rounds)
+        # grover_search draws through _measure_marked too, so the reference
+        # is the round-by-round simulation measured by RngStream.choice.
+        expected = _reference_grover(
+            _set_oracle(n_bits, marked), RngStream(seed), iterations=rounds
+        )
         u = RngStream(seed).uniform()
         assert minimizer._measure_marked(marked, dim, rounds, u) == expected.measured_index
 
@@ -336,3 +346,119 @@ class TestSortedThreshold:
         fast = minimizer.minimize(popcount, RngStream(seed))
         slow = _reference_minimize(popcount, RngStream(seed))
         assert fast == slow
+
+
+def _closed_form_success(mask: np.ndarray, rounds: int) -> float:
+    """The success probability as the full-vector closed form summed it:
+    the marked entries of the squared amplitude vector."""
+    amps = np.where(mask, *two_level_amplitudes(int(np.count_nonzero(mask)), mask.size, rounds))
+    probs = amps**2
+    return float(probs[mask].sum())
+
+
+class TestLazySearch:
+    """The search that builds no 2^n vector against the round-by-round
+    reference and the full-vector closed form it replaced."""
+
+    @settings(max_examples=150)
+    @given(
+        n_bits=st.integers(1, 12),
+        count=st.sampled_from(["none", "one", "random", "all-but-one", "all"]),
+        schedule=st.sampled_from(["zero", "optimum", "past"]),
+        seed=st.integers(0, 2**32 - 1),
+        vectorized=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_reference(self, n_bits, count, schedule, seed, vectorized, data):
+        dim = 2**n_bits
+        counts = {"none": 0, "one": 1, "all-but-one": dim - 1, "all": dim}
+        k = counts[count] if count in counts else data.draw(st.integers(0, dim), label="k")
+        marked = np.sort(np.random.default_rng(seed).choice(dim, size=k, replace=False))
+        oracle = _set_oracle(n_bits, marked)
+        if not vectorized:
+            oracle = SignOracle(n_bits, oracle.predicate, marked_count_hint=k)
+        optimum = default_iterations(n_bits, k)
+        if schedule == "zero":
+            rounds = 0
+        elif schedule == "optimum":
+            rounds = None
+        else:
+            rounds = data.draw(st.integers(optimum + 1, 3 * optimum + 4), label="rounds")
+        fast = grover_search(oracle, RngStream(seed), iterations=rounds)
+        slow = _reference_grover(oracle, RngStream(seed), iterations=rounds)
+        assert fast.iterations_used == slow.iterations_used
+        assert fast.iterations_used == (optimum if rounds is None else rounds)
+        assert fast.measured_index == slow.measured_index
+        assert np.max(np.abs(fast.final_state.amps - slow.final_state.amps)) <= 1e-12
+        mask = np.zeros(dim, dtype=bool)
+        mask[marked] = True
+        assert fast.success_probability == _closed_form_success(mask, fast.iterations_used)
+
+    def test_marked_indices_both_predicates(self):
+        # At 17 bits the vectorized predicate runs on blocks, one of which
+        # starts at dim // 2.
+        for n_bits in (1, 3, 17):
+            dim = 2**n_bits
+            marked = np.array(sorted({0, 5 % dim, dim // 2 - 1, dim // 2, dim - 1}))
+            oracle = _set_oracle(n_bits, marked)
+            plain = SignOracle(n_bits, oracle.predicate)
+            assert oracle.marked_indices().tolist() == marked.tolist()
+            assert plain.marked_indices().tolist() == marked.tolist()
+            assert np.array_equal(oracle.signs(), np.where(np.isin(np.arange(dim), marked), -1.0, 1.0))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Qubit counts of the StateVectors constructed during the test."""
+        built = []
+        post_init = StateVector.__post_init__
+
+        def counting(state):
+            built.append(state.n_qubits)
+            post_init(state)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting)
+        return built
+
+    def test_state_built_only_when_read(self, built):
+        result = grover_search(_set_oracle(10, np.array([3, 700])), RngStream(2))
+        assert built == []
+        state = result.final_state
+        assert built == [10]
+        assert result.final_state is state and built == [10]
+
+    def test_cli_builds_state_only_for_reported_amplitudes(self, built):
+        from qmlkit import cli
+
+        assert cli.run(["grover", "--bits", "13", "--marked", "5", "--output", os.devnull])[0] == 0
+        assert built == []
+        assert cli.run(["grover", "--bits", "12", "--marked", "5", "--output", os.devnull])[0] == 0
+        assert built == [12]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_cli_24_bit_search_peak_rss(self):
+        # The full-vector search peaked at 694 MiB, 2.7 times the 256 MiB
+        # complex state of 24 qubits.  The bound is one 2^24 array of 8-byte
+        # entries: the marking pass holds its index and mask blocks only.
+        # The child reports VmHWM, its own address space's peak: Linux
+        # carries the launching process's peak into a child's ru_maxrss
+        # across exec, so under a large test process ru_maxrss reads high.
+        import qmlkit
+
+        src = str(Path(qmlkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import os\n"
+            "from qmlkit import cli\n"
+            "code, report = cli.run(['grover', '--bits', '24', '--marked', '1,2,3',\n"
+            "                        '--seed', '1', '--output', os.devnull])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+            "print(code, report['results']['iterations'], peak)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout
+        code, rounds, peak_kib = map(int, out.split())
+        assert (code, rounds) == (0, default_iterations(24, 3))
+        assert peak_kib < 128 * 1024, f"peak RSS {peak_kib / 1024:.0f} MiB"
