@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .state import Observable, StateVector, _validate_positions
+from .state import Observable, StateVector, _check_dense_cap, _validate_positions
 
 DENSITY_TOL = 1e-9
 _PSD_CHECK_MAX_DIM = 2**12   # eigenvalue check is cubic; skip above this
@@ -71,12 +71,15 @@ class DensityMatrix:
 
 
 def pure_density(psi: StateVector) -> DensityMatrix:
-    """The rank-1 outer product |psi><psi|."""
+    """The rank-1 outer product |psi><psi|, refused over ``DENSE_MATRIX_CAP``
+    qubits before it is built."""
+    _check_dense_cap(psi.n_qubits, "density matrix")
     return DensityMatrix._trusted(psi.dim, np.outer(psi.amps, psi.amps.conj()))
 
 
 def mixed_density(parts: list[tuple[float, StateVector]]) -> DensityMatrix:
-    """Convex combination sum_i p_i |psi_i><psi_i|."""
+    """Convex combination sum_i p_i |psi_i><psi_i|, refused over
+    ``DENSE_MATRIX_CAP`` qubits before it is built."""
     if not parts:
         raise DomainError("mixed state needs at least one component")
     probs = np.array([p for p, _ in parts], dtype=float)
@@ -84,6 +87,7 @@ def mixed_density(parts: list[tuple[float, StateVector]]) -> DensityMatrix:
         raise DomainError(f"negative probability in {probs}")
     if abs(probs.sum() - 1.0) > 1e-9:
         raise DomainError(f"probabilities sum to {probs.sum()}, expected 1")
+    _check_dense_cap(parts[0][1].n_qubits, "density matrix")
     dim = parts[0][1].dim
     matrix = np.zeros((dim, dim), dtype=complex)
     for p, psi in parts:

@@ -22,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .gates import Circuit, GateMatrix, _check_dense_cap, controlled, standard_gate
+from .gates import Circuit, GateMatrix, controlled, standard_gate
 from .rng import RngStream
-from .state import StateVector, _check_n_qubits
+from .state import StateVector, _check_dense_cap, _check_n_qubits
 
 def classical_dft(x) -> np.ndarray:
     """The transform of a plain sample vector of any length, by FFT in

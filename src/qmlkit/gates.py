@@ -7,9 +7,14 @@ the CLI's matrix documents go through.  Gates derived from checked ones
 are unitary by construction and skip the d^3 product; every state they reach
 is still norm-checked.  ``apply`` updates only the addressed qubits'
 amplitude strides; the fully kron-expanded matrix is never materialized (the
-tests keep that construction as the reference).  The same transpose-contract-transpose kernel
-runs a circuit's steps on the identity to give ``Circuit.matrix``, which is
-held to ``DENSE_MATRIX_CAP`` qubits.  ``run_circuit`` fuses consecutive steps
+tests keep that construction as the reference).  Arrays of at most
+``_CHUNK_AMPS`` entries are contracted in one transpose-matmul-transpose;
+larger ones are streamed in sub-blocks of about one chunk, each gathered with
+the targets in front, multiplied once and written into the single output
+array, so applying a gate holds the input, the output and O(chunk) (the
+tests keep the one-piece kernel as the reference).  The same kernel runs a
+circuit's steps on the identity to give ``Circuit.matrix``, which is held to
+``DENSE_MATRIX_CAP`` qubits.  ``run_circuit`` fuses consecutive steps
 into blocks of at most ``FUSION_WIDTH`` qubits and applies each block once
 (the tests keep the per-step loop as the reference).
 
@@ -26,12 +31,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .state import StateVector, _check_n_qubits, _validate_positions
+from .errors import DomainError
+from .state import (
+    DENSE_MATRIX_CAP,
+    StateVector,
+    _check_dense_cap,
+    _check_n_qubits,
+    _validate_positions,
+)
 
 UNITARY_TOL = 1e-9
-DENSE_MATRIX_CAP = 12   # a dense 2^n x 2^n complex matrix is 256 MiB at 12
 FUSION_WIDTH = 6        # qubits in one fused block of ``run_circuit``
+_CHUNK_AMPS = 2**16     # amplitudes per sub-block of ``_apply_matrix`` (1 MiB)
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -147,25 +158,37 @@ def _apply_matrix(matrix: np.ndarray, positions: list[int], amps: np.ndarray) ->
 
     ``amps`` has shape ``(2^n,)`` or ``(2^n, columns)``; the trailing column
     axis rides along untouched, so a circuit run on the identity yields its
-    unitary.
+    unitary.  Above ``_CHUNK_AMPS`` entries the leading non-target qubits
+    are fixed one value at a time, and each sub-block of about one chunk is
+    gathered with its targets in front, contracted with the gate and written
+    straight into the output, so the working memory is the input, the output
+    and O(chunk).
     """
     n = amps.shape[0].bit_length() - 1
     grid = amps.reshape([2] * n + list(amps.shape[1:]))
     rest = [ax for ax in range(n) if ax not in positions]
-    # Bring target axes to the front, contract with the gate, restore order.
-    order = positions + rest + list(range(n, grid.ndim))
-    grid = np.transpose(grid, order)
-    flat = matrix @ grid.reshape(len(matrix), -1)
-    grid = flat.reshape(grid.shape)
-    return np.transpose(grid, np.argsort(order)).reshape(amps.shape)
-
-
-def _check_dense_cap(n_qubits: int, what: str) -> None:
-    if n_qubits > DENSE_MATRIX_CAP:
-        raise ConfigError(
-            f"{what} on {n_qubits} qubits needs {16 * 4**n_qubits:,} bytes; "
-            f"the dense-matrix cap is {DENSE_MATRIX_CAP} qubits"
-        )
+    if amps.size <= _CHUNK_AMPS:
+        # Bring target axes to the front, contract with the gate, restore order.
+        order = positions + rest + list(range(n, grid.ndim))
+        grid = np.transpose(grid, order)
+        flat = matrix @ grid.reshape(len(matrix), -1)
+        grid = flat.reshape(grid.shape)
+        return np.transpose(grid, np.argsort(order)).reshape(amps.shape)
+    fixed = rest[: min(len(rest), (amps.size // _CHUNK_AMPS).bit_length() - 1)]
+    inner = [ax for ax in range(grid.ndim) if ax not in fixed]
+    order = [inner.index(q) for q in positions] + [
+        i for i, ax in enumerate(inner) if ax not in positions
+    ]
+    out = np.empty(amps.shape, dtype=np.result_type(matrix, amps))
+    out_grid = out.reshape(grid.shape)
+    selector: list = [slice(None)] * grid.ndim
+    for bits in np.ndindex(*[2] * len(fixed)):
+        for ax, bit in zip(fixed, bits):
+            selector[ax] = bit
+        block = np.transpose(grid[tuple(selector)], order)
+        flat = matrix @ block.reshape(len(matrix), -1)
+        np.transpose(out_grid[tuple(selector)], order)[...] = flat.reshape(block.shape)
+    return out
 
 
 @dataclass(frozen=True)

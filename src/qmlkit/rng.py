@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_CHUNK = 2**16   # indices per pass of the inverse-CDF sampler (512 KiB of floats)
+
 
 class RngStream:
     """A seeded random stream with splittable independent substreams."""
@@ -34,16 +36,50 @@ class RngStream:
         return int(self.gen.integers(n))
 
     def choice(self, probabilities: np.ndarray) -> int:
-        """Sample an index from an explicit probability vector (inverse CDF)."""
+        """Sample an index from an explicit probability vector (inverse CDF).
+
+        Tiny negative rounding residue is clipped to zero, one chunk at a
+        time, so no full-length copy is made.
+        """
         p = np.asarray(probabilities, dtype=float)
-        total = p.sum()
-        # np.isclose's test (atol 1e-9 plus its default rtol 1e-5), without
-        # its array machinery; NaN fails the comparison.
-        if not abs(total - 1.0) <= 1e-9 + 1e-5:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        # Clip tiny negative rounding residue into one fresh buffer and
-        # accumulate it in place.
-        cdf = np.clip(p, 0.0, None)
-        np.cumsum(cdf, out=cdf)
-        index = int(np.searchsorted(cdf, self.gen.random() * cdf[-1], side="right"))
-        return min(index, len(p) - 1)
+
+        def probs_of(lo: int, hi: int) -> np.ndarray:
+            return np.clip(p[lo:hi], 0.0, None)
+
+        return inverse_cdf(probs_of, len(p), self.gen.random)[0]
+
+
+def inverse_cdf(probs_of, size: int, draw) -> tuple[int, float]:
+    """Index in ``[0, size)`` drawn by inverse CDF, and its probability.
+
+    ``probs_of(lo, hi)`` returns a fresh float array of the probabilities of
+    indices ``lo`` to ``hi``.  It is called once per chunk of ``_CHUNK``
+    indices to accumulate the CDF, then once more for the chunk the draw
+    lands in, so no full-length array is held.  The running sum carries
+    across chunks, so every CDF value is bitwise that of one ``np.cumsum``
+    over the whole vector.  A total off 1 by more than ``np.isclose``'s
+    default tolerance is a ``ValueError``, raised before the single
+    ``draw()``; a draw at or past the total takes the last index.
+    """
+    starts = range(0, size, _CHUNK)
+    ends = np.empty(len(starts))
+    total = 0.0
+    for k, lo in enumerate(starts):
+        total = ends[k] = _accumulate(probs_of(lo, min(lo + _CHUNK, size)), total)[-1]
+    # NaN fails the comparison.
+    if not abs(total - 1.0) <= 1e-9 + 1e-5:
+        raise ValueError(f"probabilities sum to {total}, expected 1")
+    target = draw() * total
+    k = min(int(np.searchsorted(ends, target, side="right")), len(ends) - 1)
+    lo = starts[k]
+    probs = probs_of(lo, min(lo + _CHUNK, size))
+    cdf = _accumulate(probs.copy(), ends[k - 1] if k else 0.0)
+    offset = min(int(np.searchsorted(cdf, target, side="right")), len(cdf) - 1)
+    return lo + offset, float(probs[offset])
+
+
+def _accumulate(chunk: np.ndarray, carry: float) -> np.ndarray:
+    """``chunk``'s running sum after ``carry``, accumulated in place."""
+    if carry:
+        chunk[0] += carry
+    return np.cumsum(chunk, out=chunk)

@@ -9,6 +9,13 @@ register.  Qubit positions use the same convention: qubit 0 is the leftmost
 States are immutable after construction and never renormalized silently:
 a vector that is not normalized within ``NORM_TOL`` is rejected, and callers
 that want renormalization must ask for it via :func:`normalize`.
+
+Registers over ``MAX_QUBITS`` and dense ``2^n x 2^n`` matrices over
+``DENSE_MATRIX_CAP`` are refused with their byte count before anything is
+built.  A full measurement streams |c_i|^2 through the chunked inverse CDF
+of ``rng.inverse_cdf``, so besides the collapsed basis state it holds
+O(chunk); a subset measurement writes the kept slice, renormalized, straight
+into one zero-filled buffer.
 """
 from __future__ import annotations
 
@@ -17,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .rng import RngStream
+from .rng import RngStream, inverse_cdf
 
 MAX_QUBITS = 24          # dense 2^24 complex vector is the desk-scale budget
+DENSE_MATRIX_CAP = 12    # a dense 2^n x 2^n complex matrix is 256 MiB at 12
 NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-9
 
@@ -29,8 +37,18 @@ def _check_n_qubits(n_qubits: int) -> int:
     if n < 1:
         raise DomainError(f"need at least one qubit, got {n}")
     if n > MAX_QUBITS:
-        raise ConfigError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
+        raise ConfigError(
+            f"{n} qubits exceeds the cap of {MAX_QUBITS}: the state needs {16 * 2**n:,} bytes"
+        )
     return n
+
+
+def _check_dense_cap(n_qubits: int, what: str) -> None:
+    if n_qubits > DENSE_MATRIX_CAP:
+        raise ConfigError(
+            f"{what} on {n_qubits} qubits needs {16 * 4**n_qubits:,} bytes; "
+            f"the dense-matrix cap is {DENSE_MATRIX_CAP} qubits"
+        )
 
 
 @dataclass(frozen=True)
@@ -130,7 +148,11 @@ def inner_product(bra: StateVector, ket: StateVector) -> complex:
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Joint state of two registers; amplitude (i, j) lands at i*dim(b) + j."""
+    """Joint state of two registers; amplitude (i, j) lands at i*dim(b) + j.
+
+    A joint register over ``MAX_QUBITS`` is refused before it is built.
+    """
+    _check_n_qubits(a.n_qubits + b.n_qubits)
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amps, b.amps))
 
 
@@ -155,13 +177,22 @@ def variance(obs: Observable, psi: StateVector) -> float:
 
 
 def measure_all(psi: StateVector, rng: RngStream) -> MeasurementOutcome:
-    """Sample a full computational-basis measurement and collapse the state."""
-    probs = psi.probabilities()
-    index = rng.choice(probs)
+    """Sample a full computational-basis measurement and collapse the state.
+
+    |c_i|^2 is streamed one chunk at a time through ``rng.inverse_cdf`` on
+    one ``rng.uniform()``; only the collapsed basis state is full-size.
+    """
+    amps = psi.amps
+
+    def probs_of(lo: int, hi: int) -> np.ndarray:
+        probs = np.abs(amps[lo:hi])
+        return np.square(probs, out=probs)
+
+    index, probability = inverse_cdf(probs_of, psi.dim, rng.uniform)
     return MeasurementOutcome(
         basis_index=index,
         collapsed=basis_state(psi.n_qubits, index),
-        probability=float(probs[index]),
+        probability=probability,
     )
 
 
@@ -182,9 +213,12 @@ def measure_subset(
     renormalized post-measurement state on all qubits.
 
     The returned bitstring lists one '0'/'1' per requested position, in the
-    order the positions were given.
+    order the positions were given; no positions measure nothing, draw
+    nothing and return ``("", psi)``.
     """
     positions = _validate_positions(psi.n_qubits, qubits)
+    if not positions:
+        return "", psi
     n = psi.n_qubits
     grid = psi.amps.reshape([2] * n)
     rest = [ax for ax in range(n) if ax not in positions]
@@ -198,13 +232,16 @@ def measure_subset(
     outcome = rng.choice(flat)
     bits = format(outcome, f"0{len(positions)}b")
 
-    # Keep the slice of the measured bits, scaled by its own norm.
+    # Keep the slice of the measured bits, scaled by its own norm (taken
+    # first: it copies the slice) and written straight into a fresh np.zeros
+    # buffer, whose other pages stay untouched.
     selector: list = [slice(None)] * n
     for q, bit in zip(positions, bits):
-        selector[q] = int(bit)
+        selector[q] = slice(int(bit), int(bit) + 1)
     kept = grid[tuple(selector)]
-    projected = np.zeros_like(grid)
-    projected[tuple(selector)] = kept / np.linalg.norm(kept)
+    norm = np.linalg.norm(kept)
+    projected = np.zeros(grid.shape, dtype=complex)
+    np.divide(kept, norm, out=projected[tuple(selector)])
     return bits, StateVector(n, projected.reshape(-1))
 
 

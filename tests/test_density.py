@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qmlkit.density import (
     pure_density,
     trace_expectation,
 )
-from qmlkit.errors import DomainError
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.state import Observable, StateVector, basis_state, expectation, tensor
 
 EXAMPLE = StateVector(1, np.array([0.5j, math.sqrt(3) / 2]))
@@ -78,6 +79,34 @@ class TestPureDensity:
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
         values = np.linalg.eigvalsh(rho.matrix)
         assert np.sum(values > 1e-9) == 1
+
+
+class TestDensityCap:
+    """13-qubit densities (1 GiB) are refused before any 4^n buffer exists."""
+
+    @staticmethod
+    def _refused(build, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense matrix was allocated before the cap check")
+
+        for name in ("outer", "zeros"):
+            monkeypatch.setattr(np, name, refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="on 13 qubits needs 1,073,741,824 bytes"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_pure_density(self, monkeypatch):
+        psi = basis_state(13, 0)
+        self._refused(lambda: pure_density(psi), monkeypatch)
+
+    def test_mixed_density(self, monkeypatch):
+        parts = [(0.5, basis_state(13, 0)), (0.5, basis_state(13, 1))]
+        self._refused(lambda: mixed_density(parts), monkeypatch)
 
 
 class TestMixedDensity:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ def run_circuit_per_step(circuit: Circuit, psi: StateVector) -> StateVector:
     for gate, targets in circuit.steps:
         psi = apply(gate, list(targets), psi)
     return psi
+
+
+def apply_matrix_unchunked(matrix: np.ndarray, positions, amps: np.ndarray) -> np.ndarray:
+    """``gates._apply_matrix`` in one piece: one full transposed copy, one
+    matmul over the whole state, one transpose back.  The reference for the
+    chunked kernel, which must agree with it bitwise at the real chunk size."""
+    n = amps.shape[0].bit_length() - 1
+    grid = amps.reshape([2] * n + list(amps.shape[1:]))
+    rest = [ax for ax in range(n) if ax not in positions]
+    order = positions + rest + list(range(n, grid.ndim))
+    grid = np.transpose(grid, order)
+    flat = matrix @ grid.reshape(len(matrix), -1)
+    grid = flat.reshape(grid.shape)
+    return np.transpose(grid, np.argsort(order)).reshape(amps.shape)
 
 
 @st.composite
@@ -397,3 +412,68 @@ class TestDerivedGates:
         ]
         for matrix in derived:
             assert _unitarity_error(matrix) <= 1e-12
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random gate on 1-6 targets in any order of an n <= 12 register, with
+    or without a trailing column axis, and a chunk of 2^2-2^8 entries smaller
+    than the array, so the chunked branch runs."""
+    n = draw(st.integers(3, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, min(n, 6)))
+    targets = list(draw(st.permutations(range(n)))[:width])
+    columns = draw(st.sampled_from([None, 1, 3, 4]))
+    shape = (2**n,) if columns is None else (2**n, columns)
+    amps = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+    chunk = 2 ** draw(st.integers(2, min(8, n - 1)))
+    return random_unitary(gen, 2**width), targets, amps, chunk
+
+
+class TestChunkedKernel:
+    @settings(max_examples=60)
+    @given(kernel_cases())
+    def test_matches_unchunked_with_tiny_chunks(self, case):
+        matrix, targets, amps, chunk = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gates, "_CHUNK_AMPS", chunk)
+            out = gates._apply_matrix(matrix, targets, amps)
+        assert out.shape == amps.shape
+        # Tiny chunks send OpenBLAS down other kernels, so allow rounding.
+        assert np.max(np.abs(out - apply_matrix_unchunked(matrix, targets, amps))) <= 1e-12
+
+    def test_bitwise_at_real_chunk_size(self, np_rng):
+        psi = random_state(np_rng, 18)
+        assert psi.dim > gates._CHUNK_AMPS
+        for targets in ([17, 3, 9, 0], [5], [0, 1], [12, 2, 16, 7, 1, 14]):
+            matrix = random_unitary(np_rng, 2 ** len(targets))
+            out = apply(GateMatrix(len(matrix), matrix), targets, psi).amps
+            assert np.array_equal(out, apply_matrix_unchunked(matrix, targets, psi.amps))
+
+    def test_circuit_matrix_uses_the_kernel(self, np_rng):
+        # 9 qubits of identity columns are 2^18 entries, past one chunk.
+        steps = [
+            (GateMatrix(4, random_unitary(np_rng, 4)), (8, 2)),
+            (standard_gate("H"), (0,)),
+            (GateMatrix(8, random_unitary(np_rng, 8)), (4, 7, 1)),
+        ]
+        expected = np.eye(2**9, dtype=complex)
+        for gate, targets in steps:
+            expected = apply_matrix_unchunked(gate.matrix, list(targets), expected)
+        assert np.array_equal(Circuit(9, steps).matrix(), expected)
+
+    def test_run_circuit_peak_memory(self):
+        # Two live states (the previous block's output and the next one's)
+        # plus O(chunk) per block; the unchunked kernel reaches three states.
+        n = 20
+        psi = basis_state(n, 0)
+        circuit = Circuit(n, [(standard_gate("H"), (q,)) for q in range(n)])
+        state_bytes = 16 * 2**n
+        tracemalloc.start()
+        try:
+            out = run_circuit(circuit, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.amps[-1] == pytest.approx(2 ** (-n / 2))
+        assert peak <= 2 * state_bytes + 4 * 16 * gates._CHUNK_AMPS

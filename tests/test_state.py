@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmlkit import rng as rng_module
 from qmlkit.errors import ConfigError, DomainError
 from qmlkit.rng import RngStream
 from qmlkit.state import (
@@ -44,6 +46,51 @@ def measure_subset_reference(psi: StateVector, qubits, rng: RngStream):
     projected[tuple(selector)] = grid[tuple(selector)]
     amps = projected.reshape(-1)
     return bits, StateVector(n, amps / np.linalg.norm(amps))
+
+
+def choice_reference(probabilities, rng: RngStream) -> int:
+    """``RngStream.choice`` on one full vector, as first written: a full sum
+    check, a clipped copy, one ``cumsum`` and a ``searchsorted``."""
+    p = np.asarray(probabilities, dtype=float)
+    total = p.sum()
+    if not abs(total - 1.0) <= 1e-9 + 1e-5:
+        raise ValueError(f"probabilities sum to {total}, expected 1")
+    cdf = np.cumsum(np.clip(p, 0.0, None))
+    index = int(np.searchsorted(cdf, rng.uniform() * cdf[-1], side="right"))
+    return min(index, len(p) - 1)
+
+
+def measure_all_reference(psi: StateVector, rng: RngStream) -> tuple[int, float]:
+    """Index and probability of ``measure_all`` from the full |c_i|^2 vector."""
+    probs = np.square(np.abs(psi.amps))
+    index = choice_reference(probs, rng)
+    return index, float(probs[index])
+
+
+class _TopDraw:
+    """Stands in for the generator: every draw is 1.0, past any real draw,
+    so the sampled target is the CDF's total and the last index is taken."""
+
+    def random(self):
+        return 1.0
+
+
+@st.composite
+def sampled_states(draw):
+    """A dense, sparse or zero-tailed state on n <= 10 qubits, a sampler
+    chunk of 2-64 entries, and a draw seed."""
+    n = draw(st.integers(1, 10))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    kind = draw(st.sampled_from(["dense", "sparse", "zero tail"]))
+    if kind == "sparse":
+        amps[gen.random(2**n) < 0.9] = 0
+        amps[gen.integers(2**n)] = 1
+    elif kind == "zero tail":
+        amps[draw(st.integers(1, 2**n)) :] = 0
+        amps[0] = 1
+    chunk = 2 ** draw(st.integers(1, 6))
+    return StateVector(n, amps / np.linalg.norm(amps)), chunk, draw(st.integers(0, 2**32 - 1))
 
 
 @st.composite
@@ -154,6 +201,22 @@ class TestTensor:
             joint = tensor(a, b)
             assert np.linalg.norm(joint.amps) == pytest.approx(1.0, abs=1e-9)
 
+    def test_refused_over_cap_before_it_is_built(self, monkeypatch):
+        def kron(*args):
+            raise AssertionError("np.kron called before the cap check")
+
+        big, small = basis_state(12, 0), basis_state(13, 0)
+        monkeypatch.setattr(np, "kron", kron)
+        tracemalloc.start()
+        try:
+            message = "25 qubits exceeds the cap of 24: the state needs 536,870,912 bytes"
+            with pytest.raises(ConfigError, match=message):
+                tensor(big, small)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestExpectationVariance:
     def test_expectation_worked_example(self):
@@ -238,7 +301,104 @@ class TestMeasureAll:
         assert np.all(np.abs(counts / shots - probs) <= 3 * sigma)
 
 
+class TestChunkedSampler:
+    @settings(max_examples=80)
+    @given(sampled_states())
+    def test_measure_all_matches_full_vector(self, case):
+        psi, chunk, seed = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "_CHUNK", chunk)
+            outcome = measure_all(psi, RngStream(seed))
+            clamped = measure_all(psi, _top_stream())
+        index, probability = measure_all_reference(psi, RngStream(seed))
+        assert outcome.basis_index == index
+        assert np.float64(outcome.probability).tobytes() == np.float64(probability).tobytes()
+        assert np.array_equal(outcome.collapsed.amps, basis_state(psi.n_qubits, index).amps)
+        top_index, top_probability = measure_all_reference(psi, _top_stream())
+        assert (clamped.basis_index, clamped.probability) == (top_index, top_probability)
+
+    def test_zero_tail_clamps_to_last_index(self):
+        amps = np.zeros(2**5, dtype=complex)
+        amps[:3] = 1 / math.sqrt(3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "_CHUNK", 4)
+            outcome = measure_all(StateVector(5, amps), _top_stream())
+        assert (outcome.basis_index, outcome.probability) == (31, 0.0)
+
+    def test_measure_all_at_real_chunk_size(self):
+        gen = np.random.default_rng(17)
+        amps = gen.normal(size=2**18) + 1j * gen.normal(size=2**18)
+        amps[2**17 :] *= 1e-3   # most of the mass in the first half
+        psi = StateVector(18, amps / np.linalg.norm(amps))
+        assert psi.dim > rng_module._CHUNK
+        for seed in range(20):
+            outcome = measure_all(psi, RngStream(seed))
+            index, probability = measure_all_reference(psi, RngStream(seed))
+            assert (outcome.basis_index, outcome.probability) == (index, probability)
+
+    @pytest.mark.parametrize("chunk", [2, 8, 2**16])
+    def test_choice_matches_full_vector_with_negative_residue(self, chunk):
+        gen = np.random.default_rng(chunk)
+        probs = gen.random(300) ** 4
+        residue = gen.integers(300, size=30)
+        probs[residue] = 0.0
+        probs /= probs.sum()
+        probs[residue] = -1e-18
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "_CHUNK", chunk)
+            for seed in range(40):
+                assert RngStream(seed).choice(probs) == choice_reference(probs, RngStream(seed))
+            assert _top_stream().choice(probs) == choice_reference(probs, _top_stream()) == 299
+
+    def test_bad_sum_raises_before_the_draw(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "_CHUNK", 2)
+            for bad in ([0.25, 0.25, 0.25, 0.25 + 1e-3], [0.25, math.nan, 0.25, 0.5], []):
+                stream = RngStream(4)
+                with pytest.raises(ValueError, match="expected 1"):
+                    stream.choice(np.array(bad))
+                assert stream.uniform() == RngStream(4).uniform()
+
+    def test_measure_all_peak_memory(self, np_rng):
+        # The collapsed basis state plus a few sampler chunks; no full-length
+        # probability or CDF array.
+        psi = random_state(np_rng, 20)
+        tracemalloc.start()
+        try:
+            measure_all(psi, RngStream(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * psi.dim + 4 * 16 * rng_module._CHUNK
+
+
+def _top_stream() -> RngStream:
+    stream = RngStream(0)
+    stream.gen = _TopDraw()
+    return stream
+
+
 class TestMeasureSubset:
+    def test_no_positions_measure_nothing(self, np_rng):
+        psi = random_state(np_rng, 3)
+        stream = RngStream(6)
+        bits, after = measure_subset(psi, [], stream)
+        assert bits == "" and after is psi
+        assert stream.uniform() == RngStream(6).uniform()
+
+    def test_peak_memory(self, np_rng):
+        # The collapsed state is the one full-size buffer alive at the peak:
+        # the kept slice is scaled straight into it.
+        psi = random_state(np_rng, 20)
+        tracemalloc.start()
+        try:
+            bits, _ = measure_subset(psi, [3, 11, 17], RngStream(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bits) == 3
+        assert peak <= 16 * psi.dim + 2**20
+
     def test_unentangled_qubit(self):
         psi = StateVector(2, np.array([1, 1, 0, 0]) / math.sqrt(2))
         bits, after = measure_subset(psi, [0], RngStream(1))
