@@ -406,9 +406,9 @@ def _cmd_qpca(args, rng, warnings):
     matrix = ingest_csv(args.data, "vectors")
     try:
         prepared = qpca.preprocess(matrix, standardize=args.standardize)
+        model = qpca.build_model(prepared, n_control=args.controls)
     except DomainError as exc:
         raise type(exc)(f"{args.data}: {exc}") from None
-    model = qpca.build_model(prepared, n_control=args.controls)
     samples = qpca.eigen_sample(model, args.samples, rng)
     score_rng = rng.child() if args.mode == "swaptest" else None
     scores = qpca.extract_scores(

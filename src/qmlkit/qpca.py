@@ -4,8 +4,10 @@ The preprocessed rows (demeaned, optionally standardized, unit-normalized)
 mix into the density matrix rho = (1/M) sum |x_i><x_i|, the covariance up to
 that normalization.  Components are drawn with probability equal to their
 eigenvalue; each draw reads the eigenvalue back out of a phase-estimation
-register run on the matrix exponential of rho, and scores are overlaps of
-rows with sampled eigenvectors.
+register run on the matrix exponential of rho.  On an eigenvector that
+register's distribution has a closed form in the eigenvalue, so no unitary
+is built and no register simulated; the tests keep the simulated register as
+the reference.  Scores are overlaps of rows with sampled eigenvectors.
 """
 from __future__ import annotations
 
@@ -16,10 +18,8 @@ import numpy as np
 
 from .density import DensityMatrix
 from .errors import DomainError
-from .fourier import control_distribution
-from .gates import GateMatrix
 from .rng import RngStream
-from .state import NORM_TOL, StateVector
+from .state import NORM_TOL, StateVector, _check_dense_cap, _check_n_qubits
 from .subroutines import (
     MAX_BATCH_PAIRS,
     _check_draw_budget,
@@ -95,9 +95,11 @@ def _padded_rows(input: PcaInput) -> np.ndarray:
 
 
 def build_density(input: PcaInput) -> DensityMatrix:
-    """rho = (1/M) sum of outer products of the encoded rows."""
+    """rho = (1/M) sum of outer products of the encoded rows, refused over
+    ``DENSE_MATRIX_CAP`` qubits before it is built."""
     rows = _padded_rows(input)
     dim = rows.shape[1]
+    _check_dense_cap(dim.bit_length() - 1, "density matrix")
     rho = np.zeros((dim, dim), dtype=complex)
     for row in rows:
         rho += np.outer(row, row)
@@ -127,24 +129,15 @@ def build_model(
     )
 
 
-def evolution_unitary(rho: DensityMatrix, t: float) -> GateMatrix:
-    """exp(-i rho t) from the eigendecomposition of rho."""
-    if t <= 0:
-        raise DomainError("evolution time must be > 0")
-    values, vectors = rho.eigensystem()
-    phases = np.exp(-1j * values * t)
-    return GateMatrix._trusted(rho.dim, (vectors * phases) @ vectors.conj().T)
-
-
 def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSample]:
     """Draw components with probability equal to their eigenvalue and read
     each eigenvalue from the phase register as lambda = 2 pi theta / t.
 
-    Phase estimation runs on the conjugate transpose of exp(-i rho t), whose
-    eigenphases are +lambda t / 2 pi, so the register converts directly.
-    Draws of one component share a circuit; its register distribution is
-    computed once and the draws are sampled from it.  Returns one record per
-    observed (component, register value) pair.
+    The register runs on exp(i rho t), whose eigenphase on component j is
+    theta_j = lambda_j t / 2 pi.  On that eigenvector its distribution is
+    |FFT(e^(2 pi i a theta_j) / sqrt(N))|^2 over register values a < N =
+    2^n_control, one FFT that the component's draws share.  Returns one
+    record per observed (component, register value) pair.
     """
     if m_samples < 1:
         raise DomainError("need at least one sample")
@@ -153,24 +146,26 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
     _check_draw_budget(24 * m_samples, f"{m_samples:,} eigen-sample draws")
     probs = np.clip(model.eigenvalues, 0.0, None)
     component_counts = rng.gen.multinomial(m_samples, probs / probs.sum())
-    forward = evolution_unitary(model.rho, model.t).dagger()
+    if model.t <= 0:
+        raise DomainError("evolution time must be > 0")
+    if model.n_control < 1:
+        raise DomainError("need at least one control qubit")
+    _check_n_qubits(model.n_control + model.rho.n_qubits)
     dim = 2**model.n_control
     samples: list[PcaSample] = []
     for j, count in enumerate(component_counts):
         if count == 0:
             continue
         eigvec = StateVector(model.rho.n_qubits, model.eigenvectors[:, j].astype(complex))
-        register_probs = control_distribution(forward, eigvec, model.n_control)
+        # e^(2 pi i a theta_j) = e^(i a lambda_j t) for a = 0 .. N - 1.
+        phases = np.exp(1j * model.eigenvalues[j] * model.t * np.arange(dim)) / math.sqrt(dim)
+        register_probs = np.abs(np.fft.fft(phases, norm="ortho")) ** 2
         draws = rng.gen.choice(dim, size=count, p=register_probs / register_probs.sum())
-        for a, n_hits in zip(*np.unique(draws, return_counts=True)):
-            samples.append(
-                PcaSample(
-                    component_index=j,
-                    lambda_measured=2.0 * math.pi * (int(a) / dim) / model.t,
-                    eigvec=eigvec,
-                    counts=int(n_hits),
-                )
-            )
+        samples.extend(
+            PcaSample(component_index=j, eigvec=eigvec, counts=int(n_hits),
+                      lambda_measured=2.0 * math.pi * (int(a) / dim) / model.t)
+            for a, n_hits in zip(*np.unique(draws, return_counts=True))
+        )
     return samples
 
 

@@ -54,8 +54,9 @@ def inverse_cdf(probs_of, size: int, draw) -> tuple[int, float]:
 
     ``probs_of(lo, hi)`` returns a fresh float array of the probabilities of
     indices ``lo`` to ``hi``.  It is called once per chunk of ``_CHUNK``
-    indices to accumulate the CDF, then once more for the chunk the draw
-    lands in, so no full-length array is held.  The running sum carries
+    indices to accumulate the CDF, so no full-length array is held.  The
+    last chunk's probabilities and CDF are kept; a draw that lands in an
+    earlier chunk calls it once more for that chunk.  The running sum carries
     across chunks, so every CDF value is bitwise that of one ``np.cumsum``
     over the whole vector.  A total off 1 by more than ``np.isclose``'s
     default tolerance is a ``ValueError``, raised before the single
@@ -65,17 +66,19 @@ def inverse_cdf(probs_of, size: int, draw) -> tuple[int, float]:
     ends = np.empty(len(starts))
     total = 0.0
     for k, lo in enumerate(starts):
-        total = ends[k] = _accumulate(probs_of(lo, min(lo + _CHUNK, size)), total)[-1]
+        probs = probs_of(lo, min(lo + _CHUNK, size))
+        cdf = _accumulate(probs.copy() if lo == starts[-1] else probs, total)
+        total = ends[k] = cdf[-1]
     # NaN fails the comparison.
     if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     target = draw() * total
     k = min(int(np.searchsorted(ends, target, side="right")), len(ends) - 1)
-    lo = starts[k]
-    probs = probs_of(lo, min(lo + _CHUNK, size))
-    cdf = _accumulate(probs.copy(), ends[k - 1] if k else 0.0)
+    if k < len(ends) - 1:
+        probs = probs_of(starts[k], starts[k + 1])
+        cdf = _accumulate(probs.copy(), ends[k - 1] if k else 0.0)
     offset = min(int(np.searchsorted(cdf, target, side="right")), len(cdf) - 1)
-    return lo + offset, float(probs[offset])
+    return starts[k] + offset, float(probs[offset])
 
 
 def _accumulate(chunk: np.ndarray, carry: float) -> np.ndarray:

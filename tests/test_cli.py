@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmlkit import cli
+from qmlkit import cli, state
 from qmlkit.errors import DomainError
 from qmlkit.fourier import qft_gate
 from qmlkit.gates import apply, standard_gate
@@ -57,6 +57,38 @@ def validate_report(report):
 def canonical(report):
     stripped = {k: v for k, v in report.items() if k != "timings_ms"}
     return json.dumps(stripped, sort_keys=True)
+
+
+# One subcommand per ingestion schema, reading the file given last.
+SCHEMA_READERS = {
+    "vectors": ["dft", "--signal"],
+    "labeled": ["qsvm", "--data"],
+    "labeled-integers": ["qnn", "--k-bits", "1", "--m-bits", "1", "--data"],
+    "objective": ["minimize", "--objective"],
+}
+
+
+@st.composite
+def csv_like_text(draw) -> bytes:
+    """Rows of numbers, bitstrings, labels and junk cells, or an objective
+    table over every n-bit input with some rows dropped, repeated or
+    spoiled, joined by mixed line endings, as UTF-8 bytes."""
+    cell = st.one_of(
+        st.floats().map(repr),
+        st.integers(-2, 2).map(str),
+        st.text("01", min_size=1, max_size=5),
+        st.sampled_from(["", " ", "nan", "-inf", "1e400", "1_0", "0x1", "\ufeff1", "1,"]),
+        st.text(max_size=4),
+    )
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 3))
+        table = [f"{x:0{width}b},{draw(cell)}" for x in range(2**width)]
+        rows = draw(st.lists(st.sampled_from(table), min_size=1, max_size=9)
+                    | st.permutations(table))
+    else:
+        rows = draw(st.lists(st.lists(cell, min_size=1, max_size=4).map(",".join), max_size=6))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(rows).encode("utf-8")
 
 
 class TestIngestCsv:
@@ -107,6 +139,26 @@ class TestIngestCsv:
     def test_missing_file(self):
         with pytest.raises(DomainError, match="nope.csv"):
             cli.ingest_csv("nope.csv", "vectors")
+
+    @settings(max_examples=200)
+    @given(content=st.one_of(st.binary(max_size=96), csv_like_text()), schema=st.sampled_from(
+        sorted(SCHEMA_READERS)))
+    def test_fuzz_arrays_or_error_naming_file(self, content, schema, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(content)
+        path = str(path)
+        try:
+            parsed = cli.ingest_csv(path, schema)
+        except DomainError as exc:
+            assert str(exc).startswith(path), str(exc)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code, report = cli.run(SCHEMA_READERS[schema] + [path])
+            assert (code, report) == (1, None)
+            assert stderr.getvalue().startswith(f"error: {path}"), stderr.getvalue()
+            return
+        arrays = parsed if isinstance(parsed, tuple) else (parsed,)
+        assert all(isinstance(a, np.ndarray) and np.isfinite(a).all() for a in arrays)
 
 
 class TestExitCodes:
@@ -342,6 +394,31 @@ class TestExitCodes:
         code, report = cli.run(["qpca", "--data", data, "--components", "1"])
         assert code == 1 and report is None
         assert capsys.readouterr().err == f"error: {data}: need at least two rows\n"
+
+    def test_qpca_over_dense_cap_names_the_file(self, tmp_path, capsys, monkeypatch):
+        # Five features pad to 3 qubits, over a cap lowered to 2.
+        monkeypatch.setattr(state, "DENSE_MATRIX_CAP", 2)
+        data = write(tmp_path / "wide.csv", "1,2,3,4,5\n2,1,0,1,3\n0,2,2,5,1\n")
+        code, report = cli.run(["qpca", "--data", data, "--components", "1"])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == (
+            f"error: {data}: density matrix on 3 qubits needs 1,024 bytes; "
+            "the dense-matrix cap is 2 qubits\n"
+        )
+
+    @pytest.mark.parametrize(
+        "controls, message",
+        [
+            ("0", "need at least one control qubit"),
+            ("24", "25 qubits exceeds the cap of 24: the state needs 536,870,912 bytes"),
+        ],
+    )
+    def test_qpca_control_count_refused(self, blob_csv, controls, message, capsys):
+        code, report = cli.run(
+            ["qpca", "--data", blob_csv, "--components", "1", "--controls", controls]
+        )
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "doc",

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_state, random_unitary
 from qmlkit import fourier, gates
-from qmlkit.density import mixed_density
 from qmlkit.errors import ConfigError, DomainError
 from qmlkit.gates import (
     DENSE_MATRIX_CAP,
@@ -21,7 +20,6 @@ from qmlkit.gates import (
     run_circuit,
     standard_gate,
 )
-from qmlkit.qpca import evolution_unitary
 from qmlkit.state import StateVector, _validate_positions, basis_state, from_bits
 
 def expand_to_register(gate: GateMatrix, targets, n_qubits: int) -> np.ndarray:
@@ -390,13 +388,8 @@ class TestDerivedGates:
         st.integers(1, 10),
         st.integers(0, 5),
         random_circuits(),
-        st.integers(0, 2**32 - 1),
     )
-    def test_unitary_to_rounding(self, a, b, phase, n_qft, squarings, circuit, seed):
-        gen = np.random.default_rng(seed)
-        n = int(gen.integers(1, 4))
-        weights = gen.dirichlet(np.ones(3))
-        rho = mixed_density([(float(w), random_state(gen, n)) for w in weights])
+    def test_unitary_to_rounding(self, a, b, phase, n_qft, squarings, circuit):
         power = a.matrix
         for _ in range(squarings):   # phase estimation's U^(2^j)
             power = power @ power
@@ -406,7 +399,6 @@ class TestDerivedGates:
             a.dagger().matrix,
             standard_gate("R", phase=phase).matrix,
             fourier.qft_gate(n_qft).matrix,
-            evolution_unitary(rho, float(gen.uniform(0.1, 10.0))).matrix,
             power,
             circuit.matrix(),   # a fused block of ``run_circuit``
         ]

@@ -5,21 +5,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmlkit import qpca, subroutines
-from qmlkit.density import DensityMatrix
+from qmlkit import fourier, qpca, state, subroutines
+from qmlkit.density import DensityMatrix, mixed_density
 from qmlkit.errors import ConfigError, DomainError
+from qmlkit.fourier import control_distribution
+from qmlkit.gates import GateMatrix
 from qmlkit.qpca import (
     PcaInput,
+    PcaModel,
+    PcaSample,
     build_density,
     build_model,
     eigen_sample,
-    evolution_unitary,
     extract_scores,
     preprocess,
 )
 from qmlkit.rng import RngStream
 from qmlkit.state import StateVector
 from qmlkit.subroutines import overlap_sq, swap_tests
+from conftest import random_state
 
 
 def manual_input(rows) -> PcaInput:
@@ -40,6 +44,53 @@ def reference_swaptest_scores(model, prepared, r, shots, rng) -> np.ndarray:
         _, p0_hat = swap_tests(StateVector(n, row.astype(complex)), eigvecs, shots, rng)
         scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
     return scores
+
+
+def evolution_unitary(rho: DensityMatrix, t: float) -> GateMatrix:
+    """exp(-i rho t) from the eigendecomposition of rho."""
+    if t <= 0:
+        raise DomainError("evolution time must be > 0")
+    values, vectors = rho.eigensystem()
+    phases = np.exp(-1j * values * t)
+    return GateMatrix._trusted(rho.dim, (vectors * phases) @ vectors.conj().T)
+
+
+def reference_eigen_sample(model, m_samples, rng) -> list[PcaSample]:
+    """``eigen_sample`` with the simulated register: phase estimation on
+    exp(i rho t), built from its own eigendecomposition, for every sampled
+    component; the same draws in the same order."""
+    probs = np.clip(model.eigenvalues, 0.0, None)
+    component_counts = rng.gen.multinomial(m_samples, probs / probs.sum())
+    forward = evolution_unitary(model.rho, model.t).dagger()
+    dim = 2**model.n_control
+    samples = []
+    for j, count in enumerate(component_counts):
+        if count == 0:
+            continue
+        eigvec = StateVector(model.rho.n_qubits, model.eigenvectors[:, j].astype(complex))
+        register_probs = control_distribution(forward, eigvec, model.n_control)
+        draws = rng.gen.choice(dim, size=count, p=register_probs / register_probs.sum())
+        for a, n_hits in zip(*np.unique(draws, return_counts=True)):
+            samples.append(PcaSample(j, 2.0 * math.pi * (int(a) / dim) / model.t, eigvec,
+                                     int(n_hits)))
+    return samples
+
+
+class RecordingGenerator:
+    """Passes draws through to a generator and keeps every ``choice`` call's
+    probability vector."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.register_probs = []
+
+    def multinomial(self, n, pvals):
+        self.component_counts = self.gen.multinomial(n, pvals)
+        return self.component_counts
+
+    def choice(self, dim, size, p):
+        self.register_probs.append(p)
+        return self.gen.choice(dim, size=size, p=p)
 
 
 def tilted_pair_input():
@@ -88,6 +139,17 @@ class TestBuildDensity:
         rho = build_density(prepared)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_refused_over_dense_cap(self, np_rng):
+        # Five features pad to 3 qubits: over a cap of 2, the density is
+        # refused with its byte count.
+        prepared = preprocess(np_rng.normal(size=(4, 5)))
+        with mock.patch.object(state, "DENSE_MATRIX_CAP", 2):
+            with pytest.raises(ConfigError, match=(
+                r"^density matrix on 3 qubits needs 1,024 bytes; "
+                r"the dense-matrix cap is 2 qubits$"
+            )):
+                build_density(prepared)
+
     def test_pads_to_power_of_two(self, np_rng):
         prepared = preprocess(np_rng.normal(size=(5, 3)))
         assert build_density(prepared).dim == 4
@@ -131,6 +193,67 @@ class TestEvolutionUnitary:
 
 
 class TestEigenSample:
+    @settings(max_examples=40)
+    @given(
+        n_qubits=st.integers(1, 4),
+        n_control=st.integers(1, 8),
+        t=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_register_matches_simulated(self, n_qubits, n_control, t, seed):
+        gen = np.random.default_rng(seed)
+        weights = gen.dirichlet(np.ones(3))
+        rho = mixed_density([(float(w), random_state(gen, n_qubits)) for w in weights])
+        values, vectors = qpca._oriented_eigensystem(rho)
+        model = PcaModel(rho, t, values, vectors, n_control)
+        rng = RngStream(seed)
+        rng.gen = recording = RecordingGenerator(rng.gen)
+        eigen_sample(model, 64, rng)
+        forward = evolution_unitary(rho, t).dagger()
+        sampled = np.flatnonzero(recording.component_counts)
+        assert len(recording.register_probs) == len(sampled)
+        for j, got in zip(sampled, recording.register_probs):
+            eigvec = StateVector(n_qubits, vectors[:, j].astype(complex))
+            want = control_distribution(forward, eigvec, n_control)
+            assert np.max(np.abs(got - want / want.sum())) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_sampler(self, seed):
+        gen = np.random.default_rng(seed)
+        prepared = preprocess(gen.normal(size=(12, 3 + seed)) * np.arange(1, 4 + seed))
+        model = build_model(prepared, n_control=4 + seed)
+        got = eigen_sample(model, 2_000, RngStream(seed))
+        want = reference_eigen_sample(model, 2_000, RngStream(seed))
+        assert [(s.component_index, s.lambda_measured, s.counts) for s in got] == [
+            (s.component_index, s.lambda_measured, s.counts) for s in want
+        ]
+        for mine, theirs in zip(got, want):
+            assert mine.eigvec.amps.tobytes() == theirs.eigvec.amps.tobytes()
+
+    def test_builds_no_unitary_and_simulates_no_register(self):
+        model = build_model(tilted_pair_input())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigen_sample must not build or simulate the register")
+
+        with mock.patch.object(fourier, "control_distribution", refuse), \
+                mock.patch.object(DensityMatrix, "eigensystem", refuse):
+            samples = eigen_sample(model, 500, RngStream(2))
+        assert sum(s.counts for s in samples) == 500
+
+    def test_control_count_refusals(self):
+        model = build_model(tilted_pair_input(), n_control=0)
+        with pytest.raises(DomainError, match="^need at least one control qubit$"):
+            eigen_sample(model, 10, RngStream(0))
+        model = build_model(tilted_pair_input(), n_control=24)
+        with pytest.raises(ConfigError, match="^25 qubits exceeds the cap of 24: the state"):
+            eigen_sample(model, 10, RngStream(0))
+
+    def test_nonpositive_time_rejected(self):
+        model = build_model(tilted_pair_input(), t=0.0)
+        with pytest.raises(DomainError, match="evolution time must be > 0"):
+            eigen_sample(model, 10, RngStream(0))
+
     def test_rank_one_always_first_component(self):
         model = build_model(manual_input([[1.0, 0.0], [-1.0, 0.0]]))
         samples = eigen_sample(model, 50, RngStream(1))

@@ -317,6 +317,28 @@ class TestChunkedSampler:
         top_index, top_probability = measure_all_reference(psi, _top_stream())
         assert (clamped.basis_index, clamped.probability) == (top_index, top_probability)
 
+    def test_landing_in_last_chunk_reads_it_once(self):
+        # The first pass keeps the last chunk; only a draw landing earlier
+        # reads its chunk a second time.
+        calls = []
+
+        def counting(lo, hi):
+            calls.append((lo, hi))
+            return np.full(hi - lo, 1 / size)
+
+        size = 8
+        assert rng_module.inverse_cdf(counting, size, lambda: 0.3) == (2, 1 / 8)
+        assert calls == [(0, 8)]
+        size = 12
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "_CHUNK", 4)
+            calls.clear()
+            assert rng_module.inverse_cdf(counting, 12, lambda: 0.9)[0] == 10
+            assert calls == [(0, 4), (4, 8), (8, 12)]
+            calls.clear()
+            assert rng_module.inverse_cdf(counting, 12, lambda: 0.1)[0] == 1
+            assert calls == [(0, 4), (4, 8), (8, 12), (0, 4)]
+
     def test_zero_tail_clamps_to_last_index(self):
         amps = np.zeros(2**5, dtype=complex)
         amps[:3] = 1 / math.sqrt(3)
