@@ -68,13 +68,17 @@ def ingest_csv(path: str, schema: str):
     Schemas: ``vectors`` (rows of floats), ``labeled`` (floats with a +-1
     label in the last column), ``labeled-integers`` (``labeled`` whose
     features are integers), ``objective`` (rows of ``bitstring,value``
-    covering every n-bit input exactly once).  Malformed rows are rejected
-    with their 1-based line number.
+    covering every n-bit input exactly once).  Cells are ASCII, with no
+    underscore.  Malformed rows are rejected with their 1-based line number.
     """
     lines = [line.strip() for line in _read_lines(path)]
     rows = [(i + 1, line) for i, line in enumerate(lines) if line]
     if not rows:
         raise DomainError(f"{path}: no data rows")
+    # float() reads "1_0" as 10 and non-ASCII digits, which no cell may hold.
+    for lineno, line in rows:
+        if "_" in line or not line.isascii():
+            raise DomainError(f"{path}:{lineno}: non-numeric cell")
 
     if schema == "objective":
         return _ingest_objective(path, rows)
@@ -174,10 +178,10 @@ def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False)
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _read_unitary(path: str) -> gates.GateMatrix:
+def _read_unitary(path: str) -> gates.GateMatrix | gates.Circuit:
     """Unitary from JSON: either {"matrix": [[[re,im],...]]} (or the bare
-    nested rows) or a serialized circuit document with "steps".  A
-    malformed document is an error that names the file and the bad field."""
+    nested rows) as a gate or a circuit document with "steps" as a circuit.
+    A malformed document is an error that names the file and the bad field."""
     text = "".join(_read_lines(path))
     try:
         doc = json.loads(text)
@@ -185,8 +189,7 @@ def _read_unitary(path: str) -> gates.GateMatrix:
         raise DomainError(f"{path}: not valid JSON ({exc})") from None
     try:
         if isinstance(doc, dict) and "steps" in doc:
-            matrix = gates.Circuit._from_doc(doc).matrix()
-            return gates.GateMatrix._trusted(matrix.shape[0], matrix)
+            return gates.Circuit._from_doc(doc)
         if isinstance(doc, dict) and "matrix" not in doc:
             raise DomainError("missing key 'matrix' (or 'steps' for a circuit document)")
         matrix = gates.matrix_from_json(doc["matrix"] if isinstance(doc, dict) else doc)
@@ -299,8 +302,13 @@ def _cmd_dft(args, rng, warnings):
 
 def _cmd_phase_est(args, rng, warnings):
     unitary = _read_unitary(args.unitary)
+    # The register cap comes before reading the 2^n-row eigenvector file.
+    state._check_n_qubits(unitary.n_qubits + max(args.controls, 0))
     eigvec = _read_state(args.eigvec, unitary.n_qubits, args.normalize)
-    estimate = fourier.phase_estimate(unitary, eigvec, args.controls, rng)
+    try:
+        estimate = fourier.phase_estimate(unitary, eigvec, args.controls, rng)
+    except DomainError as exc:
+        raise type(exc)(f"{args.unitary}, {args.eigvec}: {exc}") from None
     return {
         "n_control": estimate.n_control,
         "measured_register": estimate.measured_register,

@@ -8,7 +8,6 @@ as the reference.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .errors import DomainError
 from .state import Observable, StateVector, _check_dense_cap, _validate_positions
 
 DENSITY_TOL = 1e-9
-_PSD_CHECK_MAX_DIM = 2**12   # eigenvalue check is cubic; skip above this
 
 
 @dataclass(frozen=True)
@@ -28,25 +26,21 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DomainError(f"matrix has shape {m.shape}, expected ({self.dim}, {self.dim})")
         n = int(np.log2(self.dim))
         if 2**n != self.dim:
             raise DomainError(f"density dimension {self.dim} is not a power of two")
+        _check_dense_cap(n, "density matrix")
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (self.dim, self.dim):
+            raise DomainError(f"matrix has shape {m.shape}, expected ({self.dim}, {self.dim})")
         if np.max(np.abs(m - m.conj().T)) >= DENSITY_TOL:
             raise DomainError("density matrix is not Hermitian")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) >= DENSITY_TOL:
             raise DomainError(f"density matrix has trace {trace}, expected 1")
-        if self.dim <= _PSD_CHECK_MAX_DIM:
-            smallest = float(np.linalg.eigvalsh(m)[0])
-            if smallest < -DENSITY_TOL:
-                raise DomainError(f"density matrix has negative eigenvalue {smallest}")
-        else:
-            warnings.warn(
-                f"skipping PSD eigenvalue check for dim {self.dim} > {_PSD_CHECK_MAX_DIM}"
-            )
+        smallest = float(np.linalg.eigvalsh(m)[0])
+        if smallest < -DENSITY_TOL:
+            raise DomainError(f"density matrix has negative eigenvalue {smallest}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -4,13 +4,14 @@ estimation.
 Conventions: the transform uses the +i exponent and symmetric 1/sqrt(N)
 normalization, ``y_k = (1/sqrt(N)) sum_j x_j exp(2 pi i k j / N)``, which is
 ``np.fft.ifft(x, norm="ortho")``; its inverse is ``np.fft.fft`` with the same
-norm.  Sample vectors, whole registers (up to ``MAX_QUBITS``) and the phase
-estimation control register are transformed by ``np.fft`` in O(N log N) with
-no matrix.  The dense gate (``dagger()`` is its inverse; at most
-``DENSE_MATRIX_CAP`` qubits) and the circuit decomposition remain for
-circuits and known-value checks; the circuit (qubit-reversal SWAPs, then the
-Hadamard / controlled-phase ladder from the least significant qubit up)
-equals the gate matrix exactly.
+norm.  Sample vectors and whole registers (up to ``MAX_QUBITS``) are
+transformed by ``np.fft`` in O(N log N) with no matrix.  Phase estimation
+runs U (a gate or a circuit) once on its eigenvector; the control register
+is then one FFT in closed form, shared with QPCA.  The dense gate
+(``dagger()`` is its inverse; at most ``DENSE_MATRIX_CAP`` qubits) and the
+circuit decomposition remain for circuits and known-value checks; the
+circuit (qubit-reversal SWAPs, then the Hadamard / controlled-phase ladder
+from the least significant qubit up) equals the gate matrix exactly.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .gates import Circuit, GateMatrix, controlled, standard_gate
+from .gates import Circuit, GateMatrix, controlled, run_circuit, standard_gate
 from .rng import RngStream
 from .state import StateVector, _check_dense_cap, _check_n_qubits
 
@@ -86,64 +87,64 @@ class PhaseEstimate:
     delta: float
 
 
-def _eigenphase(u: GateMatrix, eigenvector: StateVector) -> float:
-    """Phase theta in [0, 1) of the eigenvalue <v|U|v>; rejects non-eigenvectors."""
+def register_distribution(phase: float, n_control: int) -> np.ndarray:
+    """Measurement distribution of an ``n_control``-qubit phase-estimation
+    register run on an eigenvector whose eigenvalue is e^(i phase).
+
+    The controlled powers leave the register in sum_a e^(i a phase) |a> /
+    sqrt(N), N = 2^n_control, so the inverse transform is one length-N FFT
+    (Cleve, Ekert, Macchiavello & Mosca, arXiv:quant-ph/9708016).
+    """
+    dim = 2**n_control
+    amps = np.exp(1j * phase * np.arange(dim)) / math.sqrt(dim)
+    return np.abs(np.fft.fft(amps, norm="ortho")) ** 2
+
+
+def _eigenangle(u: GateMatrix | Circuit, eigenvector: StateVector) -> float:
+    """arg <v|U|v> from one run of ``u`` on ``eigenvector``; rejects non-eigenvectors."""
+    if isinstance(u, GateMatrix):
+        if u.dim != eigenvector.dim:
+            raise DomainError(
+                f"gate of dim {u.dim} cannot act on a {eigenvector.n_qubits}-qubit eigenvector"
+            )
+        u = Circuit(u.n_qubits, [(u, tuple(range(u.n_qubits)))])
     v = eigenvector.amps
-    image = u.matrix @ v
+    image = run_circuit(u, eigenvector).amps
     lam = complex(np.vdot(v, image))
     residual = float(np.linalg.norm(image - lam * v))
     if residual > 1e-6:
         raise DomainError(
             f"state is not an eigenvector of the unitary (residual {residual:.2e})"
         )
-    return (cmath.phase(lam) / (2 * math.pi)) % 1.0
+    return cmath.phase(lam)
 
 
 def control_distribution(
-    u: GateMatrix, eigenvector: StateVector, n_control: int
+    u: GateMatrix | Circuit, eigenvector: StateVector, n_control: int
 ) -> np.ndarray:
-    """Analytic measurement distribution of the control register.
-
-    Holds the register as a (2^n_control, d) array, row a being the target
-    amplitudes paired with control value a.  It starts as H^(x)n|0>|v>; for
-    each control bit j the rows whose bit j is set take U^(2^j), built by
-    repeated squaring (the controlled gate [[I, 0], [0, U]] is applied
-    without building it); the inverse transform then runs down the rows by
-    FFT.  The tests keep the full controlled-gate circuit as the reference.
-    """
+    """Phase estimation's control register distribution for ``u`` (a gate
+    or a circuit) on ``eigenvector``: ``register_distribution`` at arg <v|U|v>,
+    with the joint register held to ``MAX_QUBITS``.  The tests keep the
+    controlled-gate circuit as the reference."""
     if n_control < 1:
         raise DomainError("need at least one control qubit")
-    if u.dim != eigenvector.dim:
-        raise DomainError(
-            f"gate of dim {u.dim} cannot act on a {eigenvector.n_qubits}-qubit eigenvector"
-        )
-    n_qubits = _check_n_qubits(n_control + eigenvector.n_qubits)
-    register = np.tile(eigenvector.amps / math.sqrt(2**n_control), (2**n_control, 1))
-    power = u.matrix
-    for j in range(n_control):
-        # Rows split as (high bits, bit j, low bits): bit j set is index 1.
-        rows = register.reshape(-1, 2, 2**j, u.dim)[:, 1]
-        rows[...] = rows @ power.T
-        if j < n_control - 1:
-            power = power @ power
-    register = np.fft.fft(register, axis=0, norm="ortho")
-    state = StateVector(n_qubits, register.reshape(-1))
-    return state.probabilities().reshape(register.shape).sum(axis=1)
+    _check_n_qubits(n_control + eigenvector.n_qubits)
+    return register_distribution(_eigenangle(u, eigenvector), n_control)
 
 
 def phase_estimate(
-    u: GateMatrix, eigenvector: StateVector, n_control: int, rng: RngStream
+    u: GateMatrix | Circuit, eigenvector: StateVector, n_control: int, rng: RngStream
 ) -> PhaseEstimate:
     """Estimate the eigenphase of ``u`` on ``eigenvector`` with ``n_control``
     bits of precision.
 
     The measured register ``a`` gives the estimate a/2^n.  The reported
     success probability is the analytic weight of the register value nearest
-    to the true phase, read from the pre-measurement state; ``delta`` is the
-    rounding error theta - a*/2^n of that nearest value.
+    to the true phase; ``delta`` is the rounding error theta - a*/2^n of
+    that nearest value.
     """
     probs = control_distribution(u, eigenvector, n_control)
-    theta = _eigenphase(u, eigenvector)
+    theta = (_eigenangle(u, eigenvector) / (2 * math.pi)) % 1.0
     dim = 2**n_control
     measured = rng.choice(probs / probs.sum())
     nearest = int(round(theta * dim)) % dim

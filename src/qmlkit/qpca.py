@@ -5,9 +5,10 @@ mix into the density matrix rho = (1/M) sum |x_i><x_i|, the covariance up to
 that normalization.  Components are drawn with probability equal to their
 eigenvalue; each draw reads the eigenvalue back out of a phase-estimation
 register run on the matrix exponential of rho.  On an eigenvector that
-register's distribution has a closed form in the eigenvalue, so no unitary
-is built and no register simulated; the tests keep the simulated register as
-the reference.  Scores are overlaps of rows with sampled eigenvectors.
+register's distribution is phase estimation's closed form in the
+eigenvalue, so no unitary is built and no register simulated; the tests keep
+the simulated register as the reference.  rho's one eigendecomposition
+serves sampling and scores, which are overlaps of rows with eigenvectors.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .density import DensityMatrix
 from .errors import DomainError
+from .fourier import register_distribution
 from .rng import RngStream
 from .state import NORM_TOL, StateVector, _check_dense_cap, _check_n_qubits
 from .subroutines import (
@@ -95,15 +97,13 @@ def _padded_rows(input: PcaInput) -> np.ndarray:
 
 
 def build_density(input: PcaInput) -> DensityMatrix:
-    """rho = (1/M) sum of outer products of the encoded rows, refused over
-    ``DENSE_MATRIX_CAP`` qubits before it is built."""
+    """rho = R^T R / M over the encoded rows R, in real arithmetic, refused
+    over ``DENSE_MATRIX_CAP`` qubits before it is built; a mean of unit-row
+    projectors is a valid density by construction, so it is not rechecked."""
     rows = _padded_rows(input)
     dim = rows.shape[1]
     _check_dense_cap(dim.bit_length() - 1, "density matrix")
-    rho = np.zeros((dim, dim), dtype=complex)
-    for row in rows:
-        rho += np.outer(row, row)
-    return DensityMatrix(dim, rho / rows.shape[0])
+    return DensityMatrix._trusted(dim, rows.T @ rows / rows.shape[0])
 
 
 def _oriented_eigensystem(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +135,9 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
 
     The register runs on exp(i rho t), whose eigenphase on component j is
     theta_j = lambda_j t / 2 pi.  On that eigenvector its distribution is
-    |FFT(e^(2 pi i a theta_j) / sqrt(N))|^2 over register values a < N =
-    2^n_control, one FFT that the component's draws share.  Returns one
-    record per observed (component, register value) pair.
+    ``fourier.register_distribution`` at the angle lambda_j t, one FFT that
+    the component's draws share.  Returns one record per observed
+    (component, register value) pair.
     """
     if m_samples < 1:
         raise DomainError("need at least one sample")
@@ -157,9 +157,7 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
         if count == 0:
             continue
         eigvec = StateVector(model.rho.n_qubits, model.eigenvectors[:, j].astype(complex))
-        # e^(2 pi i a theta_j) = e^(i a lambda_j t) for a = 0 .. N - 1.
-        phases = np.exp(1j * model.eigenvalues[j] * model.t * np.arange(dim)) / math.sqrt(dim)
-        register_probs = np.abs(np.fft.fft(phases, norm="ortho")) ** 2
+        register_probs = register_distribution(model.eigenvalues[j] * model.t, model.n_control)
         draws = rng.gen.choice(dim, size=count, p=register_probs / register_probs.sum())
         samples.extend(
             PcaSample(component_index=j, eigvec=eigvec, counts=int(n_hits),

@@ -242,11 +242,7 @@ def distance_p0(left, right, pairs) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"{rows.size} left rows cannot pair with {cols.size} right rows")
     left_norms, left_amps = _unit_rows(left)
     right_norms, right_amps = _unit_rows(right)
-    # Python's float power squares each left norm, as the one-vector batch
-    # always did: numpy's square differs from it in the last bit on about
-    # one value in a thousand, and seeded results keep their bits.
-    left_sq = np.array([float(norm) ** 2 for norm in left_norms])
-    z = left_sq[rows] + right_norms[cols] ** 2
+    z = np.square(left_norms)[rows] + np.square(right_norms)[cols]
     p0 = np.empty(z.size)
     chunk = max(1, _SLICE_AMPS // (2 * left_amps.shape[1]))
     for start in range(0, z.size, chunk):

@@ -140,6 +140,21 @@ class TestIngestCsv:
         with pytest.raises(DomainError, match="nope.csv"):
             cli.ingest_csv("nope.csv", "vectors")
 
+    @pytest.mark.parametrize("cell", ["1_0", "1.5e1_0", "\u0663", "\uff11", "\u0967.5"])
+    @pytest.mark.parametrize("schema", sorted(SCHEMA_READERS))
+    def test_cell_is_ascii_without_underscores(self, schema, cell, tmp_path, capsys):
+        # Python's float reads each of these cells as a number.
+        text = {
+            "vectors": "1.0\n{}\n",
+            "labeled": "1.0,1\n{},-1\n",
+            "labeled-integers": "0,0,1\n{},1,-1\n",
+            "objective": "0,1.0\n1,{}\n",
+        }[schema]
+        path = write(tmp_path / "bad.csv", text.format(cell))
+        code, report = cli.run(SCHEMA_READERS[schema] + [path])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {path}:2: non-numeric cell\n"
+
     @settings(max_examples=200)
     @given(content=st.one_of(st.binary(max_size=96), csv_like_text()), schema=st.sampled_from(
         sorted(SCHEMA_READERS)))
@@ -439,21 +454,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {unitary}: " in err and "matrix is not unitary" in err
 
-    def test_phase_est_circuit_over_matrix_cap(self, tmp_path, capsys):
-        # A one-step 13-qubit circuit document would need a 1 GiB matrix.
-        unitary = write(
-            tmp_path / "u.json", '{"n_qubits": 13, "steps": [{"gate": "H", "targets": [0]}]}'
+    def test_phase_est_circuit_register_cap(self, tmp_path, capsys):
+        # A 13-qubit circuit document runs, though its matrix would be 1 GiB:
+        # Z on qubit 0 and R(0.5) on qubit 12 of |1 0...0 1> give e^(i(pi + 0.5)).
+        unitary = write(tmp_path / "u.json", json.dumps({"n_qubits": 13, "steps": [
+            {"gate": "Z", "targets": [0]}, {"gate": "R", "phase": 0.5, "targets": [12]},
+        ]}))
+        amps = np.zeros(2**13)
+        amps[2**12 + 1] = 1.0
+        eigvec = write(tmp_path / "v.csv", "\n".join(repr(float(a)) for a in amps))
+        report = run_ok(
+            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "11"]
         )
-        eigvec = write(tmp_path / "v.csv", "1.0\n0.0\n")
-        started = time.perf_counter()
+        theta = (math.pi + 0.5) / (2 * math.pi)
+        assert report["results"]["delta"] == pytest.approx(
+            theta - round(theta * 2**11) / 2**11, abs=1e-12
+        )
+        # A 13 + 12 = 25-qubit register is refused before the eigenvector
+        # file is read: here it does not exist.
         code, report = cli.run(
-            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", "2"]
+            ["phase-est", "--unitary", unitary, "--eigvec", str(tmp_path / "missing.csv"),
+             "--controls", "12"]
         )
-        assert time.perf_counter() - started < 5.0
         assert code == 1 and report is None
-        err = capsys.readouterr().err
-        assert f"error: {unitary}: circuit matrix on 13 qubits needs 1,073,741,824 bytes" in err
-        assert "the dense-matrix cap is 12 qubits" in err
+        assert capsys.readouterr().err == (
+            "error: 25 qubits exceeds the cap of 24: the state needs 536,870,912 bytes\n"
+        )
+
+    @pytest.mark.parametrize(
+        "eigvec, controls, message",
+        [
+            ("1.0\n0.0\n", "2", "state is not an eigenvector of the unitary (residual 7.07e-01)"),
+            ("0.6\n-0.8\n", "0", "need at least one control qubit"),
+        ],
+        ids=["not-eigenvector", "no-controls"],
+    )
+    def test_phase_est_error_names_both_files(self, eigvec, controls, message, tmp_path,
+                                              capsys):
+        unitary = write(tmp_path / "u.json", json.dumps({"n_qubits": 1, "steps": [
+            {"gate": "H", "targets": [0]}]}))
+        eigvec = write(tmp_path / "v.csv", eigvec)
+        code, report = cli.run(
+            ["phase-est", "--unitary", unitary, "--eigvec", eigvec, "--controls", controls]
+        )
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {unitary}, {eigvec}: {message}\n"
 
     def test_qft_at_matrix_cap(self, tmp_path, capsys):
         # The transform builds no matrix, so the dense-matrix cap of 12

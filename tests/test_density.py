@@ -108,6 +108,10 @@ class TestDensityCap:
         parts = [(0.5, basis_state(13, 0)), (0.5, basis_state(13, 1))]
         self._refused(lambda: mixed_density(parts), monkeypatch)
 
+    def test_validating_constructor(self, monkeypatch):
+        # Refused on its dimension alone, before the matrix is looked at.
+        self._refused(lambda: DensityMatrix(2**13, np.eye(2)), monkeypatch)
+
 
 class TestMixedDensity:
     def test_worked_mixture_literal(self):

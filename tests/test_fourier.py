@@ -1,11 +1,12 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_state, random_unitary
+from conftest import random_state, random_unitary, reference_control_distribution
 from qmlkit.errors import DomainError
 from qmlkit.fourier import (
     classical_dft,
@@ -15,9 +16,9 @@ from qmlkit.fourier import (
     qft_gate,
     rounding_success_probability,
 )
-from qmlkit.gates import GateMatrix, apply, controlled, run_circuit, standard_gate
+from qmlkit.gates import Circuit, GateMatrix, apply, controlled, kron, run_circuit, standard_gate
 from qmlkit.rng import RngStream
-from qmlkit.state import StateVector, basis_state, tensor
+from qmlkit.state import StateVector, basis_state
 
 QFT2_LITERAL = 0.5 * np.array(
     [[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]
@@ -31,38 +32,45 @@ def reference_dft(x) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) @ x / np.sqrt(n)
 
 
-def reference_control_distribution(
-    u: GateMatrix, eigenvector: StateVector, n_control: int
-) -> np.ndarray:
-    """The full circuit: Hadamards on the controls, controlled U^(2^j) built
-    by repeated squaring, then the inverse transform gate on the controls."""
-    m = eigenvector.n_qubits
-    state = tensor(basis_state(n_control, 0), eigenvector)
-    for q in range(n_control):
-        state = apply(standard_gate("H"), [q], state)
-    power = u
-    for j in range(n_control):
-        ctrl = n_control - 1 - j
-        state = apply(controlled(power), [ctrl] + list(range(n_control, n_control + m)), state)
-        if j < n_control - 1:
-            power = GateMatrix(power.dim, power.matrix @ power.matrix)
-    state = apply(qft_gate(n_control).dagger(), list(range(n_control)), state)
-    return state.probabilities().reshape(2**n_control, 2**m).sum(axis=1)
-
-
 @st.composite
-def phase_estimation_cases(draw):
-    """A random unitary on 1-3 qubits, one of its eigenvectors or a random
-    state, and 1-5 control qubits."""
+def phase_estimation_cases(draw, eigenvector: bool = True):
+    """A random unitary on 1-3 qubits, one of its eigenvectors (or, with
+    ``eigenvector=False``, a random state), and 1-5 control qubits."""
     m = draw(st.integers(1, 3))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrix = random_unitary(gen, 2**m)
-    if draw(st.booleans()):
+    if eigenvector:
         vector = np.linalg.eig(matrix)[1][:, draw(st.integers(0, 2**m - 1))]
         target = StateVector(m, vector / np.linalg.norm(vector))
     else:
         target = random_state(gen, m)
     return GateMatrix(2**m, matrix), target, draw(st.integers(1, 5))
+
+
+@st.composite
+def random_circuits(draw):
+    """A random circuit on 1-8 qubits of 1-12 named, controlled and random
+    1-2-qubit gates, and an eigenvector of its matrix."""
+    n = draw(st.integers(1, 8))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        width = 1 if n == 1 else int(gen.integers(1, 3))
+        targets = tuple(int(q) for q in gen.choice(n, size=width, replace=False))
+        kind = int(gen.integers(3))
+        if kind == 0:
+            gate = standard_gate(["H", "X", "Z"][int(gen.integers(3))]) if width == 1 else (
+                controlled(standard_gate("X")))
+        elif kind == 1:
+            gate = standard_gate("R", phase=float(gen.uniform(0, 2 * math.pi)))
+            gate = gate if width == 1 else controlled(gate)
+        else:
+            gate = GateMatrix(2**width, random_unitary(gen, 2**width))
+        steps.append((gate, targets))
+    circuit = Circuit(n, steps)
+    vectors = np.linalg.eig(circuit.matrix())[1]
+    vector = vectors[:, draw(st.integers(0, 2**n - 1))]
+    return circuit, StateVector(n, vector / np.linalg.norm(vector))
 
 
 def two_sine_signal(n_samples: int = 1000) -> np.ndarray:
@@ -233,11 +241,60 @@ class TestControlDistribution:
         reference = reference_control_distribution(u, target, n_control)
         assert np.max(np.abs(probs - reference)) <= 1e-12
 
+    @settings(max_examples=30)
+    @given(phase_estimation_cases(eigenvector=False))
+    def test_refuses_non_eigenvectors(self, case):
+        u, target, n_control = case
+        with pytest.raises(DomainError, match="^state is not an eigenvector of the unitary"):
+            control_distribution(u, target, n_control)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError, match="gate of dim 2"):
             control_distribution(standard_gate("H"), basis_state(2, 0), 2)
         with pytest.raises(DomainError, match="gate of dim 2"):
             phase_estimate(standard_gate("H"), basis_state(2, 0), 2, RngStream(0))
+
+
+class TestCircuitPhaseEstimation:
+    @settings(max_examples=30)
+    @given(random_circuits(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_circuit_matches_its_matrix(self, case, n_control, seed):
+        circuit, target = case
+        dense = GateMatrix(2**circuit.n_qubits, circuit.matrix())
+        got = phase_estimate(circuit, target, n_control, RngStream(seed))
+        want = phase_estimate(dense, target, n_control, RngStream(seed))
+        assert got.measured_register == want.measured_register
+        assert got.theta_estimate == want.theta_estimate
+        assert abs(got.success_probability - want.success_probability) <= 1e-12
+        assert abs(got.delta - want.delta) <= 1e-12
+
+    def test_circuit_dimension_mismatch(self):
+        circuit = Circuit(1, [(standard_gate("Z"), (0,))])
+        with pytest.raises(DomainError, match="circuit on 1 qubits cannot run on 2-qubit"):
+            control_distribution(circuit, basis_state(2, 0), 2)
+
+    def test_twelve_qubit_dense_unitary_at_eight_controls(self):
+        # Six random 2-qubit unitaries and one eigenvector of each: their
+        # Kronecker products are a 4096 x 4096 U and an eigenvector of it
+        # whose phase is the sum of the six.
+        gen = np.random.default_rng(12)
+        blocks = [random_unitary(gen, 4) for _ in range(6)]
+        u = kron([GateMatrix(4, block) for block in blocks])
+        vector, phase = np.ones(1), 0.0
+        for block in blocks:
+            values, vectors = np.linalg.eig(block)
+            vector = np.kron(vector, vectors[:, 0] / np.linalg.norm(vectors[:, 0]))
+            phase += cmath.phase(values[0])
+        started = time.perf_counter()
+        estimate = phase_estimate(u, StateVector(12, vector), 8, RngStream(3))
+        assert time.perf_counter() - started < 1.0
+        theta = (phase / (2 * math.pi)) % 1.0
+        nearest = (theta - estimate.delta) * 2**8
+        assert abs(nearest - round(nearest)) <= 1e-9
+        assert abs(estimate.delta) <= 0.5 / 2**8
+        assert estimate.success_probability == pytest.approx(
+            rounding_success_probability(estimate.delta, 8), abs=1e-9
+        )
 
 
 class TestRoundingSuccessProbability:
@@ -259,7 +316,7 @@ class TestRoundingSuccessProbability:
             n = 3
             nearest = round(theta * 2**n) % 2**n
             delta = theta - nearest / 2**n
-            probs = control_distribution(
+            probs = reference_control_distribution(
                 diagonal_phase_unitary(theta), basis_state(1, 1), n
             )
             assert probs[nearest] == pytest.approx(

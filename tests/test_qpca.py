@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from qmlkit import fourier, qpca, state, subroutines
 from qmlkit.density import DensityMatrix, mixed_density
 from qmlkit.errors import ConfigError, DomainError
-from qmlkit.fourier import control_distribution
 from qmlkit.gates import GateMatrix
 from qmlkit.qpca import (
     PcaInput,
@@ -23,7 +22,7 @@ from qmlkit.qpca import (
 from qmlkit.rng import RngStream
 from qmlkit.state import StateVector
 from qmlkit.subroutines import overlap_sq, swap_tests
-from conftest import random_state
+from conftest import random_state, reference_control_distribution
 
 
 def manual_input(rows) -> PcaInput:
@@ -55,10 +54,20 @@ def evolution_unitary(rho: DensityMatrix, t: float) -> GateMatrix:
     return GateMatrix._trusted(rho.dim, (vectors * phases) @ vectors.conj().T)
 
 
+def reference_density(input: PcaInput) -> np.ndarray:
+    """rho as the sum of one outer product per encoded row."""
+    rows = qpca._padded_rows(input)
+    rho = np.zeros((rows.shape[1], rows.shape[1]), dtype=complex)
+    for row in rows:
+        rho += np.outer(row, row)
+    return rho / rows.shape[0]
+
+
 def reference_eigen_sample(model, m_samples, rng) -> list[PcaSample]:
-    """``eigen_sample`` with the simulated register: phase estimation on
-    exp(i rho t), built from its own eigendecomposition, for every sampled
-    component; the same draws in the same order."""
+    """``eigen_sample`` with the simulated register: the controlled-gate
+    phase-estimation circuit on exp(i rho t), built from its own
+    eigendecomposition, for every sampled component; the same draws in the
+    same order."""
     probs = np.clip(model.eigenvalues, 0.0, None)
     component_counts = rng.gen.multinomial(m_samples, probs / probs.sum())
     forward = evolution_unitary(model.rho, model.t).dagger()
@@ -68,7 +77,7 @@ def reference_eigen_sample(model, m_samples, rng) -> list[PcaSample]:
         if count == 0:
             continue
         eigvec = StateVector(model.rho.n_qubits, model.eigenvectors[:, j].astype(complex))
-        register_probs = control_distribution(forward, eigvec, model.n_control)
+        register_probs = reference_control_distribution(forward, eigvec, model.n_control)
         draws = rng.gen.choice(dim, size=count, p=register_probs / register_probs.sum())
         for a, n_hits in zip(*np.unique(draws, return_counts=True)):
             samples.append(PcaSample(j, 2.0 * math.pi * (int(a) / dim) / model.t, eigvec,
@@ -150,6 +159,25 @@ class TestBuildDensity:
             )):
                 build_density(prepared)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (40, 17), (300, 64)])
+    def test_matches_sum_of_outer_products(self, shape):
+        gen = np.random.default_rng(shape[1])
+        prepared = preprocess(gen.normal(size=(shape[0] + 1, shape[1])))
+        rho = build_density(prepared)
+        assert np.max(np.abs(rho.matrix - reference_density(prepared))) <= 1e-14
+
+    def test_model_runs_one_decomposition(self, np_rng):
+        # rho is trusted by construction, so the validating constructor's
+        # eigvalsh does not run; build_model's one eigh is the only one.
+        prepared = preprocess(np_rng.normal(size=(30, 12)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_model must not run eigvalsh")
+
+        with mock.patch.object(np.linalg, "eigvalsh", refuse):
+            model = build_model(prepared)
+        assert model.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_pads_to_power_of_two(self, np_rng):
         prepared = preprocess(np_rng.normal(size=(5, 3)))
         assert build_density(prepared).dim == 4
@@ -214,7 +242,7 @@ class TestEigenSample:
         assert len(recording.register_probs) == len(sampled)
         for j, got in zip(sampled, recording.register_probs):
             eigvec = StateVector(n_qubits, vectors[:, j].astype(complex))
-            want = control_distribution(forward, eigvec, n_control)
+            want = reference_control_distribution(forward, eigvec, n_control)
             assert np.max(np.abs(got - want / want.sum())) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(6))

@@ -310,13 +310,13 @@ class TestDistanceBatch:
 
     def test_left_norm_squared_as_one_vector(self):
         # |a| squares to 0.05982499999999999 by Python's float power and to
-        # 0.059824999999999996 by numpy's square; every batch form keeps the
-        # value a one-vector batch gives (|b|^2 is below the last bit of Z).
+        # 0.059824999999999996 by numpy's square; every batch form squares
+        # it as numpy does (|b|^2 is below the last bit of Z).
         a, b = np.array([-0.052, 0.239]), np.array([[1e-9, 0.0]])
         norm = encode(a).norm
         assert norm**2 != float(np.square(norm))
         for left in (a, a[None]):
-            assert distances(left, b)[0][0] == norm**2
+            assert distances(left, b)[0][0] == np.square(norm)
 
     def test_dist_calc_is_a_batch_of_one(self, np_rng):
         a, b = np_rng.normal(size=5), np_rng.normal(size=5)
@@ -391,6 +391,19 @@ class TestDistCalc:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             dist_calc([1.0, 0.0], [1.0, 0.0, 0.0])
+
+    def test_z_symmetric_bit_for_bit(self):
+        # The pair whose left and right squarings once differed in the last bit.
+        a, b = [-0.052, 0.239], [1e-9, 0.0]
+        assert dist_calc(a, b).z == dist_calc(b, a).z == 0.059824999999999996
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_symmetric_bit_for_bit(self, dim, seed):
+        gen = np.random.default_rng(seed)
+        a, b = gen.normal(size=(2, dim)) * 10.0 ** gen.uniform(-3, 3, size=(2, 1))
+        there, back = dist_calc(a, b), dist_calc(b, a)
+        assert there.z == back.z
 
 
 class TestMedianCalc:
