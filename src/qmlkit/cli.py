@@ -24,10 +24,12 @@ included, live on that call's own namespace.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -40,7 +42,7 @@ from .rng import RngStream
 
 SEED_ENV_VAR = "QMLKIT_SEED"
 # ``qft`` reads and reports every amplitude as text, about 450 bytes each at
-# the peak: 152 MiB RSS / 2.3 s at 18 qubits, 264 MiB / 5.9 s at 19.
+# the peak: 153 MiB RSS / 2.4-2.6 s at 18 qubits, 268 MiB / 4.3-4.8 s at 19.
 QFT_REPORT_CAP = 18
 
 BUILTIN_OBJECTIVES = {
@@ -51,15 +53,187 @@ BUILTIN_OBJECTIVES = {
 }
 
 
-def _read_lines(path: str) -> list[str]:
-    """The input file's lines, with their line endings untranslated."""
+# Characters read per chunk of the input CSV.  A chunk is cut after its last
+# line ending, so it holds whole lines (a longer line is read whole).
+_CHUNK_CHARS = 1 << 16
+
+
+@contextlib.contextmanager
+def _open_text(path: str):
+    """The input file as UTF-8 text, line endings untranslated.  A missing
+    file, or bytes that are not UTF-8 anywhere in what the caller reads, is a
+    DomainError naming the file."""
     if not os.path.exists(path):
         raise DomainError(f"input file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            return list(handle)
+            yield handle
     except UnicodeDecodeError:
         raise DomainError(f"{path}: not UTF-8 text") from None
+
+
+def _chunks(handle):
+    """The file's text in runs of whole lines of about ``_CHUNK_CHARS``
+    characters, each line ended by ``\\n``.  Lines end where Python's text
+    files end them: at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    pieces = []
+    while block := handle.read(_CHUNK_CHARS):
+        # A final "\r" may be half of a "\r\n", so it waits for the next block.
+        end = len(block) - block.endswith("\r")
+        cut = max(block.rfind("\n", 0, end), block.rfind("\r", 0, end)) + 1
+        if cut:
+            pieces.append(block[:cut])
+            yield _newlines("".join(pieces))
+            pieces = []
+        pieces.append(block[cut:])
+    if rest := "".join(pieces):
+        yield _newlines(rest + "\n")
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+# A line that str.strip() empties, in ASCII text that starts with "\n".
+_BLANK_LINE = re.compile(r"\n[ \t\x0b\x0c\x1c-\x1f]*\n")
+
+
+def _read_rows(path: str, parse) -> tuple[int, str] | None:
+    """Pass each chunk's data rows, as ASCII text of ``\\n``-ended rows with
+    no blank line, and their 1-based line numbers to ``parse``, which returns
+    the line number and message of the chunk's first bad row, or None.
+    Returns the first bad row of the file; no chunk is parsed after it.  The
+    errors a line-by-line reader checks file-wide come first: text that is
+    not UTF-8, no data row, then a row with an underscore or a non-ASCII
+    character."""
+    n_rows, bad_row, bad_cell = 0, None, None
+    lineno = 1
+    with _open_text(path) as handle:
+        # Every chunk is decoded, even after an error, since a decode error
+        # anywhere in the file is the one reported.
+        for text in _chunks(handle):
+            first, lineno = lineno, lineno + text.count("\n")
+            if bad_cell is not None:
+                continue
+            linenos = np.arange(first, lineno)
+            clean = text.isascii() and "_" not in text
+            if not clean or _BLANK_LINE.search("\n" + text):
+                lines = list(map(str.strip, text.split("\n")))
+                lines.pop()
+                linenos = linenos[np.fromiter(map(bool, lines), bool, len(lines))]
+                rows = list(filter(None, lines))
+                text = "".join(row + "\n" for row in rows)
+                # float() reads "1_0" as 10 and non-ASCII digits, which no cell may hold.
+                if not clean:
+                    bad_cell = next((n for n, row in zip(linenos, rows)
+                                     if "_" in row or not row.isascii()), None)
+            n_rows += len(linenos)
+            if bad_cell is None and bad_row is None and text:
+                bad_row = parse(text, linenos)
+    if not n_rows:
+        raise DomainError(f"{path}: no data rows")
+    if bad_cell is not None:
+        raise DomainError(f"{path}:{bad_cell}: non-numeric cell")
+    return bad_row
+
+
+def _floats(cells: list[str]) -> np.ndarray | None:
+    """The cells by Python's ``float``, or None if one is not a number."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+
+
+def _separators(text: str):
+    """The text's bytes, and the positions of its commas and line ends."""
+    data = np.frombuffer(text.encode(), np.uint8)
+    return data, np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+
+
+def _float_block(text: str, n_rows: int, width: int | None):
+    """``(block, None)`` with the rows as a (rows, width) float array, or
+    ``(None, (index, message))`` for the first bad row.  ``width`` None takes
+    the first row's."""
+    data, seps = _separators(text)
+    ends = data[seps] == ord("\n")
+    width = width or int(np.argmax(ends)) + 1
+    # Every width-th separator ends a row, so each row has width cells.
+    if ends.size == width * n_rows and ends[width - 1 :: width].all():
+        cells = text.replace("\n", ",").split(",")
+        cells.pop()
+        values = _floats(cells)
+        if values is not None and np.isfinite(values).all():
+            return values.reshape(-1, width), None
+    # A bad chunk is read again row by row, so the first bad row is named
+    # with the message a line-by-line reader gives it.
+    parsed = []
+    for i, row in enumerate(text.split("\n")[:-1]):
+        try:
+            values = [float(cell.strip()) for cell in row.split(",")]
+        except ValueError:
+            return None, (i, "non-numeric cell")
+        if not all(map(math.isfinite, values)):
+            return None, (i, "NaN or infinite value")
+        if len(values) != width:
+            return None, (i, f"expected {width} columns, found {len(values)}")
+        parsed.append(values)
+    return np.array(parsed), None
+
+
+def _objective_block(text: str, n_rows: int, n_bits: int | None):
+    """``(n_bits, keys, values, bad)``: the rows' inputs and values, and None
+    or ``(index, message)`` for the first bad row.  ``keys`` runs up to that
+    row, and includes it when its fault comes after the duplicate check."""
+    data, seps = _separators(text)
+    if seps.size == 2 * n_rows and (data[seps[1::2]] == ord("\n")).all():
+        starts = np.concatenate(([0], seps[1:-1:2] + 1))
+        widths = seps[0::2] - starts
+        n = n_bits or int(widths[0])
+        # Past 62 bits an input overflows int64; such a table is never complete.
+        if 0 < n <= 62 and (widths == n).all():
+            digits = data[starts[:, None] + np.arange(n)] - ord("0")
+            values = _floats(text.replace("\n", ",").split(",")[1::2])
+            if (digits <= 1).all() and values is not None and np.isfinite(values).all():
+                return n, digits @ (1 << np.arange(n - 1, -1, -1)), values, None
+    keys, values, bad = [], [], None
+    for i, row in enumerate(text.split("\n")[:-1]):
+        cells = [cell.strip() for cell in row.split(",")]
+        if len(cells) != 2:
+            bad = (i, "expected 'bitstring,value'")
+            break
+        bits, raw_value = cells
+        if not bits or bits.strip("01"):
+            bad = (i, f"invalid bitstring {bits!r}")
+            break
+        n_bits = n_bits or len(bits)
+        if len(bits) != n_bits:
+            bad = (i, f"bitstring width differs from {n_bits}")
+            break
+        keys.append(int(bits, 2))
+        try:
+            value = float(raw_value)
+        except ValueError:
+            bad = (i, "non-numeric value")
+            break
+        if not math.isfinite(value):
+            bad = (i, "NaN or infinite value")
+            break
+        values.append(value)
+    keys = np.array(keys, dtype=np.int64 if (n_bits or 0) <= 62 else object)
+    return n_bits, keys, np.array(values), bad
+
+
+def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
+    """``(i, j)``: the first position j whose key an earlier position holds,
+    and the first position i that holds it; None if the keys are distinct."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    later = order[1:][ordered[1:] == ordered[:-1]]
+    if not later.size:
+        return None
+    j = int(later.min())
+    return int(order[np.searchsorted(ordered, keys[j])]), j
 
 
 def ingest_csv(path: str, schema: str):
@@ -69,94 +243,84 @@ def ingest_csv(path: str, schema: str):
     label in the last column), ``labeled-integers`` (``labeled`` whose
     features are integers), ``objective`` (rows of ``bitstring,value``
     covering every n-bit input exactly once).  Cells are ASCII, with no
-    underscore.  Malformed rows are rejected with their 1-based line number.
+    underscore.  Malformed rows are rejected with their 1-based line number:
+    the first bad line, with the message a line-by-line reader gives it.
+
+    The file is read in chunks of about ``_CHUNK_CHARS`` characters of whole
+    lines, and each chunk is checked and converted as whole arrays.  Memory
+    follows the output, not the file's text: at its peak the reader holds
+    twice the bytes of the arrays it returns (the parsed blocks and their
+    joined copy), or for an objective 33 bytes per row (inputs, values and
+    line numbers beside the table), plus one chunk's text and cells.
     """
-    lines = [line.strip() for line in _read_lines(path)]
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line]
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    # float() reads "1_0" as 10 and non-ASCII digits, which no cell may hold.
-    for lineno, line in rows:
-        if "_" in line or not line.isascii():
-            raise DomainError(f"{path}:{lineno}: non-numeric cell")
-
     if schema == "objective":
-        return _ingest_objective(path, rows)
+        n_bits, keys, values, linenos = None, [], [], []
 
-    parsed = []
-    width = None
-    for lineno, line in rows:
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            values = [float(c) for c in cells]
-        except ValueError:
-            raise DomainError(f"{path}:{lineno}: non-numeric cell") from None
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError(f"{path}:{lineno}: NaN or infinite value")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
+        def parse(text, lines):
+            nonlocal n_bits
+            n_bits, k, v, bad = _objective_block(text, len(lines), n_bits)
+            keys.append(k)
+            values.append(v)
+            linenos.append(lines[: len(k)])
+            return None if bad is None else (lines[bad[0]], bad[1])
+
+        bad = _read_rows(path, parse)
+        # Nothing of 2^n_bits entries is built until the rows could fill it.
+        if bad is None and sum(map(len, keys)) == 2**n_bits:
+            table, seen = np.empty(2**n_bits), np.zeros(2**n_bits, bool)
+            for k, v in zip(keys, values):
+                table[k] = v
+                seen[k] = True
+            if seen.all():
+                return table
+        keys = np.concatenate(keys)
+        repeat = _first_repeat(keys)
+        if repeat is not None:
+            first, again = np.concatenate(linenos)[list(repeat)]
+            bits = format(keys[repeat[1]], f"0{n_bits}b")
             raise DomainError(
-                f"{path}:{lineno}: expected {width} columns, found {len(values)}"
+                f"{path}:{again}: duplicate bitstring {bits!r} (first on line {first})"
             )
-        parsed.append(values)
-    matrix = np.array(parsed)
+        if bad is not None:
+            raise DomainError(f"{path}:{bad[0]}: {bad[1]}")
+        raise DomainError(f"{path}: objective covers {len(keys)} of {2**n_bits} inputs")
+
+    blocks, bad_label, bad_features = [], None, None
+
+    def parse(text, lines):
+        nonlocal bad_label, bad_features
+        block, bad = _float_block(text, len(lines), blocks[0].shape[1] if blocks else None)
+        if bad is not None:
+            return lines[bad[0]], bad[1]
+        blocks.append(block)
+        if schema in ("labeled", "labeled-integers") and block.shape[1] > 1:
+            features, labels = block[:, :-1], block[:, -1]
+            bad = np.flatnonzero(~np.isin(labels, (-1.0, 1.0)))
+            if bad.size and bad_label is None:
+                bad_label = f"{lines[bad[0]]}: label {labels[bad[0]]} is not -1 or 1"
+            bad = np.flatnonzero(np.any(features != np.floor(features), axis=1))
+            if bad.size and bad_features is None:
+                bad_features = (
+                    f"{lines[bad[0]]}: features {features[bad[0]].tolist()} are not integers"
+                )
+        return None
+
+    bad = _read_rows(path, parse)
+    if bad is not None:
+        raise DomainError(f"{path}:{bad[0]}: {bad[1]}")
+    matrix = np.concatenate(blocks)
 
     if schema == "vectors":
         return matrix
     if schema in ("labeled", "labeled-integers"):
         if matrix.shape[1] < 2:
             raise DomainError(f"{path}: labeled data needs features plus a label column")
-        features, labels = matrix[:, :-1], matrix[:, -1]
-        bad = np.flatnonzero(~np.isin(labels, (-1.0, 1.0)))
-        if bad.size:
-            raise DomainError(f"{path}:{rows[bad[0]][0]}: label {labels[bad[0]]} is not -1 or 1")
-        if schema == "labeled-integers":
-            bad = np.flatnonzero(np.any(features != np.floor(features), axis=1))
-            if bad.size:
-                raise DomainError(
-                    f"{path}:{rows[bad[0]][0]}: features {features[bad[0]].tolist()} "
-                    "are not integers"
-                )
-        return features, labels
+        if bad_label is not None:
+            raise DomainError(f"{path}:{bad_label}")
+        if schema == "labeled-integers" and bad_features is not None:
+            raise DomainError(f"{path}:{bad_features}")
+        return matrix[:, :-1], matrix[:, -1]
     raise DomainError(f"unknown ingestion schema {schema!r}")
-
-
-def _ingest_objective(path: str, rows):
-    seen: dict[str, int] = {}
-    entries = []
-    n_bits = None
-    for lineno, line in rows:
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 2:
-            raise DomainError(f"{path}:{lineno}: expected 'bitstring,value'")
-        bits, raw_value = cells
-        if not bits or bits.strip("01"):
-            raise DomainError(f"{path}:{lineno}: invalid bitstring {bits!r}")
-        if bits in seen:
-            raise DomainError(
-                f"{path}:{lineno}: duplicate bitstring {bits!r} (first on line {seen[bits]})"
-            )
-        seen[bits] = lineno
-        if n_bits is None:
-            n_bits = len(bits)
-        elif len(bits) != n_bits:
-            raise DomainError(f"{path}:{lineno}: bitstring width differs from {n_bits}")
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise DomainError(f"{path}:{lineno}: non-numeric value") from None
-        if not math.isfinite(value):
-            raise DomainError(f"{path}:{lineno}: NaN or infinite value")
-        entries.append((int(bits, 2), value))
-    if len(entries) != 2**n_bits:
-        raise DomainError(
-            f"{path}: objective covers {len(entries)} of {2**n_bits} inputs"
-        )
-    table = np.empty(2**n_bits)
-    for index, value in entries:
-        table[index] = value
-    return table
 
 
 def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False):
@@ -168,7 +332,17 @@ def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False)
     try:
         if matrix.shape[1] > 2:
             raise DomainError("amplitude rows must have 1 (re) or 2 (re,im) columns")
-        amps = matrix[:, 0] + 1j * matrix[:, 1] if matrix.shape[1] == 2 else matrix[:, 0]
+        amps = matrix[:, 0]
+        if matrix.shape[1] == 2:
+            # The bits of re + 1j * im, signed zeros included (its real part
+            # is re + (0 with im's sign), its imaginary part im + 0.0),
+            # without that expression's two temporaries.
+            amps = np.empty(len(matrix), complex)
+            amps.real = matrix[:, 1]
+            amps.real *= 0.0
+            amps.real += matrix[:, 0]
+            amps.imag = matrix[:, 1]
+            amps.imag += 0.0
         if n_qubits is not None and len(amps) != 2**n_qubits:
             raise DomainError(f"{len(amps)} amplitudes do not fill a {n_qubits}-qubit register")
         if normalize:
@@ -182,7 +356,8 @@ def _read_unitary(path: str) -> gates.GateMatrix | gates.Circuit:
     """Unitary from JSON: either {"matrix": [[[re,im],...]]} (or the bare
     nested rows) as a gate or a circuit document with "steps" as a circuit.
     A malformed document is an error that names the file and the bad field."""
-    text = "".join(_read_lines(path))
+    with _open_text(path) as handle:
+        text = handle.read()
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -7,6 +7,7 @@ import reprlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_ingest_csv
 from qmlkit import cli, state
 from qmlkit.errors import DomainError
 from qmlkit.fourier import qft_gate
@@ -174,6 +176,110 @@ class TestIngestCsv:
             return
         arrays = parsed if isinstance(parsed, tuple) else (parsed,)
         assert all(isinstance(a, np.ndarray) and np.isfinite(a).all() for a in arrays)
+
+
+def read_outcome(reader, path, schema):
+    """The arrays a reader returns (dtype, shape and bytes), or its error text."""
+    try:
+        parsed = reader(path, schema)
+    except DomainError as exc:
+        return str(exc)
+    arrays = parsed if isinstance(parsed, tuple) else (parsed,)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestChunkedReader:
+    """``ingest_csv`` reads whole-line chunks as arrays; the line-by-line
+    ``reference_ingest_csv`` is the reference for every result and message."""
+
+    def assert_same(self, path, schema):
+        expected = read_outcome(reference_ingest_csv, path, schema)
+        assert read_outcome(cli.ingest_csv, path, schema) == expected
+        return expected
+
+    @settings(max_examples=200)
+    @given(content=st.one_of(st.binary(max_size=96), csv_like_text()), schema=st.sampled_from(
+        sorted(SCHEMA_READERS)))
+    def test_matches_reference(self, content, schema, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "same.csv"
+        path.write_bytes(content)
+        self.assert_same(str(path), schema)
+
+    @settings(max_examples=200)
+    @given(content=st.one_of(st.binary(max_size=96), csv_like_text()), schema=st.sampled_from(
+        sorted(SCHEMA_READERS)), chunk_chars=st.integers(1, 24))
+    def test_matches_reference_in_small_chunks(self, content, schema, chunk_chars,
+                                               tmp_path_factory):
+        # Reads of 1 to 24 characters put one to three lines in each chunk,
+        # and cut rows, "\r\n" pairs and UTF-8 sequences at every position.
+        path = tmp_path_factory.getbasetemp() / "small.csv"
+        path.write_bytes(content)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
+            self.assert_same(str(path), schema)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.5,x", "non-numeric cell"),
+        ("0.5,inf", "NaN or infinite value"),
+        ("0.5", "expected 2 columns, found 1"),
+        ("0.5,7", "label 7.0 is not -1 or 1"),
+    ])
+    def test_error_in_later_chunk_names_its_line(self, bad_row, message, tmp_path):
+        gen = np.random.default_rng(4)
+        rows = [f"{float(v)!r},1" for v in gen.normal(size=9000)]
+        rows[1000:1000] = ["", "  "]
+        rows.insert(8500, bad_row)
+        path = write(tmp_path / "late.csv", "\n".join(rows) + "\n")
+        assert os.path.getsize(path) > 2 * cli._CHUNK_CHARS
+        assert self.assert_same(path, "labeled") == f"{path}:8501: {message}"
+
+    def test_crlf_across_chunk_boundary_is_one_line(self, tmp_path):
+        # The first read ends on the "\r" of the first row's "\r\n".
+        first = "1." + "0" * (cli._CHUNK_CHARS - 3)
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(f"{first}\r\n2.0\r\nx\r\n".encode())
+        assert self.assert_same(str(path), "vectors") == f"{path}:3: non-numeric cell"
+        path.write_bytes(f"{first}\r\n2.0\r\n".encode())
+        assert cli.ingest_csv(str(path), "vectors").tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0" * 70 + ",1.0\n", "objective covers 1 of 1180591620717411303424 inputs"),
+        ("1" * 70 + ",1.0\n" + "1" * 70 + ",2.0\n",
+         f"2: duplicate bitstring {'1' * 70!r} (first on line 1)"),
+        ("0" * 70 + ",1.0\n" + "1" * 69 + ",2.0\n", "2: bitstring width differs from 70"),
+    ])
+    def test_wide_objective_rows(self, text, message, tmp_path):
+        path = write(tmp_path / "wide.csv", text)
+        tracemalloc.start()
+        try:
+            outcome = self.assert_same(path, "objective")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.endswith(message)
+        assert peak < 2**20  # nothing of 2^70 entries, nor of 2^62
+
+    def test_memory_follows_the_output(self, tmp_path):
+        # Rows of a normalized re,im state: 2^16 and 2^18 amplitudes.
+        peaks = {}
+        for n in (16, 18):
+            amp = repr(2.0 ** (-n / 2))
+            path = write(tmp_path / f"state{n}.csv", f"{amp},-0.0\n" * 2**n)
+            tracemalloc.start()
+            try:
+                psi = cli._read_state(path, n)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert psi.amps[0] == complex(2.0 ** (-n / 2), 0.0)
+        extra_output = (2**18 - 2**16) * 16
+        assert peaks[18] - peaks[16] <= 3 * extra_output, peaks
+
+    def test_state_keeps_the_bits_of_re_plus_1j_im(self, tmp_path):
+        path = write(tmp_path / "zeros.csv", "-0.0,0.0\n-0.0,-0.0\n0.0,-0.0\n-0.0,-1.0\n")
+        rows = reference_ingest_csv(path, "vectors")
+        expected = state.normalize(rows[:, 0] + 1j * rows[:, 1]).amps
+        assert cli._read_state(path, normalize=True).amps.tobytes() == expected.tobytes()
 
 
 class TestExitCodes:
