@@ -343,6 +343,7 @@ def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False)
             amps.real += matrix[:, 0]
             amps.imag = matrix[:, 1]
             amps.imag += 0.0
+        del matrix  # an re,im state no longer needs it while it normalizes
         if n_qubits is not None and len(amps) != 2**n_qubits:
             raise DomainError(f"{len(amps)} amplitudes do not fill a {n_qubits}-qubit register")
         if normalize:

@@ -61,12 +61,6 @@ class SignOracle:
             for start in range(0, dim, _MARK_CHUNK)
         ])
 
-    def signs(self) -> np.ndarray:
-        """The +-1 diagonal induced by the predicate."""
-        signs = np.ones(2**self.n_bits)
-        signs[self.marked_indices()] = -1.0
-        return signs
-
 
 @dataclass(frozen=True, eq=False)
 class GroverResult:

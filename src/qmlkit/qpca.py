@@ -9,6 +9,8 @@ register's distribution is phase estimation's closed form in the
 eigenvalue, so no unitary is built and no register simulated; the tests keep
 the simulated register as the reference.  rho's one eigendecomposition
 serves sampling and scores, which are overlaps of rows with eigenvectors.
+Swap-test scores are one ``subroutines.swap_tests`` call on the rows and the
+top eigenvectors, which makes no (row, component)-aligned copy of either.
 """
 from __future__ import annotations
 
@@ -21,15 +23,8 @@ from .density import DensityMatrix
 from .errors import DomainError
 from .fourier import register_distribution
 from .rng import RngStream
-from .state import NORM_TOL, StateVector, _check_dense_cap, _check_n_qubits
-from .subroutines import (
-    MAX_BATCH_PAIRS,
-    _check_draw_budget,
-    _check_shots,
-    _estimate_p0,
-    _swap_test_p0,
-    overlap_sq,
-)
+from .state import _check_dense_cap, _check_n_qubits
+from .subroutines import _check_draw_budget, overlap_sq, swap_tests
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
 DEFAULT_CONTROLS = 8
@@ -56,7 +51,6 @@ class PcaModel:
 class PcaSample:
     component_index: int
     lambda_measured: float
-    eigvec: StateVector
     counts: int
 
 
@@ -156,26 +150,14 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
     for j, count in enumerate(component_counts):
         if count == 0:
             continue
-        eigvec = StateVector(model.rho.n_qubits, model.eigenvectors[:, j].astype(complex))
         register_probs = register_distribution(model.eigenvalues[j] * model.t, model.n_control)
         draws = rng.gen.choice(dim, size=count, p=register_probs / register_probs.sum())
         samples.extend(
-            PcaSample(component_index=j, eigvec=eigvec, counts=int(n_hits),
+            PcaSample(component_index=j, counts=int(n_hits),
                       lambda_measured=2.0 * math.pi * (int(a) / dim) / model.t)
             for a, n_hits in zip(*np.unique(draws, return_counts=True))
         )
     return samples
-
-
-def _check_unit_rows(amps: np.ndarray, what: str) -> None:
-    """The ``StateVector`` norm check on every row of ``amps`` at once."""
-    norm_sq = np.einsum("ij,ij->i", amps.conj(), amps).real
-    # Written so that a NaN norm fails the comparison and is rejected.
-    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORM_TOL))
-    if bad.size:
-        raise DomainError(
-            f"{what} {bad[0]} not normalized: sum |c_i|^2 = {float(norm_sq[bad[0]])!r}"
-        )
 
 
 def extract_scores(
@@ -190,11 +172,11 @@ def extract_scores(
 
     Exact mode computes the overlaps directly.  Swap-test mode estimates the
     magnitude |s|^2 from control measurements and takes the sign from the
-    exact overlap (the squared readout alone cannot recover it).  The
-    (row, component) pairs run through the swap-test kernel in row-major
-    order, in batches of whole rows of at most ``MAX_BATCH_PAIRS`` pairs;
-    each row's ``shots`` draws per pair come in that order, as one batch
-    per row would draw them, and one row's draws are the unit the
+    exact overlap (the squared readout alone cannot recover it).  The rows
+    and the eigenvectors go to ``subroutines.swap_tests`` as one call, which
+    checks their norms and runs the (row, component) pairs in row-major
+    order; each row's ``shots`` draws per pair come in that order, as one
+    call per row would draw them, and one row's draws are the unit the
     shot-memory budget refuses.
     """
     available = model.eigenvectors.shape[1]
@@ -209,20 +191,7 @@ def extract_scores(
         return ScoreMatrix(scores=exact)
     if rng is None:
         raise DomainError("swaptest mode requires an RngStream")
-    row_amps = rows.astype(complex)
-    eigvecs = np.ascontiguousarray(vectors.T, dtype=complex)
-    _check_unit_rows(eigvecs, "eigenvector")
-    _check_unit_rows(row_amps, "row")
-    _check_shots(shots)
-    scores = np.empty_like(exact)
-    step = max(1, MAX_BATCH_PAIRS // r_components)
-    for start in range(0, len(rows), step):
-        block = row_amps[start : start + step]
-        exact_p0 = _swap_test_p0(
-            np.repeat(block, r_components, axis=0), np.tile(eigvecs, (len(block), 1))
-        )
-        p0_hat = _estimate_p0(exact_p0, shots, rng, row=r_components).reshape(len(block), -1)
-        scores[start : start + step] = np.copysign(
-            np.sqrt(overlap_sq(p0_hat)), exact[start : start + step]
-        )
-    return ScoreMatrix(scores=scores)
+    _, p0_hat = swap_tests(rows, vectors.T, shots, rng)
+    return ScoreMatrix(
+        scores=np.copysign(np.sqrt(overlap_sq(p0_hat)).reshape(exact.shape), exact)
+    )

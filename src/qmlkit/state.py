@@ -111,8 +111,9 @@ class MeasurementOutcome:
 
 
 def normalize(amps: np.ndarray, n_qubits: int | None = None) -> StateVector:
-    """Build a state from an unnormalized amplitude vector, explicitly rescaling."""
-    amps = np.asarray(amps, dtype=complex)
+    """Build a state from an unnormalized amplitude vector, explicitly
+    rescaling one owned complex copy of it in place."""
+    amps = np.array(amps, dtype=complex)
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise DomainError("cannot normalize the zero vector")
@@ -120,7 +121,8 @@ def normalize(amps: np.ndarray, n_qubits: int | None = None) -> StateVector:
         n_qubits = int(np.log2(len(amps)))
         if 2**n_qubits != len(amps):
             raise DomainError(f"length {len(amps)} is not a power of two")
-    return StateVector(n_qubits, amps / norm)
+    amps /= norm
+    return StateVector(n_qubits, amps)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:

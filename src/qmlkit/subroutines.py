@@ -5,19 +5,20 @@ amplitude-encoded into ceil(log2 N) qubits, overlaps are read out through
 the swap-test circuit, and Euclidean distances come from the two-state
 construction whose ancilla overlap encodes |a-b|^2 / 2Z.
 
-One kernel, ``_swap_test_p0``, runs every swap test, on a batch of pairs:
-a slice of pairs is one register with extra qubits that index the pairs,
-and the gates act on it through ``gates.apply``.  A batch is one point
-against many (a QPCA row against the top eigenvectors) or a list of index
-pairs between two row sets: the rows against the live centroids of a
-k-means pass, or the pairs i < j of a set median, cut into batches of
-whole rows of at most ``MAX_BATCH_PAIRS`` pairs.  Distance pairs are
-encoded in chunks and a slice holds at most ``_SLICE_AMPS`` amplitudes
-unless one pair alone needs more, so memory is bounded per batch and
-chunk; a pair over the qubit cap is refused before anything is allocated.
-Each estimator carries the exact value from the simulated final state and
-a shot-based value, drawn in slice-sized chunks in the order of one batch
-per point.
+One kernel, ``_swap_test_p0``, runs every swap test, on pairs of rows of
+two row sets given by index: it gathers each slice of pairs into one
+register whose extra qubits index the pairs, so no caller copies its rows
+per pair, and the gates act on it through ``gates.apply``.  ``swap_tests``
+runs every row of one set against every row of another in one call (all
+QPCA rows against the top eigenvectors); the distance callers pair the rows
+with the live centroids of a k-means pass, or the points i < j of a set
+median, in batches of whole rows of at most ``MAX_BATCH_PAIRS`` pairs.
+Distance pairs are encoded in chunks and a slice holds at most
+``_SLICE_AMPS`` amplitudes unless one pair alone needs more, so memory is
+bounded per batch and chunk; a pair over the qubit cap is refused before
+anything is allocated.  Each estimator carries the exact value from the
+simulated final state and a shot-based value, drawn in slice-sized chunks
+in the order of one batch per point.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .errors import ConfigError, DomainError
 from .gates import apply, controlled, standard_gate
 from .minimizer import argmin_via_search
 from .rng import RngStream
-from .state import MAX_QUBITS, StateVector, _check_n_qubits
+from .state import MAX_QUBITS, NORM_TOL, StateVector, _check_n_qubits
 
 DEFAULT_SHOTS = 4096
 
@@ -103,19 +104,22 @@ def encode(a) -> EncodedVector:
     return EncodedVector(raw=raw, norm=float(norms[0]), state=StateVector(n_qubits, amps[0]))
 
 
-def _swap_test_p0(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Exact control-qubit |0> probability of the swap test, one per row.
+def _swap_test_p0(
+    left: np.ndarray, right: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Exact control-qubit |0> probability of the swap test, one per pair.
 
-    Row b runs the register |0> (x) left[b] (x) right[b], with the Fredkin
-    ladder swapping each qubit of ``left`` with the matching leading qubit
-    of ``right``; further qubits of ``right`` ride along.  Rows run in
+    Pair k runs the register |0> (x) left[i[k]] (x) right[j[k]], with the
+    Fredkin ladder swapping each qubit of ``left`` with the matching leading
+    qubit of ``right``; further qubits of ``right`` ride along.  Pairs run in
     slices of w = 4^j pairs, each slice as one register whose trailing 2j
     qubits index its pairs, sum_b |pair_b>|b> / sqrt(w), held to
     ``_SLICE_AMPS`` amplitudes unless one pair alone is larger; a short
-    last slice repeats its pairs to fill w.  Scaling by 1/sqrt(w) = 2^-j is
-    exact, so each p0 carries the bits of a lone register.
+    last slice repeats its pairs to fill w.  Each slice gathers its own rows,
+    so no pair-aligned copy of the inputs is made.  Scaling by 1/sqrt(w) =
+    2^-j is exact, so each p0 carries the bits of a lone register.
     """
-    batch, dim_left = left.shape
+    batch, dim_left = len(i), left.shape[1]
     half = dim_left * right.shape[1]
     n_pair = _check_n_qubits(half.bit_length())
     n_left = dim_left.bit_length() - 1
@@ -129,7 +133,7 @@ def _swap_test_p0(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         while w < count:
             w *= 4
         rows = start + np.arange(w) % count
-        pairs = (left[rows, :, None] * right[rows, None, :]).reshape(w, half).T
+        pairs = (left[i[rows], :, None] * right[j[rows], None, :]).reshape(w, half).T
         joint = (_PLUS[:, None, None] * pairs) / math.sqrt(w)
         state = StateVector(n_pair + (w.bit_length() - 1), joint.reshape(-1))
         for q in range(1, 1 + n_left):
@@ -186,20 +190,39 @@ def overlap_sq(p0):
     return np.clip(2.0 * p0 - 1.0, 0.0, 1.0)
 
 
+def _register_rows(amps) -> np.ndarray:
+    """Amplitude rows (a vector is one row) that pass the ``StateVector``
+    checks: 2^n entries, n >= 1, and unit norm within ``NORM_TOL``."""
+    rows = np.atleast_2d(np.asarray(amps, dtype=complex))
+    width = rows.shape[-1]
+    if rows.ndim != 2 or width < 2 or width & (width - 1):
+        raise DomainError(f"swap test needs rows of 2^n amplitudes, n >= 1, got shape {rows.shape}")
+    re, im = rows.real, rows.imag
+    norm_sq = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+    # Written so that a NaN norm fails the comparison and is rejected.
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORM_TOL))
+    if bad.size:
+        raise DomainError(
+            f"row {bad[0]} not normalized: sum |c_i|^2 = {float(norm_sq[bad[0]])!r}"
+        )
+    return rows
+
+
 def swap_tests(
-    a: StateVector, others, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None
+    a, others, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact and estimated p0 of ``a`` against each state of ``others``, as
-    one batch (the estimate is exact without ``rng``)."""
-    for b in others:
-        if b.n_qubits != a.n_qubits:
-            raise DomainError(
-                f"swap test needs equal registers, got {a.n_qubits} and {b.n_qubits} qubits"
-            )
+    """Exact and estimated p0 (exact without ``rng``) of each amplitude row
+    of ``a`` (a vector is one row) against each row of ``others``, in
+    row-major order, with the bits and draws of one call per row of ``a``;
+    one row's pairs are the unit the shot-memory budget refuses."""
+    left, right = _register_rows(a), _register_rows(others)
+    if left.shape[1] != right.shape[1]:
+        n_left, n_right = (rows.shape[1].bit_length() - 1 for rows in (left, right))
+        raise DomainError(f"swap test needs equal registers, got {n_left} and {n_right} qubits")
     _check_shots(shots)
-    right = np.array([b.amps for b in others]).reshape(-1, a.dim)
-    exact_p0 = _swap_test_p0(np.broadcast_to(a.amps, right.shape), right)
-    return exact_p0, _estimate_p0(exact_p0, shots, rng)
+    i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
+    exact_p0 = _swap_test_p0(left, right, i, j)
+    return exact_p0, _estimate_p0(exact_p0, shots, rng, row=len(right))
 
 
 def swap_test(
@@ -210,7 +233,7 @@ def swap_test(
     P(control = 0) equals 1/2 + |<a|b>|^2 / 2: one half for orthogonal
     inputs, one for identical inputs.
     """
-    (exact_p0,), (p0_hat,) = swap_tests(a, [b], shots, rng)
+    (exact_p0,), (p0_hat,) = swap_tests(a.amps, [b.amps], shots, rng)
     return OverlapEstimate(
         p0_hat=float(p0_hat),
         overlap_sq_hat=float(overlap_sq(p0_hat)),
@@ -249,8 +272,9 @@ def distance_p0(left, right, pairs) -> tuple[np.ndarray, np.ndarray]:
         i, j = rows[start : start + chunk], cols[start : start + chunk]
         phi = np.stack([left_norms[i], -right_norms[j]], axis=1).astype(complex)
         psi = np.concatenate([left_amps[i], right_amps[j]], axis=1)
+        k = np.arange(len(i))
         p0[start : start + chunk] = _swap_test_p0(
-            phi / np.sqrt(z[start : start + chunk])[:, None], psi / math.sqrt(2.0)
+            phi / np.sqrt(z[start : start + chunk])[:, None], psi / math.sqrt(2.0), k, k
         )
     return z, p0
 

@@ -275,6 +275,22 @@ class TestChunkedReader:
         extra_output = (2**18 - 2**16) * 16
         assert peaks[18] - peaks[16] <= 3 * extra_output, peaks
 
+    @pytest.mark.parametrize("row", ["{amp},-0.0\n", "{amp}\n"])
+    def test_normalized_read_peaks_as_the_plain_read(self, row, tmp_path):
+        # 2^18 amplitudes (a 4 MiB state): rescaling while reading holds no
+        # more than reading an already normalized state does.
+        n = 18
+        path = write(tmp_path / "state.csv", row.format(amp=repr(2.0 ** (-n / 2))) * 2**n)
+        peaks = {}
+        for normalize in (False, True):
+            tracemalloc.start()
+            try:
+                cli._read_state(path, n, normalize)
+                peaks[normalize] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] <= peaks[False] + 2**16, peaks
+
     def test_state_keeps_the_bits_of_re_plus_1j_im(self, tmp_path):
         path = write(tmp_path / "zeros.csv", "-0.0,0.0\n-0.0,-0.0\n0.0,-0.0\n-0.0,-1.0\n")
         rows = reference_ingest_csv(path, "vectors")

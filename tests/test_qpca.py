@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -31,16 +32,14 @@ def manual_input(rows) -> PcaInput:
 
 
 def reference_swaptest_scores(model, prepared, r, shots, rng) -> np.ndarray:
-    """Swap-test scores with one ``swap_tests`` batch per row, as they were
+    """Swap-test scores with one ``swap_tests`` call per row, as they were
     computed before the rows were batched."""
     rows = qpca._padded_rows(prepared)
     vectors = model.eigenvectors[:, :r]
     exact = rows @ vectors.real
-    n = model.rho.n_qubits
-    eigvecs = [StateVector(n, v.astype(complex)) for v in vectors.T]
     scores = np.empty_like(exact)
     for i, row in enumerate(rows):
-        _, p0_hat = swap_tests(StateVector(n, row.astype(complex)), eigvecs, shots, rng)
+        _, p0_hat = swap_tests(row, vectors.T, shots, rng)
         scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
     return scores
 
@@ -80,8 +79,7 @@ def reference_eigen_sample(model, m_samples, rng) -> list[PcaSample]:
         register_probs = reference_control_distribution(forward, eigvec, model.n_control)
         draws = rng.gen.choice(dim, size=count, p=register_probs / register_probs.sum())
         for a, n_hits in zip(*np.unique(draws, return_counts=True)):
-            samples.append(PcaSample(j, 2.0 * math.pi * (int(a) / dim) / model.t, eigvec,
-                                     int(n_hits)))
+            samples.append(PcaSample(j, 2.0 * math.pi * (int(a) / dim) / model.t, int(n_hits)))
     return samples
 
 
@@ -252,11 +250,7 @@ class TestEigenSample:
         model = build_model(prepared, n_control=4 + seed)
         got = eigen_sample(model, 2_000, RngStream(seed))
         want = reference_eigen_sample(model, 2_000, RngStream(seed))
-        assert [(s.component_index, s.lambda_measured, s.counts) for s in got] == [
-            (s.component_index, s.lambda_measured, s.counts) for s in want
-        ]
-        for mine, theirs in zip(got, want):
-            assert mine.eigvec.amps.tobytes() == theirs.eigvec.amps.tobytes()
+        assert got == want
 
     def test_builds_no_unitary_and_simulates_no_register(self):
         model = build_model(tilted_pair_input())
@@ -319,6 +313,19 @@ class TestEigenSample:
         samples = eigen_sample(model, 777, RngStream(0))
         assert sum(s.counts for s in samples) == 777
 
+    def test_memory_holds_no_eigenvector_copies(self):
+        # 300 rows x 1,000 features: 1,024-amplitude eigenvectors, of which
+        # the samples keep none.
+        model = build_model(preprocess(np.random.default_rng(16).normal(size=(300, 1000))))
+        tracemalloc.start()
+        try:
+            samples = eigen_sample(model, 4096, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s.counts for s in samples) == 4096
+        assert peak <= 2**20, peak
+
 
 class TestExtractScores:
     def test_line_data_scores(self):
@@ -365,39 +372,47 @@ class TestExtractScores:
         seed=st.integers(0, 2**16),
         shots=st.sampled_from([1, 7, 256]),
         cap=st.sampled_from([2**4, 2**6, 2**12]),
-        batch=st.sampled_from([1, 5, 2**16]),
         data=st.data(),
     )
-    def test_matches_per_row_reference(self, m, features, seed, shots, cap, batch, data):
-        # Batches of whole rows (a row per batch up to all rows in one) give
-        # the scores of one batch per row, bit for bit, and leave the stream
-        # where it left it.
+    def test_matches_per_row_reference(self, m, features, seed, shots, cap, data):
+        # All rows in one call give the scores of one call per row, bit for
+        # bit, and leave the stream where it left it.
         prepared = preprocess(np.random.default_rng(seed).normal(size=(m, features)))
         model = build_model(prepared)
         r = data.draw(st.integers(1, model.eigenvectors.shape[1]))
         batched_rng, row_rng = RngStream(seed), RngStream(seed)
-        with mock.patch.object(subroutines, "_SLICE_AMPS", cap), \
-                mock.patch.object(qpca, "MAX_BATCH_PAIRS", batch):
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
             got = extract_scores(model, prepared, r, "swaptest", shots, batched_rng).scores
             want = reference_swaptest_scores(model, prepared, r, shots, row_rng)
         assert got.tobytes() == want.tobytes()
         assert batched_rng.gen.random(4).tolist() == row_rng.gen.random(4).tolist()
 
-    def test_one_kernel_call_per_batch(self, np_rng):
+    def test_swaptest_is_one_swap_tests_call(self, np_rng):
         prepared = preprocess(np_rng.normal(size=(200, 8)))
         model = build_model(prepared)
         calls = []
 
-        def counting(left, right):
-            calls.append(len(left))
-            return subroutines._swap_test_p0(left, right)
+        def counting(a, others, shots, rng):
+            calls.append((np.shape(a), np.shape(others)))
+            return subroutines.swap_tests(a, others, shots, rng)
 
-        with mock.patch.object(qpca, "_swap_test_p0", counting):
+        with mock.patch.object(qpca, "swap_tests", counting):
             extract_scores(model, prepared, 3, "swaptest", 64, RngStream(0))
-            assert calls == [600]
-            with mock.patch.object(qpca, "MAX_BATCH_PAIRS", 250):
-                extract_scores(model, prepared, 3, "swaptest", 64, RngStream(0))
-        assert calls[1:] == [249] * 2 + [102]
+        assert calls == [((200, 8), (3, 8))]
+
+    def test_swaptest_memory_holds_no_pair_copies(self):
+        # 1,024 rows x 16 features x 4 components: the (row, component) pairs
+        # as two complex arrays would take 2 x 1 MiB.
+        prepared = preprocess(np.random.default_rng(3).normal(size=(1024, 16)))
+        model = build_model(prepared)
+        tracemalloc.start()
+        try:
+            scores = extract_scores(model, prepared, 4, "swaptest", 4096, RngStream(5)).scores
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (1024, 4)
+        assert peak <= 1.25 * 2**20, peak
 
     def test_swaptest_rejects_non_unit_row(self):
         prepared = manual_input([[1.0, 0.0], [0.6, 0.0]])

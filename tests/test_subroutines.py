@@ -125,6 +125,19 @@ def swap_batches(draw):
 
 
 @st.composite
+def swap_matrices(draw):
+    """1-6 amplitude rows of n <= 5 qubits and 1-5 rows to test them
+    against; one row may be a copy of one of the others."""
+    n = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.array([random_state(gen, n).amps for _ in range(draw(st.integers(1, 6)))])
+    others = np.array([random_state(gen, n).amps for _ in range(draw(st.integers(1, 5)))])
+    if draw(st.booleans()):
+        a[draw(st.integers(0, len(a) - 1))] = others[draw(st.integers(0, len(others) - 1))]
+    return a, others
+
+
+@st.composite
 def distance_batches(draw):
     """A vector of 1-64 entries (up to 6 data qubits) and 1-8 others, drawn
     at mixed scales; one of the others may be a copy or a multiple of it."""
@@ -201,7 +214,7 @@ class TestSwapTest:
         assert misses <= 2   # >= 99% coverage
 
     def test_register_mismatch(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^swap test needs equal registers, got 1 and 2 "):
             swap_test(basis_state(1, 0), basis_state(2, 0))
 
 
@@ -210,17 +223,18 @@ class TestSwapTestBatch:
     @given(swap_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64), slice_caps())
     def test_matches_per_pair_reference(self, case, seed, shots, cap):
         a, others = case
+        rows = [b.amps for b in others]
         with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
-            exact_p0, p0 = swap_tests(a, others)
+            exact_p0, p0 = swap_tests(a.amps, rows)
         reference = [reference_swap_test(a, b, shots, None)[0] for b in others]
         assert np.max(np.abs(exact_p0 - reference)) <= 1e-12
         assert np.array_equal(p0, exact_p0)
         # Slicing scales amplitudes by powers of two only: no bit changes.
-        assert np.array_equal(exact_p0, [swap_tests(a, [b])[0][0] for b in others])
+        assert np.array_equal(exact_p0, [swap_tests(a.amps, [b])[0][0] for b in rows])
 
         batched_rng, pair_rng = RngStream(seed), RngStream(seed)
         with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
-            _, p0_hat = swap_tests(a, others, shots, batched_rng)
+            _, p0_hat = swap_tests(a.amps, rows, shots, batched_rng)
         pair_hat = [reference_swap_test(a, b, shots, pair_rng)[1] for b in others]
         assert p0_hat.tolist() == pair_hat
         assert _next_draws(batched_rng) == _next_draws(pair_rng)
@@ -228,7 +242,7 @@ class TestSwapTestBatch:
     def test_swap_test_is_a_batch_of_one(self, np_rng):
         a, b = random_state(np_rng, 3), random_state(np_rng, 3)
         estimate = swap_test(a, b, shots=500, rng=RngStream(3))
-        exact_p0, p0_hat = swap_tests(a, [b], shots=500, rng=RngStream(3))
+        exact_p0, p0_hat = swap_tests(a.amps, [b.amps], shots=500, rng=RngStream(3))
         assert (estimate.exact_p0, estimate.p0_hat) == (exact_p0[0], p0_hat[0])
 
     def test_register_over_qubit_cap_refused(self):
@@ -239,7 +253,58 @@ class TestSwapTestBatch:
     def test_zero_shots_rejected(self, np_rng):
         psi = random_state(np_rng, 1)
         with pytest.raises(DomainError, match="shots must be >= 1, got 0"):
-            swap_tests(psi, [psi], shots=0)
+            swap_tests(psi.amps, [psi.amps], shots=0)
+
+    @settings(max_examples=40)
+    @given(swap_matrices(), st.integers(0, 2**32 - 1), st.integers(1, 64), slice_caps())
+    def test_matrix_matches_row_calls(self, case, seed, shots, cap):
+        # Every row of a matrix against every other row, in one call, gives
+        # the p0 bits and the draws of one call per row.
+        a, others = case
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
+            exact_p0, p0 = swap_tests(a, others)
+            row_p0 = [swap_tests(row, others)[0] for row in a]
+        assert exact_p0.tobytes() == np.concatenate(row_p0).tobytes()
+        assert p0.tobytes() == exact_p0.tobytes()
+
+        batched_rng, row_rng = RngStream(seed), RngStream(seed)
+        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
+            got = swap_tests(a, others, shots, batched_rng)
+            want = [swap_tests(row, others, shots, row_rng) for row in a]
+        for mine, theirs in zip(got, zip(*want)):
+            assert mine.tobytes() == np.concatenate(theirs).tobytes()
+        assert _next_draws(batched_rng) == _next_draws(row_rng)
+
+    @pytest.mark.parametrize("width", [1, 3, 6])
+    def test_width_not_a_power_of_two_refused(self, width):
+        row = np.full(width, 1 / math.sqrt(width), dtype=complex)
+        message = rf"rows of 2\^n amplitudes, n >= 1, got shape \(1, {width}\)$"
+        with pytest.raises(DomainError, match=message):
+            swap_tests(row, [row])
+
+    def test_non_unit_row_of_others_refused(self, np_rng):
+        psi = random_state(np_rng, 2).amps
+        with pytest.raises(DomainError, match=r"^row 1 not normalized: sum \|c_i\|\^2 = 0\.36"):
+            swap_tests(psi, [psi, 0.6 * psi])
+        with pytest.raises(DomainError, match=r"^row 0 not normalized: sum \|c_i\|\^2 = nan$"):
+            swap_tests(psi, [np.full(4, np.nan)])
+
+    def test_unequal_widths_refused(self, np_rng):
+        a, b = random_state(np_rng, 2).amps, random_state(np_rng, 1).amps
+        with pytest.raises(DomainError, match="^swap test needs equal registers, got 2 and 1 "):
+            swap_tests(a, [b])
+
+    def test_draw_budget_is_one_row_of_pairs(self, np_rng):
+        # Four rows against three others at 64 shots: one row's 3 x 64 draws
+        # fit the budget, though the call's 12 x 64 do not.
+        a = np.array([random_state(np_rng, 2).amps for _ in range(4)])
+        others = np.array([random_state(np_rng, 2).amps for _ in range(3)])
+        want = swap_tests(a, others, 64, RngStream(1))[1]
+        with mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * 3 * 64):
+            assert swap_tests(a, others, 64, RngStream(1))[1].tobytes() == want.tobytes()
+        with mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * 3 * 64 - 1):
+            with pytest.raises(ConfigError, match="^3 x 64 shot draws"):
+                swap_tests(a, others, 64, RngStream(1))
 
 
 class TestDistanceBatch:
