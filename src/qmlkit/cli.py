@@ -26,12 +26,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
-import re
 import sys
 import time
+from array import array
 
 import numpy as np
 
@@ -53,9 +54,9 @@ BUILTIN_OBJECTIVES = {
 }
 
 
-# Characters read per chunk of the input CSV.  A chunk is cut after its last
-# line ending, so it holds whole lines (a longer line is read whole).
-_CHUNK_CHARS = 1 << 16
+# One record of an objective file as numpy reads it.  A bitstring longer
+# than the field is cut to MAX_QUBITS + 1 characters, a width no table takes.
+_OBJECTIVE_ROW = np.dtype([("bits", f"S{state.MAX_QUBITS + 1}"), ("value", float)])
 
 
 @contextlib.contextmanager
@@ -72,156 +73,151 @@ def _open_text(path: str):
         raise DomainError(f"{path}: not UTF-8 text") from None
 
 
-def _chunks(handle):
-    """The file's text in runs of whole lines of about ``_CHUNK_CHARS``
-    characters, each line ended by ``\\n``.  Lines end where Python's text
-    files end them: at ``\\n``, ``\\r\\n`` or ``\\r``."""
-    pieces = []
-    while block := handle.read(_CHUNK_CHARS):
-        # A final "\r" may be half of a "\r\n", so it waits for the next block.
-        end = len(block) - block.endswith("\r")
-        cut = max(block.rfind("\n", 0, end), block.rfind("\r", 0, end)) + 1
-        if cut:
-            pieces.append(block[:cut])
-            yield _newlines("".join(pieces))
-            pieces = []
-        pieces.append(block[cut:])
-    if rest := "".join(pieces):
-        yield _newlines(rest + "\n")
+def _data_lines(handle):
+    """The lines that are not whitespace only.  A NUL is a ValueError: numpy
+    drops a bitstring cell's trailing NULs, which make it invalid."""
+    for line in handle:
+        if "\0" in line:
+            raise ValueError("NUL in input")
+        if not line.isspace():
+            yield line
 
 
-def _newlines(text: str) -> str:
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+def _load(path: str, schema: str, strip: bool = False):
+    """What ``ingest_csv`` returns, read by numpy's C reader, or None if the
+    reader or a schema check refuses the file.  Whitespace-only lines are
+    skipped.  The file is read as ASCII; ``strip`` strips every cell and
+    reads UTF-8, since it follows a line-by-line pass that found no fault,
+    so any non-ASCII character left is whitespace at the end of a line."""
+    objective = schema == "objective"
+    try:
+        with open(path, encoding="utf-8" if strip else "ascii") as handle:
+            lines = _data_lines(handle)
+            if strip:
+                lines = (",".join(map(str.strip, line.split(","))) for line in lines)
+            first = next(lines, None)
+            if first is None:
+                return None
+            rows = np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", comments=None,
+                dtype=_OBJECTIVE_ROW if objective else float, ndmin=1 if objective else 2,
+            )
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if objective:
+        return _objective_table(rows)
+    if not np.isfinite(rows).all():
+        return None
+    if schema == "vectors":
+        return rows
+    features, labels = rows[:, :-1], rows[:, -1]
+    if schema in ("labeled", "labeled-integers") and rows.shape[1] > 1 and (
+        np.isin(labels, (-1.0, 1.0)).all()
+        and (schema == "labeled" or (features == np.floor(features)).all())
+    ):
+        return features, labels
+    return None
 
 
-# A line that str.strip() empties, in ASCII text that starts with "\n".
-_BLANK_LINE = re.compile(r"\n[ \t\x0b\x0c\x1c-\x1f]*\n")
+def _objective_table(rows: np.ndarray) -> np.ndarray | None:
+    """The table of ``_OBJECTIVE_ROW`` records that cover every n-bit input
+    once with finite values, or None."""
+    n_bits = len(rows["bits"][0])
+    chars = rows.view(np.uint8).reshape(len(rows), -1)
+    if not 1 <= n_bits <= state.MAX_QUBITS or len(rows) != 2**n_bits or chars[:, n_bits].any():
+        return None
+    keys = np.zeros(len(rows), np.int64)
+    for column in chars[:, :n_bits].T:
+        digit = column - ord("0")  # a NUL or a shorter bitstring wraps past 1
+        if (digit > 1).any():
+            return None
+        keys = keys << 1 | digit
+    table, seen = np.empty(2**n_bits), np.zeros(2**n_bits, bool)
+    table[keys] = rows["value"]
+    seen[keys] = True
+    return table if seen.all() and np.isfinite(table).all() else None
 
 
-def _read_rows(path: str, parse) -> tuple[int, str] | None:
-    """Pass each chunk's data rows, as ASCII text of ``\\n``-ended rows with
-    no blank line, and their 1-based line numbers to ``parse``, which returns
-    the line number and message of the chunk's first bad row, or None.
-    Returns the first bad row of the file; no chunk is parsed after it.  The
-    errors a line-by-line reader checks file-wide come first: text that is
-    not UTF-8, no data row, then a row with an underscore or a non-ASCII
-    character."""
-    n_rows, bad_row, bad_cell = 0, None, None
-    lineno = 1
+def _raise_first_fault(path: str, schema: str) -> None:
+    """Raise the file's first fault, with the line and message a line-by-line
+    reader gives it, or return if it has none.  The file is read line by line
+    to its end and no row is held; an objective keeps each row's input and
+    line number (16 bytes a row) for its duplicate check, which comes before
+    a row's value checks.  The faults checked file-wide come first: text
+    that is not UTF-8, no data row, then a row with an underscore or a
+    non-ASCII character (``float`` reads "1_0" as 10, and non-ASCII digits,
+    which no cell may hold)."""
+    objective, labeled = schema == "objective", schema in ("labeled", "labeled-integers")
+    n_rows, width, bad_cell, bad, bad_label, bad_features = 0, None, None, None, None, None
+    keys, linenos = [], array("q")
+
+    def check(lineno, row):
+        nonlocal width, keys, bad_label, bad_features
+        cells = [cell.strip() for cell in row.split(",")]
+        if objective:
+            if len(cells) != 2:
+                return "expected 'bitstring,value'"
+            bits = cells.pop(0)
+            if not bits or bits.strip("01"):
+                return f"invalid bitstring {bits!r}"
+            if width is None:  # past 62 bits an input overflows int64
+                width, keys = len(bits), array("q") if len(bits) <= 62 else []
+            if len(bits) != width:
+                return f"bitstring width differs from {width}"
+            keys.append(int(bits, 2))
+            linenos.append(lineno)
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            return "non-numeric value" if objective else "non-numeric cell"
+        if not all(map(math.isfinite, values)):
+            return "NaN or infinite value"
+        width = width or len(values)
+        if len(values) != width and not objective:
+            return f"expected {width} columns, found {len(values)}"
+        if labeled:
+            label, features = np.float64(values[-1]), values[:-1]
+            if bad_label is None and label not in (-1.0, 1.0):
+                bad_label = f"{lineno}: label {label} is not -1 or 1"
+            if bad_features is None and not all(map(float.is_integer, features)):
+                bad_features = f"{lineno}: features {features} are not integers"
+        return None
+
     with _open_text(path) as handle:
-        # Every chunk is decoded, even after an error, since a decode error
-        # anywhere in the file is the one reported.
-        for text in _chunks(handle):
-            first, lineno = lineno, lineno + text.count("\n")
-            if bad_cell is not None:
+        for lineno, row in enumerate(map(str.strip, handle), 1):
+            if not row:
                 continue
-            linenos = np.arange(first, lineno)
-            clean = text.isascii() and "_" not in text
-            if not clean or _BLANK_LINE.search("\n" + text):
-                lines = list(map(str.strip, text.split("\n")))
-                lines.pop()
-                linenos = linenos[np.fromiter(map(bool, lines), bool, len(lines))]
-                rows = list(filter(None, lines))
-                text = "".join(row + "\n" for row in rows)
-                # float() reads "1_0" as 10 and non-ASCII digits, which no cell may hold.
-                if not clean:
-                    bad_cell = next((n for n, row in zip(linenos, rows)
-                                     if "_" in row or not row.isascii()), None)
-            n_rows += len(linenos)
-            if bad_cell is None and bad_row is None and text:
-                bad_row = parse(text, linenos)
+            n_rows += 1
+            if bad_cell is None and ("_" in row or not row.isascii()):
+                bad_cell = lineno
+            elif bad_cell is None and bad is None and (message := check(lineno, row)):
+                bad = f"{lineno}: {message}"
     if not n_rows:
         raise DomainError(f"{path}: no data rows")
     if bad_cell is not None:
         raise DomainError(f"{path}:{bad_cell}: non-numeric cell")
-    return bad_row
-
-
-def _floats(cells: list[str]) -> np.ndarray | None:
-    """The cells by Python's ``float``, or None if one is not a number."""
-    try:
-        return np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return None
-
-
-def _separators(text: str):
-    """The text's bytes, and the positions of its commas and line ends."""
-    data = np.frombuffer(text.encode(), np.uint8)
-    return data, np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-
-
-def _float_block(text: str, n_rows: int, width: int | None):
-    """``(block, None)`` with the rows as a (rows, width) float array, or
-    ``(None, (index, message))`` for the first bad row.  ``width`` None takes
-    the first row's."""
-    data, seps = _separators(text)
-    ends = data[seps] == ord("\n")
-    width = width or int(np.argmax(ends)) + 1
-    # Every width-th separator ends a row, so each row has width cells.
-    if ends.size == width * n_rows and ends[width - 1 :: width].all():
-        cells = text.replace("\n", ",").split(",")
-        cells.pop()
-        values = _floats(cells)
-        if values is not None and np.isfinite(values).all():
-            return values.reshape(-1, width), None
-    # A bad chunk is read again row by row, so the first bad row is named
-    # with the message a line-by-line reader gives it.
-    parsed = []
-    for i, row in enumerate(text.split("\n")[:-1]):
-        try:
-            values = [float(cell.strip()) for cell in row.split(",")]
-        except ValueError:
-            return None, (i, "non-numeric cell")
-        if not all(map(math.isfinite, values)):
-            return None, (i, "NaN or infinite value")
-        if len(values) != width:
-            return None, (i, f"expected {width} columns, found {len(values)}")
-        parsed.append(values)
-    return np.array(parsed), None
-
-
-def _objective_block(text: str, n_rows: int, n_bits: int | None):
-    """``(n_bits, keys, values, bad)``: the rows' inputs and values, and None
-    or ``(index, message)`` for the first bad row.  ``keys`` runs up to that
-    row, and includes it when its fault comes after the duplicate check."""
-    data, seps = _separators(text)
-    if seps.size == 2 * n_rows and (data[seps[1::2]] == ord("\n")).all():
-        starts = np.concatenate(([0], seps[1:-1:2] + 1))
-        widths = seps[0::2] - starts
-        n = n_bits or int(widths[0])
-        # Past 62 bits an input overflows int64; such a table is never complete.
-        if 0 < n <= 62 and (widths == n).all():
-            digits = data[starts[:, None] + np.arange(n)] - ord("0")
-            values = _floats(text.replace("\n", ",").split(",")[1::2])
-            if (digits <= 1).all() and values is not None and np.isfinite(values).all():
-                return n, digits @ (1 << np.arange(n - 1, -1, -1)), values, None
-    keys, values, bad = [], [], None
-    for i, row in enumerate(text.split("\n")[:-1]):
-        cells = [cell.strip() for cell in row.split(",")]
-        if len(cells) != 2:
-            bad = (i, "expected 'bitstring,value'")
-            break
-        bits, raw_value = cells
-        if not bits or bits.strip("01"):
-            bad = (i, f"invalid bitstring {bits!r}")
-            break
-        n_bits = n_bits or len(bits)
-        if len(bits) != n_bits:
-            bad = (i, f"bitstring width differs from {n_bits}")
-            break
-        keys.append(int(bits, 2))
-        try:
-            value = float(raw_value)
-        except ValueError:
-            bad = (i, "non-numeric value")
-            break
-        if not math.isfinite(value):
-            bad = (i, "NaN or infinite value")
-            break
-        values.append(value)
-    keys = np.array(keys, dtype=np.int64 if (n_bits or 0) <= 62 else object)
-    return n_bits, keys, np.array(values), bad
+    if objective:
+        keys = np.array(keys, dtype=object if isinstance(keys, list) else np.int64)
+        if (repeat := _first_repeat(keys)) is not None:
+            first, again = np.asarray(linenos)[list(repeat)]
+            bits = format(keys[repeat[1]], f"0{width}b")
+            raise DomainError(
+                f"{path}:{again}: duplicate bitstring {bits!r} (first on line {first})"
+            )
+    if bad is not None:
+        raise DomainError(f"{path}:{bad}")
+    if objective and len(keys) != 2**width:
+        raise DomainError(f"{path}: objective covers {len(keys)} of {2**width} inputs")
+    if objective and width > state.MAX_QUBITS:
+        raise DomainError(f"{path}: objective bit width {width} out of range")
+    if labeled and width < 2:
+        raise DomainError(f"{path}: labeled data needs features plus a label column")
+    if labeled and bad_label is not None:
+        raise DomainError(f"{path}:{bad_label}")
+    if schema == "labeled-integers" and bad_features is not None:
+        raise DomainError(f"{path}:{bad_features}")
+    if schema not in ("objective", "vectors", "labeled", "labeled-integers"):
+        raise DomainError(f"unknown ingestion schema {schema!r}")
 
 
 def _first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
@@ -246,81 +242,21 @@ def ingest_csv(path: str, schema: str):
     underscore.  Malformed rows are rejected with their 1-based line number:
     the first bad line, with the message a line-by-line reader gives it.
 
-    The file is read in chunks of about ``_CHUNK_CHARS`` characters of whole
-    lines, and each chunk is checked and converted as whole arrays.  Memory
-    follows the output, not the file's text: at its peak the reader holds
-    twice the bytes of the arrays it returns (the parsed blocks and their
-    joined copy), or for an objective 33 bytes per row (inputs, values and
-    line numbers beside the table), plus one chunk's text and cells.
+    One ``np.loadtxt`` call reads the file's non-blank lines as ASCII, and
+    its result is returned once every schema check passes.  Memory follows
+    the output: the returned arrays, or for an objective 33 bytes per row of
+    records beside the table, never the file's text.  A file that numpy or a
+    check refuses is read once more, line by line, and its first fault is
+    raised; that pass holds no rows.  A file with no fault whose cells are
+    padded (`` 0101 ,1.0``, which numpy keeps as a bitstring) or whose lines
+    end in non-ASCII whitespace is read by numpy again with each cell
+    stripped.
     """
-    if schema == "objective":
-        n_bits, keys, values, linenos = None, [], [], []
-
-        def parse(text, lines):
-            nonlocal n_bits
-            n_bits, k, v, bad = _objective_block(text, len(lines), n_bits)
-            keys.append(k)
-            values.append(v)
-            linenos.append(lines[: len(k)])
-            return None if bad is None else (lines[bad[0]], bad[1])
-
-        bad = _read_rows(path, parse)
-        # Nothing of 2^n_bits entries is built until the rows could fill it.
-        if bad is None and sum(map(len, keys)) == 2**n_bits:
-            table, seen = np.empty(2**n_bits), np.zeros(2**n_bits, bool)
-            for k, v in zip(keys, values):
-                table[k] = v
-                seen[k] = True
-            if seen.all():
-                return table
-        keys = np.concatenate(keys)
-        repeat = _first_repeat(keys)
-        if repeat is not None:
-            first, again = np.concatenate(linenos)[list(repeat)]
-            bits = format(keys[repeat[1]], f"0{n_bits}b")
-            raise DomainError(
-                f"{path}:{again}: duplicate bitstring {bits!r} (first on line {first})"
-            )
-        if bad is not None:
-            raise DomainError(f"{path}:{bad[0]}: {bad[1]}")
-        raise DomainError(f"{path}: objective covers {len(keys)} of {2**n_bits} inputs")
-
-    blocks, bad_label, bad_features = [], None, None
-
-    def parse(text, lines):
-        nonlocal bad_label, bad_features
-        block, bad = _float_block(text, len(lines), blocks[0].shape[1] if blocks else None)
-        if bad is not None:
-            return lines[bad[0]], bad[1]
-        blocks.append(block)
-        if schema in ("labeled", "labeled-integers") and block.shape[1] > 1:
-            features, labels = block[:, :-1], block[:, -1]
-            bad = np.flatnonzero(~np.isin(labels, (-1.0, 1.0)))
-            if bad.size and bad_label is None:
-                bad_label = f"{lines[bad[0]]}: label {labels[bad[0]]} is not -1 or 1"
-            bad = np.flatnonzero(np.any(features != np.floor(features), axis=1))
-            if bad.size and bad_features is None:
-                bad_features = (
-                    f"{lines[bad[0]]}: features {features[bad[0]].tolist()} are not integers"
-                )
-        return None
-
-    bad = _read_rows(path, parse)
-    if bad is not None:
-        raise DomainError(f"{path}:{bad[0]}: {bad[1]}")
-    matrix = np.concatenate(blocks)
-
-    if schema == "vectors":
-        return matrix
-    if schema in ("labeled", "labeled-integers"):
-        if matrix.shape[1] < 2:
-            raise DomainError(f"{path}: labeled data needs features plus a label column")
-        if bad_label is not None:
-            raise DomainError(f"{path}:{bad_label}")
-        if schema == "labeled-integers" and bad_features is not None:
-            raise DomainError(f"{path}:{bad_features}")
-        return matrix[:, :-1], matrix[:, -1]
-    raise DomainError(f"unknown ingestion schema {schema!r}")
+    result = _load(path, schema)
+    if result is None:
+        _raise_first_fault(path, schema)
+        result = _load(path, schema, strip=True)
+    return result
 
 
 def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False):

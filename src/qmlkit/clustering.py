@@ -156,12 +156,7 @@ def _repair_empty(
         if np.any(assignments == j):
             continue
         # Reseed with the point farthest from its currently assigned centroid.
-        gaps = np.array(
-            [
-                np.sum((data.vectors[i] - centroids[assignments[i]]) ** 2)
-                for i in range(data.m)
-            ]
-        )
+        gaps = np.sum((data.vectors - centroids[assignments]) ** 2, axis=1)
         farthest = int(np.argmax(gaps))
         centroids[j] = data.vectors[farthest]
         assignments[farthest] = j

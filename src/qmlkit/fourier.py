@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +41,6 @@ def qft(psi: StateVector) -> StateVector:
     return StateVector(psi.n_qubits, classical_dft(psi.amps))
 
 
-@lru_cache(maxsize=None)
 def qft_gate(n_qubits: int) -> GateMatrix:
     """The transform as a dense unitary: F_jk = omega^(jk) / sqrt(N) with
     omega = e^(2 pi i / N) and N = 2^n_qubits.

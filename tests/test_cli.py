@@ -3,11 +3,13 @@ import io
 import json
 import math
 import os
+import re
 import reprlib
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -91,6 +93,42 @@ def csv_like_text(draw) -> bytes:
         rows = draw(st.lists(st.lists(cell, min_size=1, max_size=4).map(",".join), max_size=6))
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return ending.join(rows).encode("utf-8")
+
+
+# The ASCII characters that str.strip() and numpy's float reader both strip.
+ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+@st.composite
+def legal_csv_text(draw, schema) -> bytes:
+    """A valid file of ``schema`` in unusual but legal formatting: cells
+    padded with ASCII whitespace, blank and whitespace-only lines, "\n",
+    "\r\n" or "\r" endings, no final newline, and the values -0.0, 5e-324,
+    1e308 and mantissas of 17 digits or more."""
+    space = st.text(st.sampled_from(ASCII_SPACE), max_size=2)
+    pad = lambda cell: st.tuples(space, cell, space).map("".join)  # noqa: E731
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["-0.0", "5e-324", "1e308", "-1e308", "+1", "1.", ".5"]),
+        st.tuples(st.integers(0, 99), st.text("0123456789", min_size=17, max_size=40))
+        .map(lambda p: f"{p[0]}.{p[1]}"),
+    )
+    if schema == "objective":
+        width = draw(st.integers(1, 4))
+        rows = [f"{draw(pad(st.just(f'{x:0{width}b}')))},{draw(pad(value))}"
+                for x in draw(st.permutations(range(2**width)))]
+    else:
+        feature = st.integers(-10**6, 10**6).map(str) if schema == "labeled-integers" else value
+        label = st.sampled_from(["1", "-1", "1.0", "-1.0", "+1", "1e0"])
+        width = draw(st.integers(2 if schema.startswith("labeled") else 1, 4))
+        rows = [",".join([draw(pad(feature)) for _ in range(width - 1)]
+                         + [draw(pad(label if schema.startswith("labeled") else value))])
+                for _ in range(draw(st.integers(1, 8)))]
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(space, max_size=2)) + [row]
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode()
 
 
 class TestIngestCsv:
@@ -189,8 +227,9 @@ def read_outcome(reader, path, schema):
 
 
 class TestChunkedReader:
-    """``ingest_csv`` reads whole-line chunks as arrays; the line-by-line
-    ``reference_ingest_csv`` is the reference for every result and message."""
+    """``ingest_csv`` reads the file with numpy's C reader, and a file it
+    refuses line by line; the line-by-line ``reference_ingest_csv`` is the
+    reference for every result and message."""
 
     def assert_same(self, path, schema):
         expected = read_outcome(reference_ingest_csv, path, schema)
@@ -206,17 +245,70 @@ class TestChunkedReader:
         self.assert_same(str(path), schema)
 
     @settings(max_examples=200)
-    @given(content=st.one_of(st.binary(max_size=96), csv_like_text()), schema=st.sampled_from(
-        sorted(SCHEMA_READERS)), chunk_chars=st.integers(1, 24))
-    def test_matches_reference_in_small_chunks(self, content, schema, chunk_chars,
-                                               tmp_path_factory):
-        # Reads of 1 to 24 characters put one to three lines in each chunk,
-        # and cut rows, "\r\n" pairs and UTF-8 sequences at every position.
-        path = tmp_path_factory.getbasetemp() / "small.csv"
+    @given(data=st.data(), schema=st.sampled_from(sorted(SCHEMA_READERS)))
+    def test_legal_formatting_takes_the_c_reader(self, data, schema, tmp_path_factory):
+        # A file of float rows never reaches the line-by-line pass; an
+        # objective does only when a bitstring is padded, which numpy keeps.
+        content = data.draw(legal_csv_text(schema))
+        path = tmp_path_factory.getbasetemp() / "legal.csv"
         path.write_bytes(content)
+        line_pass, first_fault = [], cli._raise_first_fault
+
+        def recorded(*args):
+            line_pass.append(args)
+            return first_fault(*args)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_CHUNK_CHARS", chunk_chars)
-            self.assert_same(str(path), schema)
+            patch.setattr(cli, "_raise_first_fault", recorded)
+            outcome = self.assert_same(str(path), schema)
+        assert not isinstance(outcome, str), outcome
+        bits = [line.split(",")[0] for line in re.split("[\r\n]", content.decode()) if "," in line]
+        padded_bits = schema == "objective" and any(cell != cell.strip() for cell in bits)
+        assert bool(line_pass) == padded_bits
+
+    @pytest.mark.parametrize("text", ["", "\n", " \t\r\n\x0c\n\r", "\x1c\x1f"])
+    @pytest.mark.parametrize("schema", sorted(SCHEMA_READERS))
+    def test_blank_file_has_no_data_rows(self, schema, text, tmp_path, capsys):
+        path = write(tmp_path / "blank.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = cli.run(SCHEMA_READERS[schema] + [path])
+        assert (code, report) == (1, None)
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_late_fault_in_a_large_file_holds_no_rows(self, tmp_path):
+        # 2^20 rows of two floats, then a bad row: numpy holds the 16 MiB of
+        # rows before it, and the line-by-line pass that names the row holds
+        # none.  The child reports how far its VmHWM rose over the read.
+        path = tmp_path / "late.csv"
+        path.write_text("0.5,0.25\n" * 2**20 + "0.5,x\n", encoding="ascii")
+        import qmlkit
+
+        src = str(Path(qmlkit.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import sys\n"
+            "from qmlkit import cli\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "cli.run(['dft', '--signal', sys.argv[2]])  # loads what every run loads\n"
+            "before = peak()\n"
+            "code, report = cli.run(['dft', '--signal', sys.argv[1]])\n"
+            "print(code, peak() - before, file=sys.stderr)\n"
+        )
+        small = write(tmp_path / "small.csv", "1.0\n")
+        err = subprocess.run(
+            [sys.executable, "-c", script, str(path), small], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        ).stderr.splitlines()
+        assert err[-2] == f"error: {path}:1048577: non-numeric cell"
+        code, rise_kib = map(int, err[-1].split())
+        assert code == 1
+        assert rise_kib <= 20 * 1024, f"read raised the peak by {rise_kib / 1024:.1f} MiB"
 
     @pytest.mark.parametrize("bad_row, message", [
         ("0.5,x", "non-numeric cell"),
@@ -230,17 +322,23 @@ class TestChunkedReader:
         rows[1000:1000] = ["", "  "]
         rows.insert(8500, bad_row)
         path = write(tmp_path / "late.csv", "\n".join(rows) + "\n")
-        assert os.path.getsize(path) > 2 * cli._CHUNK_CHARS
+        assert os.path.getsize(path) > 2 * 2**16
         assert self.assert_same(path, "labeled") == f"{path}:8501: {message}"
 
     def test_crlf_across_chunk_boundary_is_one_line(self, tmp_path):
         # The first read ends on the "\r" of the first row's "\r\n".
-        first = "1." + "0" * (cli._CHUNK_CHARS - 3)
+        first = "1." + "0" * (2**16 - 3)
         path = tmp_path / "crlf.csv"
         path.write_bytes(f"{first}\r\n2.0\r\nx\r\n".encode())
         assert self.assert_same(str(path), "vectors") == f"{path}:3: non-numeric cell"
         path.write_bytes(f"{first}\r\n2.0\r\n".encode())
         assert cli.ingest_csv(str(path), "vectors").tolist() == [[1.0], [2.0]]
+
+    @pytest.mark.parametrize("bits", ["0\0", "0\0\0", "\x000"])
+    def test_nul_in_a_bitstring_is_refused(self, bits, tmp_path):
+        # numpy reads "0\0" into a bitstring field as "0".
+        path = write(tmp_path / "nul.csv", f"{bits},1.0\n1,2.0\n")
+        assert self.assert_same(path, "objective") == f"{path}:1: invalid bitstring {bits!r}"
 
     @pytest.mark.parametrize("text, message", [
         ("0" * 70 + ",1.0\n", "objective covers 1 of 1180591620717411303424 inputs"),

@@ -69,6 +69,21 @@ def reference_assign(data, centroids, cfg, rng, warnings, argmin=argmin_via_sear
     return assignments
 
 
+def reference_repair_empty(data, centroids, assignments, cfg, warnings):
+    """Empty clusters reseeded with one gap per row, row by row: the loop
+    before the gaps were one row-wise sum."""
+    for j in range(cfg.k):
+        if np.any(assignments == j):
+            continue
+        gaps = np.array(
+            [np.sum((data.vectors[i] - centroids[assignments[i]]) ** 2) for i in range(data.m)]
+        )
+        farthest = int(np.argmax(gaps))
+        centroids[j] = data.vectors[farthest]
+        assignments[farthest] = j
+        warnings.append(f"empty cluster {j} reseeded with row {farthest}")
+
+
 @st.composite
 def assign_passes(draw):
     """1-12 rows of up to 9 features and 1-5 centroids at mixed scales; a
@@ -302,3 +317,28 @@ class TestKmedians:
             initial_centroids=model.centroids,
         )
         assert np.array_equal(again.centroids, model.centroids)
+
+
+class TestRepairEmpty:
+    @settings(max_examples=200)
+    @given(m=st.integers(1, 40), dim=st.integers(1, 40), k=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), repeats=st.booleans())
+    def test_matches_row_by_row_gaps(self, m, dim, k, seed, repeats):
+        # Up to 40 features, so each gap's sum runs past numpy's 8-wide
+        # pairwise blocks; repeated rows give tied gaps, where the first wins.
+        gen = np.random.default_rng(seed)
+        vectors = gen.normal(size=(m, dim)) * 10.0 ** gen.uniform(-3, 3, size=(m, 1))
+        if repeats:
+            vectors = vectors[gen.integers(0, m, size=m)]
+        data = Dataset(vectors)
+        centroids = gen.normal(size=(k, dim))
+        assignments = gen.integers(0, k, size=m)
+        cfg = ClusterConfig(k=k)
+        got_centroids, got_assignments, got_warnings = centroids.copy(), assignments.copy(), []
+        clustering._repair_empty(
+            data, got_centroids, got_assignments, cfg, RngStream(0), got_warnings
+        )
+        reference_repair_empty(data, centroids, assignments, cfg, warnings := [])
+        assert got_centroids.tobytes() == centroids.tobytes()
+        assert got_assignments.tolist() == assignments.tolist()
+        assert got_warnings == warnings
