@@ -1,9 +1,10 @@
 """Lloyd-style k-means and k-medians with quantum distance estimation.
 
-Assignment distances run through the state-encoding distance subroutine
-(exact or shot-estimated), a whole Lloyd pass of (row, centroid) pairs per
-batch up to ``MAX_BATCH_PAIRS`` pairs; the nearest-centroid choice is
-either a host argmin or quantum minimum finding over the centroid indices.
+Assignment distances come from the distance swap test's p0, read in
+closed form from each pair's row differences (exact or shot-estimated), a
+whole Lloyd pass of (row, centroid) pairs per batch of at most
+``MAX_BATCH_PAIRS``; the nearest-centroid choice is either a host argmin
+or quantum minimum finding over the centroid indices.
 Both algorithms run one Lloyd loop (``_lloyd``) and differ only in the
 centroid update and the stop rule: k-means takes member means and stops
 when no centroid moves by ``eta`` or more; k-medians takes the quantum

@@ -5,20 +5,18 @@ amplitude-encoded into ceil(log2 N) qubits, overlaps are read out through
 the swap-test circuit, and Euclidean distances come from the two-state
 construction whose ancilla overlap encodes |a-b|^2 / 2Z.
 
-One kernel, ``_swap_test_p0``, runs every swap test, on pairs of rows of
-two row sets given by index: it gathers each slice of pairs into one
-register whose extra qubits index the pairs, so no caller copies its rows
-per pair, and the gates act on it through ``gates.apply``.  ``swap_tests``
-runs every row of one set against every row of another in one call (all
-QPCA rows against the top eigenvectors); the distance callers pair the rows
-with the live centroids of a k-means pass, or the points i < j of a set
-median, in batches of whole rows of at most ``MAX_BATCH_PAIRS`` pairs.
-Distance pairs are encoded in chunks and a slice holds at most
-``_SLICE_AMPS`` amplitudes unless one pair alone needs more, so memory is
-bounded per batch and chunk; a pair over the qubit cap is refused before
-anything is allocated.  Each estimator carries the exact value from the
-simulated final state and a shot-based value, drawn in slice-sized chunks
-in the order of one batch per point.
+One kernel, ``_swap_test_p0``, runs every overlap swap test, on pairs of
+rows of two row sets given by index: each slice of pairs is one register,
+of at most ``_SLICE_AMPS`` amplitudes unless one pair alone needs more,
+whose extra qubits index the pairs, and the gates act on it through
+``gates.apply``.  ``swap_tests`` runs every row of one set against every
+row of another in one call (all QPCA rows against the top eigenvectors).
+The distance test's p0 has a closed form in the norms and |a-b|^2, so
+``distance_p0`` builds no register; its callers pair the rows with the
+live centroids of a k-means pass, or the points i < j of a set median, in
+batches of whole rows of at most ``MAX_BATCH_PAIRS`` pairs.  Each
+estimator carries the exact p0 and a shot-based value, drawn in
+slice-sized chunks in the order of one batch per point.
 """
 from __future__ import annotations
 
@@ -39,10 +37,9 @@ _H = standard_gate("H")
 _FREDKIN = controlled(standard_gate("SWAP"))
 _PLUS = _H.matrix[:, 0]  # the control qubit after the first H
 # Amplitudes of one batched swap-test register (64 KiB), which also bounds
-# the pairs encoded at once and the bytes of one chunk of shot draws.  With
-# a k-means pass as one batch, the clustering benchmark peaked at 45 MiB RSS
-# with slices of 2^16 amplitudes against 41 MiB at 2^12, and ran slower;
-# drawing a pass's shots at once added another 7 MiB.
+# the entries of one chunk of distance differences and the bytes of one
+# chunk of shot draws; on the clustering benchmark, drawing a whole k-means
+# pass's shots at once peaked 7 MiB higher.
 _SLICE_AMPS = 2**12
 # Pairs of one k-means or set-median distance batch: their per-pair arrays
 # (indices, Z, p0, estimates) take a few MiB, where a whole pass or median
@@ -69,10 +66,6 @@ class OverlapEstimate:
     shots: int
     exact_p0: float
 
-    @property
-    def overlap_sq_exact(self) -> float:
-        return float(overlap_sq(self.exact_p0))
-
 
 @dataclass(frozen=True)
 class DistanceEstimate:
@@ -81,17 +74,22 @@ class DistanceEstimate:
     inner_prod: float
 
 
-def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norms and zero-padded amplitude encodings of the rows of a matrix."""
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of the rows of a matrix, refused unless every row has an
+    amplitude encoding: finite, nonzero and within ``MAX_QUBITS`` qubits."""
     if not np.all(np.isfinite(rows)):
         raise DomainError("cannot encode a vector with NaN or infinite entries")
     # One dot product per row, summed as np.linalg.norm sums one vector.
     norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
     if np.any(norms == 0.0):
         raise DomainError("cannot encode the zero vector")
-    amps = np.zeros((len(rows), 2 ** max(1, math.ceil(math.log2(rows.shape[1])))), dtype=complex)
-    amps[:, : rows.shape[1]] = rows / norms[:, None]
-    return norms, amps
+    _check_n_qubits(_encoded_qubits(rows.shape[1]))
+    return norms
+
+
+def _encoded_qubits(size: int) -> int:
+    """ceil(log2 size) qubits, at least one, to amplitude-encode a vector."""
+    return max(1, (size - 1).bit_length())
 
 
 def encode(a) -> EncodedVector:
@@ -99,9 +97,11 @@ def encode(a) -> EncodedVector:
     raw = np.asarray(a, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise DomainError("encode expects a nonempty 1-D vector")
-    norms, amps = _unit_rows(raw[None])
-    n_qubits = amps.shape[1].bit_length() - 1
-    return EncodedVector(raw=raw, norm=float(norms[0]), state=StateVector(n_qubits, amps[0]))
+    norm = _row_norms(raw[None])[0]
+    n_qubits = _encoded_qubits(raw.size)
+    amps = np.zeros(2**n_qubits, dtype=complex)
+    amps[: raw.size] = raw / norm
+    return EncodedVector(raw=raw, norm=float(norm), state=StateVector(n_qubits, amps))
 
 
 def _swap_test_p0(
@@ -246,13 +246,16 @@ def distance_p0(left, right, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Z = |a|^2 + |b|^2 and the exact swap-test p0 of each distance pair.
 
     ``pairs`` = (rows of ``left``, rows of ``right``) lists the pairs by
-    index; a 1-D ``left`` is one row.  Each row is encoded once, and the
-    pairs run through the kernel in pair order, in chunks whose psi states
-    hold ``_SLICE_AMPS`` amplitudes.
+    index; a 1-D ``left`` is one row.
 
     Each pair prepares psi = (|0,a> + |1,b>)/sqrt(2) and
     phi = (|a| |0> - |b| |1>)/sqrt(Z) and swap-tests phi against psi's
-    ancilla qubit (the data register rides along uncontracted).
+    ancilla qubit (the data register rides along uncontracted): projecting
+    the ancilla onto phi leaves (a - b)/sqrt(2Z), so o = |a-b|^2 / 2Z and
+    p0 = 1/2 + o/2.  That form is computed with no register, |a-b|^2 as
+    the summed squares of each pair's gathered differences, in chunks of
+    ``_SLICE_AMPS`` entries; the Gram form Z - 2 a.b would cancel for
+    near-equal points.
     """
     left = np.atleast_2d(np.asarray(left, dtype=float))
     right = np.atleast_2d(np.asarray(right, dtype=float))
@@ -263,20 +266,13 @@ def distance_p0(left, right, pairs) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = (np.asarray(index) for index in pairs)
     if rows.shape != cols.shape:
         raise DomainError(f"{rows.size} left rows cannot pair with {cols.size} right rows")
-    left_norms, left_amps = _unit_rows(left)
-    right_norms, right_amps = _unit_rows(right)
-    z = np.square(left_norms)[rows] + np.square(right_norms)[cols]
-    p0 = np.empty(z.size)
-    chunk = max(1, _SLICE_AMPS // (2 * left_amps.shape[1]))
+    z = np.square(_row_norms(left))[rows] + np.square(_row_norms(right))[cols]
+    dist_sq = np.empty(z.size)
+    chunk = max(1, _SLICE_AMPS // left.shape[1])
     for start in range(0, z.size, chunk):
-        i, j = rows[start : start + chunk], cols[start : start + chunk]
-        phi = np.stack([left_norms[i], -right_norms[j]], axis=1).astype(complex)
-        psi = np.concatenate([left_amps[i], right_amps[j]], axis=1)
-        k = np.arange(len(i))
-        p0[start : start + chunk] = _swap_test_p0(
-            phi / np.sqrt(z[start : start + chunk])[:, None], psi / math.sqrt(2.0), k, k
-        )
-    return z, p0
+        diff = left[rows[start : start + chunk]] - right[cols[start : start + chunk]]
+        dist_sq[start : start + chunk] = np.einsum("ij,ij->i", diff, diff)
+    return z, 0.5 + 0.5 * (dist_sq / (2.0 * z))
 
 
 def estimate_dist_sq(

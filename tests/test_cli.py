@@ -528,11 +528,21 @@ class TestExitCodes:
         assert "error: 25 qubits exceeds the cap of 24" in capsys.readouterr().err
 
     def test_dist_over_qubit_cap(self, tmp_path, monkeypatch, capsys):
+        # A row of 64 entries needs a 6-qubit amplitude encoding.
         monkeypatch.setattr("qmlkit.state.MAX_QUBITS", 5)
-        a = write(tmp_path / "a.csv", ",".join(["1.0"] * 8) + "\n")
+        a = write(tmp_path / "a.csv", ",".join(["1.0"] * 64) + "\n")
         code, report = cli.run(["dist", "--a", a, "--b", a])
         assert code == 1 and report is None
         assert "error: 6 qubits exceeds the cap of 5" in capsys.readouterr().err
+
+    def test_dist_at_qubit_cap(self, tmp_path, monkeypatch):
+        # A row of 32 entries fills a 5-qubit encoding, at the cap; no
+        # larger register is built around the pair.
+        monkeypatch.setattr("qmlkit.state.MAX_QUBITS", 5)
+        a = write(tmp_path / "a.csv", ",".join(["1.0"] * 32) + "\n")
+        b = write(tmp_path / "b.csv", ",".join(["2.0"] * 32) + "\n")
+        results = run_ok(["dist", "--a", a, "--b", b])["results"]
+        assert results["dist_sq"] == pytest.approx(32.0, rel=1e-12)
 
     @pytest.mark.parametrize("command", ["dist", "kmeans"])
     def test_shot_draws_over_memory_budget(self, command, tmp_path, blob_csv, capsys):

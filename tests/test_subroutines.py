@@ -11,6 +11,7 @@ from qmlkit.errors import ConfigError, DomainError
 from qmlkit.gates import apply, controlled, standard_gate
 from qmlkit.minimizer import argmin_via_search
 from qmlkit import subroutines
+from qmlkit.clustering import ClusterConfig, Dataset, kmeans, kmedians
 from qmlkit.rng import RngStream
 from qmlkit.state import StateVector, basis_state, inner_product
 from qmlkit.subroutines import (
@@ -18,6 +19,7 @@ from qmlkit.subroutines import (
     distances,
     encode,
     median_calc,
+    overlap_sq,
     swap_test,
     swap_tests,
 )
@@ -140,7 +142,8 @@ def swap_matrices(draw):
 @st.composite
 def distance_batches(draw):
     """A vector of 1-64 entries (up to 6 data qubits) and 1-8 others, drawn
-    at mixed scales; one of the others may be a copy or a multiple of it."""
+    at mixed scales; one of the others may be a copy or a multiple of it,
+    and one may be the near-equal a (1 + eps), eps in 1e-12...1e-6."""
     dim = draw(st.integers(1, 64))
     batch = draw(st.integers(1, 8))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -148,6 +151,9 @@ def distance_batches(draw):
     others = gen.normal(size=(batch, dim)) * 10.0 ** gen.uniform(-2, 2, size=(batch, 1))
     if draw(st.booleans()):
         others[draw(st.integers(0, batch - 1))] = a * draw(st.sampled_from([1.0, -2.0, 0.5]))
+    if draw(st.booleans()):
+        eps = 10.0 ** draw(st.floats(-12.0, -6.0))
+        others[draw(st.integers(0, batch - 1))] = a * (1.0 + eps)
     return a, others
 
 
@@ -186,7 +192,7 @@ class TestSwapTest:
     def test_orthogonal_states(self):
         estimate = swap_test(basis_state(2, 0), basis_state(2, 3))
         assert estimate.exact_p0 == pytest.approx(0.5, abs=1e-12)
-        assert estimate.overlap_sq_exact == pytest.approx(0.0, abs=1e-12)
+        assert overlap_sq(estimate.exact_p0) == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_overlap(self):
         a = StateVector(1, np.array([0.6, 0.8], dtype=complex))
@@ -389,6 +395,24 @@ class TestDistanceBatch:
         z, dist_sq = distances(a, [b], shots=300, rng=RngStream(8), mode="shots")
         assert (estimate.z, estimate.dist_sq) == (z[0], dist_sq[0])
         assert estimate.inner_prod == (z[0] - dist_sq[0]) / 2.0
+
+    @pytest.mark.parametrize("mode", ["exact", "shots"])
+    def test_distance_paths_build_no_register(self, np_rng, mode):
+        # Distances come from their closed form: no distance, median or
+        # clustering path runs the swap-test kernel, applies a gate or
+        # builds a state.
+        points = np_rng.normal(size=(12, 3))
+        cfg = ClusterConfig(k=2, distance_mode=mode, shots=64)
+        refuse = mock.Mock(side_effect=AssertionError("swap-test register built"))
+        with mock.patch.object(subroutines, "_swap_test_p0", refuse), \
+                mock.patch.object(subroutines, "apply", refuse), \
+                mock.patch.object(StateVector, "__post_init__", refuse):
+            distances(points[0], points[1:], 64, RngStream(1), mode)
+            dist_calc(points[0], points[1], 64, RngStream(2), mode)
+            median_calc(points, 64, RngStream(3), mode)
+            kmeans(Dataset(points), cfg, RngStream(4))
+            kmedians(Dataset(points), cfg, RngStream(5))
+        refuse.assert_not_called()
 
     def test_exact_mode_draws_nothing(self, np_rng):
         rng = RngStream(1)
