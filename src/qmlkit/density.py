@@ -48,9 +48,6 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.matrix)
-
     @classmethod
     def _trusted(cls, dim: int, matrix: np.ndarray) -> "DensityMatrix":
         # Skip validation for matrices whose validity is guaranteed by the

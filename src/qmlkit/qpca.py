@@ -1,16 +1,18 @@
 """Principal component analysis through density-matrix eigen-sampling.
 
 The preprocessed rows (demeaned, optionally standardized, unit-normalized)
-mix into the density matrix rho = (1/M) sum |x_i><x_i|, the covariance up to
-that normalization.  Components are drawn with probability equal to their
-eigenvalue; each draw reads the eigenvalue back out of a phase-estimation
-register run on the matrix exponential of rho.  On an eigenvector that
-register's distribution is phase estimation's closed form in the
-eigenvalue, so no unitary is built and no register simulated; the tests keep
-the simulated register as the reference.  rho's one eigendecomposition
-serves sampling and scores, which are overlaps of rows with eigenvectors.
-Swap-test scores are one ``subroutines.swap_tests`` call on the rows and the
-top eigenvectors, which makes no (row, component)-aligned copy of either.
+mix into the density matrix rho = R^T R / M = (1/M) sum |x_i><x_i|, the
+covariance up to that normalization.  Components are drawn with probability
+equal to their eigenvalue; each draw reads the eigenvalue back out of a
+phase-estimation register run on the matrix exponential of rho.  On an
+eigenvector that register's distribution is phase estimation's closed form
+in the eigenvalue, so no unitary is built and no register simulated.  rho
+has rank at most M and is never formed: its one eigensystem comes from the
+smaller of R^T R / M and the Gram matrix R R^T / M (the method of
+snapshots); the tests keep the dense rho and the simulated register as the
+reference.  The eigensystem serves sampling and scores, which are overlaps
+of rows with eigenvectors; swap-test scores are one ``subroutines.swap_tests``
+call on the rows and the top eigenvectors.
 """
 from __future__ import annotations
 
@@ -19,31 +21,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix
-from .errors import DomainError
+from . import state
+from .errors import ConfigError, DomainError
 from .fourier import register_distribution
 from .rng import RngStream
-from .state import _check_dense_cap, _check_n_qubits
+from .state import _check_n_qubits
 from .subroutines import _check_draw_budget, overlap_sq, swap_tests
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
 DEFAULT_CONTROLS = 8
+_RANK_TOL = 1e-10    # of the largest eigenvalue: below it a lifted column is off by > 1e-6
 
 
 @dataclass(frozen=True)
 class PcaInput:
-    raw: np.ndarray
     demeaned: np.ndarray
-    rows: np.ndarray          # demeaned (optionally standardized), unit rows
-    standardize: bool
+    rows: np.ndarray          # unit rows of the scaled data, zero-padded to 2^n columns
 
 
 @dataclass(frozen=True)
 class PcaModel:
-    rho: DensityMatrix
     t: float
-    eigenvalues: np.ndarray   # descending
-    eigenvectors: np.ndarray  # orthonormal columns, matching order
+    eigenvalues: np.ndarray   # descending, those the data determine
+    eigenvectors: np.ndarray  # orthonormal columns of 2^n amplitudes, matching order
     n_control: int
 
 
@@ -77,50 +77,46 @@ def preprocess(raw, standardize: bool = False) -> PcaInput:
         raise DomainError(
             f"row {degenerate[0]} is zero after demeaning and has no amplitude encoding"
         )
-    return PcaInput(
-        raw=matrix, demeaned=demeaned, rows=scaled / norms[:, None], standardize=standardize
-    )
+    n_features = scaled.shape[1]
+    rows = np.zeros((scaled.shape[0], 2 ** max(1, math.ceil(math.log2(n_features)))))
+    np.divide(scaled, norms[:, None], out=rows[:, :n_features])
+    return PcaInput(demeaned=demeaned, rows=rows)
 
 
-def _padded_rows(input: PcaInput) -> np.ndarray:
-    n_features = input.rows.shape[1]
-    dim = 2 ** max(1, math.ceil(math.log2(n_features)))
-    padded = np.zeros((input.rows.shape[0], dim))
-    padded[:, :n_features] = input.rows
-    return padded
-
-
-def build_density(input: PcaInput) -> DensityMatrix:
-    """rho = R^T R / M over the encoded rows R, in real arithmetic, refused
-    over ``DENSE_MATRIX_CAP`` qubits before it is built; a mean of unit-row
-    projectors is a valid density by construction, so it is not rechecked."""
-    rows = _padded_rows(input)
-    dim = rows.shape[1]
-    _check_dense_cap(dim.bit_length() - 1, "density matrix")
-    return DensityMatrix._trusted(dim, rows.T @ rows / rows.shape[0])
-
-
-def _oriented_eigensystem(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    values, vectors = rho.eigensystem()
+def _eigensystem(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvector columns of rho = R^T R / M, each
+    column's first entry past 1e-12 positive, from ``eigh`` of the smaller of
+    R^T R / M and R R^T / M; refused when both sides pass ``DENSE_MATRIX_CAP``
+    qubits' dimensions.  A Gram eigenvector u lifts to R^T u, of norm
+    sqrt(M lambda), divided by its measured norm so a small-lambda column
+    stays unit; values at or below ``_RANK_TOL`` times the largest are dropped,
+    which keeps rho's numerical rank (M - 1 for demeaned rows).  Lifted columns
+    are orthonormal to about 1e-16 times lambda_max over the smallest kept value.
+    """
+    m, dim = rows.shape
+    side, cap = min(m, dim), 2**state.DENSE_MATRIX_CAP
+    if side > cap:
+        raise ConfigError(f"{m:,} rows and {dim:,} padded features both pass the dense-matrix "
+                          f"cap of {cap:,}: the eigensystem needs a {side:,} x {side:,} matrix")
+    lifted = m < dim
+    values, vectors = np.linalg.eigh((rows @ rows.T if lifted else rows.T @ rows) / m)
     order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        column = vectors[:, j]
-        nonzero = np.nonzero(np.abs(column) > 1e-12)[0]
-        if nonzero.size and column[nonzero[0]].real < 0:
-            vectors[:, j] = -column
+    if lifted:
+        order = order[values[order] > _RANK_TOL * values[order[0]]]
+    values, vectors = values[order], vectors[:, order]
+    if lifted:
+        vectors = rows.T @ vectors
+        vectors /= np.linalg.norm(vectors, axis=0)
+    lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(len(values))]
+    vectors[:, lead < 0] *= -1.0
     return values, vectors
 
 
 def build_model(
     input: PcaInput, t: float = DEFAULT_TIME, n_control: int = DEFAULT_CONTROLS
 ) -> PcaModel:
-    rho = build_density(input)
-    values, vectors = _oriented_eigensystem(rho)
-    return PcaModel(
-        rho=rho, t=t, eigenvalues=values, eigenvectors=vectors, n_control=n_control
-    )
+    values, vectors = _eigensystem(input.rows)
+    return PcaModel(t=t, eigenvalues=values, eigenvectors=vectors, n_control=n_control)
 
 
 def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSample]:
@@ -144,7 +140,7 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
         raise DomainError("evolution time must be > 0")
     if model.n_control < 1:
         raise DomainError("need at least one control qubit")
-    _check_n_qubits(model.n_control + model.rho.n_qubits)
+    _check_n_qubits(model.n_control + model.eigenvectors.shape[0].bit_length() - 1)
     dim = 2**model.n_control
     samples: list[PcaSample] = []
     for j, count in enumerate(component_counts):
@@ -184,14 +180,13 @@ def extract_scores(
         raise DomainError(f"components must be in [1, {available}], got {r_components}")
     if mode not in ("exact", "swaptest"):
         raise DomainError(f"unknown score mode {mode!r}")
-    rows = _padded_rows(input)
     vectors = model.eigenvectors[:, :r_components]
-    exact = rows @ vectors.real
+    exact = input.rows @ vectors
     if mode == "exact":
         return ScoreMatrix(scores=exact)
     if rng is None:
         raise DomainError("swaptest mode requires an RngStream")
-    _, p0_hat = swap_tests(rows, vectors.T, shots, rng)
+    _, p0_hat = swap_tests(input.rows, vectors.T, shots, rng)
     return ScoreMatrix(
         scores=np.copysign(np.sqrt(overlap_sq(p0_hat)).reshape(exact.shape), exact)
     )

@@ -118,6 +118,8 @@ def write_inputs(folder: Path) -> dict[str, str]:
         # |-> on qubit 0 times |1> on qubit 1: an eigenvector of the circuit.
         "minus_one": _write(folder, "minus_one.csv", ["0.0", "1.0", "0.0", "-1.0"]),
         "nn": _write(folder, "nn.csv", ["0,0,1", "1,0,-1", "0,1,-1", "1,1,1"]),
+        # Fewer rows than features: QPCA's eigensystem from the Gram side.
+        "wide": _write(folder, "wide.csv", _rows(gen.normal(size=(6, 12)))),
     }
 
 
@@ -164,6 +166,8 @@ def jobs(f: dict[str, str], folder: Path) -> dict[str, list[str]]:
         "qpca-swaptest": ["qpca", "--data", f["blobs"], "--components", "2",
                           "--mode", "swaptest", "--samples", "500", "--shots", "64",
                           "--seed", "24"],
+        "qpca-wide": ["qpca", "--data", f["wide"], "--components", "2",
+                      "--samples", "500", "--seed", "27"],
         "qnn-overlap": ["qnn", "--data", f["nn"], "--k-bits", "1", "--m-bits", "1",
                         "--epochs", "3", "--params-out", str(folder / "overlap.csv"),
                         "--seed", "25"],

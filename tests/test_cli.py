@@ -640,15 +640,29 @@ class TestExitCodes:
         assert code == 1 and report is None
         assert capsys.readouterr().err == f"error: {data}: need at least two rows\n"
 
-    def test_qpca_over_dense_cap_names_the_file(self, tmp_path, capsys, monkeypatch):
-        # Five features pad to 3 qubits, over a cap lowered to 2.
+    def test_qpca_gram_side_under_dense_cap(self, tmp_path, capsys, monkeypatch):
+        # Five features pad to 8 dimensions, over a cap lowered to 2 qubits
+        # (4 dimensions); three rows keep the Gram side under it, and their
+        # demeaned rank is 2.
         monkeypatch.setattr(state, "DENSE_MATRIX_CAP", 2)
         data = write(tmp_path / "wide.csv", "1,2,3,4,5\n2,1,0,1,3\n0,2,2,5,1\n")
         code, report = cli.run(["qpca", "--data", data, "--components", "1"])
+        assert code == 0
+        assert len(report["results"]["eigenvalues"]) == 2
+
+    def test_qpca_over_dense_cap_names_the_file(self, tmp_path, capsys, monkeypatch):
+        # Five rows and five features padded to 8 both pass a cap lowered to
+        # 2 qubits (4 dimensions).
+        monkeypatch.setattr(state, "DENSE_MATRIX_CAP", 2)
+        data = write(
+            tmp_path / "square.csv",
+            "1,2,3,4,5\n2,1,0,1,3\n0,2,2,5,1\n4,0,1,1,2\n3,3,0,2,0\n",
+        )
+        code, report = cli.run(["qpca", "--data", data, "--components", "1"])
         assert code == 1 and report is None
         assert capsys.readouterr().err == (
-            f"error: {data}: density matrix on 3 qubits needs 1,024 bytes; "
-            "the dense-matrix cap is 2 qubits\n"
+            f"error: {data}: 5 rows and 8 padded features both pass the dense-matrix cap "
+            "of 4: the eigensystem needs a 5 x 5 matrix\n"
         )
 
     @pytest.mark.parametrize(

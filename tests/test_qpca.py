@@ -14,7 +14,6 @@ from qmlkit.qpca import (
     PcaInput,
     PcaModel,
     PcaSample,
-    build_density,
     build_model,
     eigen_sample,
     extract_scores,
@@ -28,15 +27,29 @@ from conftest import random_state, reference_control_distribution
 
 def manual_input(rows) -> PcaInput:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return PcaInput(raw=rows, demeaned=rows, rows=rows, standardize=False)
+    return PcaInput(demeaned=rows, rows=rows)
+
+
+def build_density(input: PcaInput) -> DensityMatrix:
+    """The dense rho = R^T R / M over the padded rows R: the reference that
+    ``build_model`` never forms."""
+    rows = input.rows
+    return DensityMatrix._trusted(rows.shape[1], rows.T @ rows / rows.shape[0])
+
+
+def dense_eigensystem(input: PcaInput) -> tuple[np.ndarray, np.ndarray]:
+    """All of the dense rho's eigenvalues, descending, with their vectors."""
+    values, vectors = np.linalg.eigh(build_density(input).matrix)
+    order = np.argsort(values)[::-1]
+    return values[order], vectors[:, order]
 
 
 def reference_swaptest_scores(model, prepared, r, shots, rng) -> np.ndarray:
     """Swap-test scores with one ``swap_tests`` call per row, as they were
     computed before the rows were batched."""
-    rows = qpca._padded_rows(prepared)
+    rows = prepared.rows
     vectors = model.eigenvectors[:, :r]
-    exact = rows @ vectors.real
+    exact = rows @ vectors
     scores = np.empty_like(exact)
     for i, row in enumerate(rows):
         _, p0_hat = swap_tests(row, vectors.T, shots, rng)
@@ -48,34 +61,34 @@ def evolution_unitary(rho: DensityMatrix, t: float) -> GateMatrix:
     """exp(-i rho t) from the eigendecomposition of rho."""
     if t <= 0:
         raise DomainError("evolution time must be > 0")
-    values, vectors = rho.eigensystem()
+    values, vectors = np.linalg.eigh(rho.matrix)
     phases = np.exp(-1j * values * t)
     return GateMatrix._trusted(rho.dim, (vectors * phases) @ vectors.conj().T)
 
 
 def reference_density(input: PcaInput) -> np.ndarray:
     """rho as the sum of one outer product per encoded row."""
-    rows = qpca._padded_rows(input)
+    rows = input.rows
     rho = np.zeros((rows.shape[1], rows.shape[1]), dtype=complex)
     for row in rows:
         rho += np.outer(row, row)
     return rho / rows.shape[0]
 
 
-def reference_eigen_sample(model, m_samples, rng) -> list[PcaSample]:
+def reference_eigen_sample(model, rho, m_samples, rng) -> list[PcaSample]:
     """``eigen_sample`` with the simulated register: the controlled-gate
-    phase-estimation circuit on exp(i rho t), built from its own
-    eigendecomposition, for every sampled component; the same draws in the
-    same order."""
+    phase-estimation circuit on exp(i rho t) for the dense ``rho``, built
+    from its own eigendecomposition, for every sampled component; the same
+    draws in the same order."""
     probs = np.clip(model.eigenvalues, 0.0, None)
     component_counts = rng.gen.multinomial(m_samples, probs / probs.sum())
-    forward = evolution_unitary(model.rho, model.t).dagger()
+    forward = evolution_unitary(rho, model.t).dagger()
     dim = 2**model.n_control
     samples = []
     for j, count in enumerate(component_counts):
         if count == 0:
             continue
-        eigvec = StateVector(model.rho.n_qubits, model.eigenvectors[:, j].astype(complex))
+        eigvec = StateVector(rho.n_qubits, model.eigenvectors[:, j].astype(complex))
         register_probs = reference_control_distribution(forward, eigvec, model.n_control)
         draws = rng.gen.choice(dim, size=count, p=register_probs / register_probs.sum())
         for a, n_hits in zip(*np.unique(draws, return_counts=True)):
@@ -124,7 +137,7 @@ class TestPreprocess:
         prepared = preprocess(raw, standardize=True)
         scaled = prepared.demeaned / prepared.demeaned.std(axis=0)
         assert np.allclose(
-            prepared.rows, scaled / np.linalg.norm(scaled, axis=1)[:, None], atol=1e-12
+            prepared.rows[:, :3], scaled / np.linalg.norm(scaled, axis=1)[:, None], atol=1e-12
         )
 
     def test_degenerate_row_named(self):
@@ -133,6 +146,8 @@ class TestPreprocess:
 
 
 class TestBuildDensity:
+    """The dense reference rho, and the model's agreement with it."""
+
     def test_single_row_is_rank_one(self):
         rho = build_density(manual_input([[0.6, 0.8]]))
         assert np.linalg.matrix_rank(rho.matrix) == 1
@@ -147,15 +162,17 @@ class TestBuildDensity:
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_refused_over_dense_cap(self, np_rng):
-        # Five features pad to 3 qubits: over a cap of 2, the density is
-        # refused with its byte count.
-        prepared = preprocess(np_rng.normal(size=(4, 5)))
+        # Five features pad to 8, over a cap of 2 qubits (4 dimensions).  Four
+        # rows keep the Gram side at the cap, so the model is built; five
+        # rows pass it on both sides, and the model is refused.
         with mock.patch.object(state, "DENSE_MATRIX_CAP", 2):
+            model = build_model(preprocess(np_rng.normal(size=(4, 5))))
+            assert model.eigenvectors.shape == (8, 3)
             with pytest.raises(ConfigError, match=(
-                r"^density matrix on 3 qubits needs 1,024 bytes; "
-                r"the dense-matrix cap is 2 qubits$"
+                r"^5 rows and 8 padded features both pass the dense-matrix cap of 4: "
+                r"the eigensystem needs a 5 x 5 matrix$"
             )):
-                build_density(prepared)
+                build_model(preprocess(np_rng.normal(size=(5, 5))))
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (40, 17), (300, 64)])
     def test_matches_sum_of_outer_products(self, shape):
@@ -178,7 +195,9 @@ class TestBuildDensity:
 
     def test_pads_to_power_of_two(self, np_rng):
         prepared = preprocess(np_rng.normal(size=(5, 3)))
+        assert prepared.rows.shape == (5, 4) and not prepared.rows[:, 3].any()
         assert build_density(prepared).dim == 4
+        assert build_model(prepared).eigenvectors.shape == (4, 4)
 
     def test_matches_host_covariance_eigensystem(self, np_rng):
         prepared = preprocess(np_rng.normal(size=(9, 4)))
@@ -192,6 +211,76 @@ class TestBuildDensity:
             assert overlap == pytest.approx(1.0, abs=1e-9)
 
 
+class TestEigensystem:
+    """The eigensystem from the smaller Gram side against the dense rho."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 40),
+        features=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_dense_reference(self, m, features, seed, data):
+        # M < d, M = d and M > d; duplicated rows lower the rank further.
+        gen = np.random.default_rng(seed)
+        raw = gen.normal(size=(m, features))
+        copies = data.draw(st.integers(0, m - 2))
+        raw[m - copies:] = raw[gen.integers(0, m - copies, size=copies)]
+        prepared = preprocess(raw)
+        model = build_model(prepared)
+        values, vectors = model.eigenvalues, model.eigenvectors
+        want_values, want_vectors = dense_eigensystem(prepared)
+        kept, dim = len(values), len(want_values)
+        assert kept == dim if m >= dim else kept < m
+        assert np.max(np.abs(values - want_values[:kept])) <= 1e-12
+        assert np.all(want_values[kept:] <= qpca._RANK_TOL * want_values[0])
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(kept))) <= 1e-10
+        lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(kept)]
+        assert np.all(lead > 0)
+        scores = extract_scores(model, prepared, kept).scores
+        assert np.array_equal(scores, prepared.rows @ vectors)
+        for j in range(kept):
+            if np.min(np.abs(np.delete(want_values, j) - want_values[j]), initial=1.0) > 1e-6:
+                want = want_vectors[:, j] * np.sign(want_vectors[:, j] @ vectors[:, j])
+                assert np.max(np.abs(vectors[:, j] - want)) <= 1e-10
+
+    @pytest.mark.parametrize("noise", [1e-2, 1e-4])
+    def test_small_components_kept(self, noise):
+        # 8 rows near a 3-dimensional span of 32 features: the other 4 of
+        # the 7 demeaned directions carry values of noise^2 relative, which
+        # float64 rows still determine.  Lifted columns stay orthonormal to
+        # the rounding of the Gram eigensystem relative to the smallest
+        # kept value.
+        gen = np.random.default_rng(8)
+        raw = gen.normal(size=(8, 3)) @ gen.normal(size=(3, 32))
+        prepared = preprocess(raw + noise * gen.normal(size=(8, 32)))
+        model = build_model(prepared)
+        values, vectors = model.eigenvalues, model.eigenvectors
+        want_values, _ = dense_eigensystem(prepared)
+        assert len(values) == 7 and values[-1] < 1e-3 * values[0]
+        assert np.max(np.abs(values - want_values[:7])) <= 1e-12
+        bound = 4 * np.finfo(float).eps * values[0] / values[-1]
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(7))) <= bound
+
+    def test_wide_rows_run_no_dense_eigh(self):
+        # 12 rows x 64 features: the only eigh is the 12 x 12 Gram matrix's,
+        # and the 11 values of the demeaned rows' rank are kept.
+        prepared = preprocess(np.random.default_rng(12).normal(size=(12, 64)))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "eigh", recording):
+            model = build_model(prepared)
+        assert shapes == [(12, 12)]
+        assert model.eigenvectors.shape == (64, 11)
+        assert model.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestEvolutionUnitary:
     def test_maximally_mixed_is_global_phase(self):
         rho = DensityMatrix(2, np.eye(2) / 2)
@@ -200,7 +289,7 @@ class TestEvolutionUnitary:
 
     def test_spectral_mapping(self):
         model = build_model(tilted_pair_input(), t=math.pi)
-        unitary = evolution_unitary(model.rho, math.pi)
+        unitary = evolution_unitary(build_density(tilted_pair_input()), math.pi)
         for j, lam in enumerate(model.eigenvalues):
             phi = model.eigenvectors[:, j]
             assert np.allclose(
@@ -230,8 +319,8 @@ class TestEigenSample:
         gen = np.random.default_rng(seed)
         weights = gen.dirichlet(np.ones(3))
         rho = mixed_density([(float(w), random_state(gen, n_qubits)) for w in weights])
-        values, vectors = qpca._oriented_eigensystem(rho)
-        model = PcaModel(rho, t, values, vectors, n_control)
+        values, vectors = np.linalg.eigh(rho.matrix)
+        model = PcaModel(t, values[::-1], vectors[:, ::-1], n_control)
         rng = RngStream(seed)
         rng.gen = recording = RecordingGenerator(rng.gen)
         eigen_sample(model, 64, rng)
@@ -239,7 +328,7 @@ class TestEigenSample:
         sampled = np.flatnonzero(recording.component_counts)
         assert len(recording.register_probs) == len(sampled)
         for j, got in zip(sampled, recording.register_probs):
-            eigvec = StateVector(n_qubits, vectors[:, j].astype(complex))
+            eigvec = StateVector(n_qubits, model.eigenvectors[:, j].astype(complex))
             want = reference_control_distribution(forward, eigvec, n_control)
             assert np.max(np.abs(got - want / want.sum())) <= 1e-12
 
@@ -249,8 +338,17 @@ class TestEigenSample:
         prepared = preprocess(gen.normal(size=(12, 3 + seed)) * np.arange(1, 4 + seed))
         model = build_model(prepared, n_control=4 + seed)
         got = eigen_sample(model, 2_000, RngStream(seed))
-        want = reference_eigen_sample(model, 2_000, RngStream(seed))
+        want = reference_eigen_sample(model, build_density(prepared), 2_000, RngStream(seed))
         assert got == want
+
+    def test_wide_rows_match_reference_sampler(self):
+        # 6 rows x 20 features: lifted eigenvectors against the register on
+        # the dense 32 x 32 rho's exponential.
+        prepared = preprocess(np.random.default_rng(7).normal(size=(6, 20)))
+        model = build_model(prepared, n_control=5)
+        got = eigen_sample(model, 2_000, RngStream(7))
+        want = reference_eigen_sample(model, build_density(prepared), 2_000, RngStream(7))
+        assert got == want and len(model.eigenvalues) == 5
 
     def test_builds_no_unitary_and_simulates_no_register(self):
         model = build_model(tilted_pair_input())
@@ -259,7 +357,7 @@ class TestEigenSample:
             raise AssertionError("eigen_sample must not build or simulate the register")
 
         with mock.patch.object(fourier, "control_distribution", refuse), \
-                mock.patch.object(DensityMatrix, "eigensystem", refuse):
+                mock.patch.object(np.linalg, "eigh", refuse):
             samples = eigen_sample(model, 500, RngStream(2))
         assert sum(s.counts for s in samples) == 500
 
