@@ -9,7 +9,8 @@ the label prediction, the reduced density of the label qubits, is one einsum
 over the feature axis of U's input columns, for all examples at once (the
 tests keep the per-example state, density and partial trace as the
 reference).  It is scored by fidelity against the target basis state or by
-each label qubit's Pauli expectations, and trained by finite differences.
+each label qubit's Pauli expectations, and trained by finite differences
+whose shifted parameter rows are scored in stacks, one batched ``eigh`` each.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ import numpy as np
 from .density import DensityMatrix
 from .errors import DomainError
 from .rng import RngStream
-from .state import basis_state
 
 QUBIT_CAP = 6                 # 4^6 parameters is the trainability ceiling
+_STACK_ENTRIES = 2**16        # coefficients per stacked chunk of gradient rows
 
 _PAULI = np.array(
     [
@@ -87,41 +88,38 @@ class QnnTrainConfig:
             raise DomainError(f"epoch count must be >= 0, got {self.epochs}")
         if self.cost_kind not in ("overlap", "pauli"):
             raise DomainError(f"unknown cost kind {self.cost_kind!r}")
-        if self.f_weights is not None and np.any(np.asarray(self.f_weights) < 0):
-            raise DomainError("pauli cost weights must be nonnegative")
+        weights = np.asarray(0.0 if self.f_weights is None else self.f_weights)
+        if not np.all((weights >= 0) & (weights < np.inf)):
+            raise DomainError("pauli cost weights must be finite and nonnegative")
 
 
 def _pauli_sum(alphas: np.ndarray, n: int) -> np.ndarray:
-    """sum_w alpha_w P_w on n qubits, contracting one base-4 digit per qubit.
+    """sum_w alpha_w P_w on n qubits for each row of ``alphas`` (..., 4^n).
 
-    Digits are consumed from the least significant (last qubit) up, so each
-    step puts the new qubit's row and column bits above the ones built so far.
+    One base-4 digit per qubit is consumed, from the least significant (last
+    qubit) up: each step puts the new qubit's row and column bits above the
+    ones built so far, as the blocks [[I + Z, X - iY], [X + iY, I - Z]].  The
+    rows lie end to end on the word axis; no group of four words spans two.
     """
-    acc = alphas.reshape(4**n, 1, 1)
+    acc = alphas.reshape(-1, 1, 1)
     for _ in range(n):
         words, rows, cols = acc.shape
-        acc = np.einsum("wkab,kce->wcaeb", acc.reshape(words // 4, 4, rows, cols), _PAULI)
+        i, x, y, z = np.moveaxis(acc.reshape(words // 4, 4, rows, cols), 1, 0)
+        acc = np.empty((words // 4, 2, rows, 2, cols), dtype=complex)
+        acc[:, 0, :, 0], acc[:, 0, :, 1] = i + z, x - 1j * y
+        acc[:, 1, :, 0], acc[:, 1, :, 1] = x + 1j * y, i - z
         acc = acc.reshape(words // 4, 2 * rows, 2 * cols)
-    return acc[0]
-
-
-def pauli_word(word_index: int, n: int) -> np.ndarray:
-    """The tensor product selected by the base-4 digits of ``word_index``."""
-    if not 0 <= word_index < 4**n:
-        raise DomainError(f"word index {word_index} out of range for {n} qubits")
-    one_hot = np.zeros(4**n)
-    one_hot[word_index] = 1.0
-    return _pauli_sum(one_hot, n)
+    return acc.reshape(*alphas.shape[:-1], 2**n, 2**n)
 
 
 def unitary_from_pauli_coefficients(alphas: np.ndarray, n: int) -> np.ndarray:
-    """U = exp(i sum_w alpha_w P_w) on n qubits, by eigendecomposition of the
-    Hermitian generator."""
+    """U = exp(i sum_w alpha_w P_w) on n qubits, or one per row of an (S, 4^n)
+    stack, by one (batched) eigendecomposition of the Hermitian generator."""
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (4**n,):
+    if alphas.ndim not in (1, 2) or alphas.shape[-1] != 4**n:
         raise DomainError(f"expected {4**n} coefficients for {n} qubits, got {alphas.shape}")
     values, vectors = np.linalg.eigh(_pauli_sum(alphas, n))
-    return (vectors * np.exp(1j * values)) @ vectors.conj().T
+    return (vectors * np.exp(1j * values)[..., None, :]) @ np.swapaxes(vectors.conj(), -1, -2)
 
 
 def build_unitary(params: QnnParameters, enc: QnnEncoding) -> np.ndarray:
@@ -137,16 +135,13 @@ def _input_index(x1, x2, enc: QnnEncoding) -> np.ndarray:
     return (x1 << (enc.k + enc.m)) | (x2 << enc.m)
 
 
-def encode_example(x1: int, x2: int, enc: QnnEncoding):
-    """Basis state |bits(x1), bits(x2), 0...0> of the full register."""
-    return basis_state(enc.n_total, int(_input_index(x1, x2, enc)[0]))
-
-
 def _label_densities(unitary: np.ndarray, enc: QnnEncoding, inputs: np.ndarray) -> np.ndarray:
-    """Reduced label densities of U|x> per input x, shape (M, 2^m, 2^m): U|x>
-    is column x of U, and one einsum traces out its feature bits."""
-    columns = unitary.T[inputs].reshape(len(inputs), -1, 2**enc.m)
-    return np.einsum("jfa,jfb->jab", columns, columns.conj())
+    """Reduced label densities of U|x> per input x, shape (..., M, 2^m, 2^m)
+    for a (..., 2^n, 2^n) stack of U: U|x> is column x of U, and one einsum
+    traces out its feature bits."""
+    columns = np.swapaxes(unitary, -1, -2)[..., inputs, :].reshape(-1, 4**enc.k, 2**enc.m)
+    rho = np.einsum("jfa,jfb->jab", columns, columns.conj())
+    return rho.reshape(*unitary.shape[:-2], len(inputs), 2**enc.m, 2**enc.m)
 
 
 def forward(params: QnnParameters, enc: QnnEncoding, x1: int, x2: int) -> DensityMatrix:
@@ -156,19 +151,41 @@ def forward(params: QnnParameters, enc: QnnEncoding, x1: int, x2: int) -> Densit
 
 
 def _label_expectations(rho: np.ndarray, m: int) -> np.ndarray:
-    """<sigma_i> of each label qubit q of each density in an (M, 2^m, 2^m)
-    stack, shape (M, m, 3); the einsum traces out the qubits before q (l)
+    """<sigma_i> of each label qubit q of each density in a (..., 2^m, 2^m)
+    stack, shape (..., m, 3); the einsum traces out the qubits before q (l)
     and after it (r)."""
-    out = np.empty((rho.shape[0], m, 3))
-    for q in range(m):
-        grid = rho.reshape(-1, 2**q, 2, 2 ** (m - 1 - q), 2**q, 2, 2 ** (m - 1 - q))
-        out[:, q] = np.einsum("jlarlbr,iba->ji", grid, _PAULI[1:]).real
-    return out
+    grids = [rho.reshape(-1, 2**q, 2, 2 ** (m - 1 - q), 2**q, 2, 2 ** (m - 1 - q)) for q in range(m)]
+    out = np.stack([np.einsum("jlarlbr,iba->ji", grid, _PAULI[1:]).real for grid in grids], axis=1)
+    return out.reshape(*rho.shape[:-2], m, 3)
 
 
-def cost(
-    params: QnnParameters, enc: QnnEncoding, dataset, cfg: QnnTrainConfig
-) -> float:
+def _costs(alphas: np.ndarray, enc: QnnEncoding, dataset, cfg: QnnTrainConfig) -> np.ndarray:
+    """``cost`` of each row of an (S, 4^n) stack of parameters: the dataset is
+    parsed and checked, and the weights built, once for the whole stack."""
+    x1, x2, labels = np.asarray(dataset, dtype=int).reshape(-1, 3).T
+    over = np.flatnonzero(labels >> enc.m != 0)
+    if over.size:
+        raise DomainError(f"label {labels[over[0]]} overflows {enc.m} bits")
+    inputs = _input_index(x1, x2, enc)
+    if cfg.cost_kind == "pauli":     # row j weights example j; its axes broadcast to (m, 3)
+        weights = np.ones(labels.size) if cfg.f_weights is None else np.asarray(cfg.f_weights)
+        rest = weights.shape[1:]
+        if weights.shape[:1] != labels.shape or len(rest) > 2 or any(
+                size not in (1, full) for size, full in zip(rest[::-1], (3, enc.m))):
+            raise DomainError(f"pauli cost weights of shape {weights.shape} do not fit "
+                              f"{labels.size} examples: expected ({labels.size}, ...) "
+                              f"with the other axes broadcasting to ({enc.m}, 3)")
+        weights = weights.reshape(labels.size, *(1,) * (2 - len(rest)), *rest)
+    rho = _label_densities(unitary_from_pauli_coefficients(alphas, enc.n_total), enc, inputs)
+    if cfg.cost_kind == "overlap":
+        return -np.sum(rho[:, np.arange(labels.size), labels, labels].real, axis=1)
+    diff = _label_expectations(rho, enc.m)
+    # Targets are basis qubits: <sigma_3> is 1 - 2 bit, the other two are 0.
+    diff[..., 2] -= 1.0 - 2.0 * ((labels[:, None] >> np.arange(enc.m - 1, -1, -1)) & 1)
+    return np.sum((weights * diff**2).reshape(len(diff), -1), axis=1)
+
+
+def cost(params: QnnParameters, enc: QnnEncoding, dataset, cfg: QnnTrainConfig) -> float:
     """Training cost over (x1, x2, y) triples.
 
     The overlap kind is the negative summed fidelity <y|rho_y|y> of the
@@ -177,60 +194,41 @@ def cost(
     of per-label-qubit Pauli expectations between model and target; row j
     of ``cfg.f_weights`` weights example j, broadcast over its (m, 3).
     """
-    x1, x2, labels = np.asarray(dataset, dtype=int).reshape(-1, 3).T
-    examples = np.arange(labels.size)
-    over = np.flatnonzero(labels >> enc.m != 0)
-    if over.size:
-        raise DomainError(f"label {labels[over[0]]} overflows {enc.m} bits")
-    rho = _label_densities(build_unitary(params, enc), enc, _input_index(x1, x2, enc))
-    if cfg.cost_kind == "overlap":
-        return -float(np.sum(rho[examples, labels, labels].real))
-    diff = _label_expectations(rho, enc.m)
-    # Targets are basis qubits: <sigma_3> is 1 - 2 bit, the other two are 0.
-    diff[:, :, 2] -= 1.0 - 2.0 * ((labels[:, None] >> np.arange(enc.m - 1, -1, -1)) & 1)
-    weights = np.ones(labels.size) if cfg.f_weights is None else np.asarray(cfg.f_weights)[examples]
-    # Example axes last, so each example's weights align with its (m, 3).
-    return float(np.sum(np.moveaxis(weights, 0, -1) * np.moveaxis(diff**2, 0, -1)))
+    return float(_costs(params.alphas[None], enc, dataset, cfg)[0])
 
 
 def finite_difference_gradient(
-    params: QnnParameters,
-    enc: QnnEncoding,
-    dataset,
-    cfg: QnnTrainConfig,
-    stencil: int = 2,
+    params: QnnParameters, enc: QnnEncoding, dataset, cfg: QnnTrainConfig, stencil: int = 2
 ) -> np.ndarray:
     """Gradient of the cost by central differences.
 
     ``stencil`` 2 is the workhorse two-point rule; 5 is the richer
-    five-point rule used to cross-check it.
+    five-point rule used to cross-check it.  The shifted rows alphas + o h e_w
+    (o = +-1, and +-2 for the 5-point rule) go through ``_costs`` in chunks
+    of at most ``_STACK_ENTRIES`` coefficients, one batched ``eigh`` each:
+    256 rows a chunk at n = 4, 16 at n = 6.  Each shifted cost keeps the bits
+    of a ``cost`` call on its row.
     """
     if stencil not in (2, 5):
         raise DomainError("stencil must be 2 or 5")
     h = cfg.fd_step
     alphas = params.alphas
-    grad = np.empty_like(alphas)
-
-    def at(shift: np.ndarray) -> float:
-        return cost(QnnParameters(alphas + shift), enc, dataset, cfg)
-
-    for w in range(alphas.size):
-        e = np.zeros_like(alphas)
-        e[w] = 1.0
-        if stencil == 2:
-            grad[w] = (at(h * e) - at(-h * e)) / (2 * h)
-        else:
-            grad[w] = (
-                -at(2 * h * e) + 8 * at(h * e) - 8 * at(-h * e) + at(-2 * h * e)
-            ) / (12 * h)
-    return grad
+    shifts = np.array([1.0, -1.0] if stencil == 2 else [2.0, 1.0, -1.0, -2.0]) * h
+    costs = np.empty(alphas.size * shifts.size)
+    rows = max(1, _STACK_ENTRIES // alphas.size)
+    for start in range(0, costs.size, rows):
+        index = np.arange(start, min(start + rows, costs.size))
+        one_hot = index[:, None] // shifts.size == np.arange(alphas.size)
+        stack = alphas + shifts[index % shifts.size, None] * one_hot
+        costs[index] = _costs(stack, enc, dataset, cfg)
+    c = costs.reshape(alphas.size, shifts.size).T
+    if stencil == 2:
+        return (c[0] - c[1]) / (2 * h)
+    return (-c[0] + 8 * c[1] - 8 * c[2] + c[3]) / (12 * h)
 
 
 def train(
-    enc: QnnEncoding,
-    dataset,
-    cfg: QnnTrainConfig,
-    rng: RngStream,
+    enc: QnnEncoding, dataset, cfg: QnnTrainConfig, rng: RngStream,
     initial: QnnParameters | None = None,
 ) -> tuple[QnnParameters, list[float]]:
     """Full-batch gradient descent from a near-identity start (or ``initial``).

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_state
+from qmlkit import qnn
 from qmlkit.density import mixed_density, partial_trace, pure_density
 from qmlkit.errors import DomainError
 from qmlkit.qnn import (
@@ -14,20 +16,54 @@ from qmlkit.qnn import (
     QnnTrainConfig,
     build_unitary,
     cost,
-    encode_example,
     finite_difference_gradient,
+    _costs,
+    _input_index,
     _label_expectations,
     _pauli_sum,
     forward,
-    pauli_word,
     train,
     unitary_from_pauli_coefficients,
 )
 from qmlkit.rng import RngStream
-from qmlkit.state import StateVector
+from qmlkit.state import StateVector, basis_state
 
 ENC = QnnEncoding(k=1, m=1)
 NOT_TASK = [(0, 0, 1), (1, 0, 0)]
+
+
+def pauli_word(word_index: int, n: int) -> np.ndarray:
+    """The tensor product selected by the base-4 digits of ``word_index``."""
+    one_hot = np.zeros(4**n)
+    one_hot[word_index] = 1.0
+    return _pauli_sum(one_hot, n)
+
+
+def encode_example(x1: int, x2: int, enc: QnnEncoding):
+    """Basis state |bits(x1), bits(x2), 0...0> of the full register."""
+    return basis_state(enc.n_total, int(_input_index(x1, x2, enc)[0]))
+
+
+def reference_fd_gradient(params, enc, dataset, cfg, stencil=2, words=None) -> np.ndarray:
+    """The finite-difference gradient one word and one ``cost`` call at a time,
+    over all words or the given ones (the others are NaN)."""
+    h = cfg.fd_step
+    alphas = params.alphas
+    grad = np.full_like(alphas, np.nan)
+
+    def at(shift: np.ndarray) -> float:
+        return cost(QnnParameters(alphas + shift), enc, dataset, cfg)
+
+    for w in range(alphas.size) if words is None else words:
+        e = np.zeros_like(alphas)
+        e[w] = 1.0
+        if stencil == 2:
+            grad[w] = (at(h * e) - at(-h * e)) / (2 * h)
+        else:
+            grad[w] = (
+                -at(2 * h * e) + 8 * at(h * e) - 8 * at(-h * e) + at(-2 * h * e)
+            ) / (12 * h)
+    return grad
 
 
 def reference_word(word_index: int, n: int) -> np.ndarray:
@@ -73,10 +109,6 @@ class TestPauliGenerator:
         n = data.draw(st.sampled_from([5, 6]))
         w = data.draw(st.integers(0, 4**n - 1))
         assert np.array_equal(pauli_word(w, n), reference_word(w, n))
-
-    def test_word_index_out_of_range(self):
-        with pytest.raises(DomainError):
-            pauli_word(16, 2)
 
 
 class TestLabelExpectations:
@@ -281,6 +313,75 @@ class TestCost:
     def test_label_overflow(self):
         with pytest.raises(DomainError):
             cost(QnnParameters(np.zeros(64)), ENC, [(0, 0, 2)], QnnTrainConfig())
+
+
+class TestStackedCosts:
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_matches_per_row_reference(self, data):
+        k, m = data.draw(st.sampled_from([(1, 1), (1, 2)]))
+        enc = QnnEncoding(k=k, m=m)
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.floats(0.05, 1.5))
+        rows = gen.normal(scale=scale, size=(data.draw(st.integers(1, 9)), 4**enc.n_total))
+        size = data.draw(st.integers(1, 6))
+        dataset = [(int(gen.integers(2**k)), int(gen.integers(2**k)), int(gen.integers(2**m)))
+                   for _ in range(size)]
+        weight_shape = data.draw(st.sampled_from([None, (), (3,), (m, 1), (m, 3)]))
+        f_weights = None if weight_shape is None else gen.random((size, *weight_shape))
+        # The gradient below is checked under the last kind drawn here.
+        for kind in data.draw(st.permutations(["overlap", "pauli"])):
+            cfg = QnnTrainConfig(cost_kind=kind, f_weights=f_weights)
+            want = [reference_cost(QnnParameters(row), enc, dataset, cfg) for row in rows]
+            got = _costs(rows, enc, dataset, cfg)
+            assert got.shape == (len(rows),)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+        # Rows per gradient chunk: an uneven split of the shifts, or one chunk.
+        per_chunk = data.draw(st.sampled_from([7, 4096]))
+        params = QnnParameters(rows[0])
+        # All 64 words at n = 3; at n = 4, the two ends and 22 of the others.
+        words = np.arange(64) if enc.n_total == 3 else np.unique(
+            np.r_[0, 255, gen.choice(np.arange(1, 255), 22, replace=False)])
+        with mock.patch.object(qnn, "_STACK_ENTRIES", per_chunk * rows.shape[1]):
+            for stencil in (2, 5):
+                got = finite_difference_gradient(params, enc, dataset, cfg, stencil)
+                want = reference_fd_gradient(params, enc, dataset, cfg, stencil, words)
+                assert np.max(np.abs(got[words] - want[words])) <= 1e-9
+
+    def test_one_eigh_per_chunk(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrices):
+            calls.append(matrices.shape)
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        params = QnnParameters(np.random.default_rng(3).normal(scale=0.3, size=64))
+        finite_difference_gradient(params, ENC, NOT_TASK, QnnTrainConfig())
+        shifted = 2 * 64
+        chunks = math.ceil(shifted / max(1, qnn._STACK_ENTRIES // 64))
+        assert len(calls) <= chunks < shifted
+        assert sum(shape[0] for shape in calls) == shifted
+
+
+class TestWeightsFit:
+    def test_leading_axis_is_the_example_count(self):
+        dataset = [(0, 0, 1), (1, 0, 0)]
+        for rows in (1, 3):
+            cfg = QnnTrainConfig(cost_kind="pauli", f_weights=np.ones((rows, 3)))
+            with pytest.raises(DomainError, match=r"do not fit 2 examples: expected \(2, \.\.\.\)"):
+                cost(QnnParameters(np.zeros(64)), ENC, dataset, cfg)
+
+    def test_other_axes_broadcast_to_label_qubits_by_three(self):
+        cfg = QnnTrainConfig(cost_kind="pauli", f_weights=np.ones((3, 2)))
+        with pytest.raises(DomainError, match=r"shape \(3, 2\) .* broadcasting to \(1, 3\)"):
+            cost(QnnParameters(np.zeros(64)), ENC, [(0, 0, 1), (1, 0, 0), (0, 1, 0)], cfg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_refused(self, bad):
+        with pytest.raises(DomainError, match="weights must be finite and nonnegative"):
+            QnnTrainConfig(cost_kind="pauli", f_weights=np.array([1.0, bad]))
 
 
 class TestGradient:
