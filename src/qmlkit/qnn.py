@@ -23,7 +23,7 @@ from .errors import DomainError
 from .rng import RngStream
 
 QUBIT_CAP = 6                 # 4^6 parameters is the trainability ceiling
-_STACK_ENTRIES = 2**16        # coefficients per stacked chunk of gradient rows
+_STACK_ENTRIES = 2**16        # entries of the largest array in a chunk of gradient rows
 
 _PAULI = np.array(
     [
@@ -185,7 +185,9 @@ def _costs(alphas: np.ndarray, enc: QnnEncoding, dataset, cfg: QnnTrainConfig) -
     return np.sum((weights * diff**2).reshape(len(diff), -1), axis=1)
 
 
-def cost(params: QnnParameters, enc: QnnEncoding, dataset, cfg: QnnTrainConfig) -> float:
+def cost(
+    params: QnnParameters, enc: QnnEncoding, dataset, cfg: QnnTrainConfig
+) -> float:
     """Training cost over (x1, x2, y) triples.
 
     The overlap kind is the negative summed fidelity <y|rho_y|y> of the
@@ -198,16 +200,20 @@ def cost(params: QnnParameters, enc: QnnEncoding, dataset, cfg: QnnTrainConfig) 
 
 
 def finite_difference_gradient(
-    params: QnnParameters, enc: QnnEncoding, dataset, cfg: QnnTrainConfig, stencil: int = 2
+    params: QnnParameters,
+    enc: QnnEncoding,
+    dataset,
+    cfg: QnnTrainConfig,
+    stencil: int = 2,
 ) -> np.ndarray:
     """Gradient of the cost by central differences.
 
     ``stencil`` 2 is the workhorse two-point rule; 5 is the richer
     five-point rule used to cross-check it.  The shifted rows alphas + o h e_w
-    (o = +-1, and +-2 for the 5-point rule) go through ``_costs`` in chunks
-    of at most ``_STACK_ENTRIES`` coefficients, one batched ``eigh`` each:
-    256 rows a chunk at n = 4, 16 at n = 6.  Each shifted cost keeps the bits
-    of a ``cost`` call on its row.
+    (o = +-1, and +-2 for the 5-point rule) go through ``_costs`` in chunks,
+    one batched ``eigh`` each.  A chunk holds as many rows as keep its
+    largest stacked array within ``_STACK_ENTRIES`` entries, and at least
+    one.  Each shifted cost keeps the bits of a ``cost`` call on its row.
     """
     if stencil not in (2, 5):
         raise DomainError("stencil must be 2 or 5")
@@ -215,7 +221,10 @@ def finite_difference_gradient(
     alphas = params.alphas
     shifts = np.array([1.0, -1.0] if stencil == 2 else [2.0, 1.0, -1.0, -2.0]) * h
     costs = np.empty(alphas.size * shifts.size)
-    rows = max(1, _STACK_ENTRIES // alphas.size)
+    # Entries per row: 4^n in H and U, M 2^n in the input columns and M 4^m
+    # in the label densities of the M examples.
+    per_row = max(alphas.size, len(dataset) * max(2**enc.n_total, 4**enc.m))
+    rows = max(1, _STACK_ENTRIES // per_row)
     for start in range(0, costs.size, rows):
         index = np.arange(start, min(start + rows, costs.size))
         one_hot = index[:, None] // shifts.size == np.arange(alphas.size)
@@ -228,7 +237,10 @@ def finite_difference_gradient(
 
 
 def train(
-    enc: QnnEncoding, dataset, cfg: QnnTrainConfig, rng: RngStream,
+    enc: QnnEncoding,
+    dataset,
+    cfg: QnnTrainConfig,
+    rng: RngStream,
     initial: QnnParameters | None = None,
 ) -> tuple[QnnParameters, list[float]]:
     """Full-batch gradient descent from a near-identity start (or ``initial``).

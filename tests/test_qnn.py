@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -363,6 +364,35 @@ class TestStackedCosts:
         chunks = math.ceil(shifted / max(1, qnn._STACK_ENTRIES // 64))
         assert len(calls) <= chunks < shifted
         assert sum(shape[0] for shape in calls) == shifted
+
+    def test_many_examples_shrink_the_chunks(self, monkeypatch):
+        # 512 examples at n = 3: a row's input columns (512 x 8 entries), not
+        # its 64 coefficients, set how many rows one chunk holds.
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrices):
+            calls.append(matrices.shape[0])
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        gen = np.random.default_rng(5)
+        dataset = [tuple(int(v) for v in row) for row in gen.integers(0, 2, (512, 3))]
+        params = QnnParameters(gen.normal(scale=0.3, size=64))
+        cfg = QnnTrainConfig()
+        tracemalloc.start()
+        got = finite_difference_gradient(params, ENC, dataset, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert sum(calls) == 2 * 64
+        assert max(calls) * 512 * 8 <= qnn._STACK_ENTRIES
+        # A few complex arrays of _STACK_ENTRIES entries; one 128-row stack
+        # of input columns alone would take 8 MiB.
+        assert peak < 8 * 16 * qnn._STACK_ENTRIES
+        words = np.array([0, 1, 37, 63])
+        want = reference_fd_gradient(params, ENC, dataset, cfg, 2, words)
+        # Costs near -512 agree to a few ulps (1e-13 each); 1 / 2h scales that.
+        assert np.max(np.abs(got[words] - want[words])) <= 1e-7
 
 
 class TestWeightsFit:
