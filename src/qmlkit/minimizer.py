@@ -9,14 +9,14 @@ comparison itself is an ordinary host-side comparison.
 
 A Grover measurement with k of N inputs marked needs only two numbers, the
 marked and the unmarked probability of the two-level closed form, plus the
-sorted marked set.  The objective's value table is argsorted once per call;
-the inputs below a threshold are then a prefix of that order, taken in
-O(k log k) on each accepted improvement.  Each main iteration then measures
-through ``grover._measure_marked``, the sampler ``grover.grover_search``
-also uses, which inverts the cumulative distribution by binary search over
-the index in O(log^2 N), building no oracle, amplitude vector or state.  An
-objective given only as a callable is evaluated once per input into such a
-table first.
+ascending marked set.  That set is one O(N) compare of the objective's value
+table against the threshold, made at the start and on each accepted
+improvement, of which there are an expected O(log N).  Each main iteration
+then measures through ``grover._measure_marked``, the sampler
+``grover.grover_search`` also uses, which inverts the cumulative distribution
+by binary search over the index in O(log^2 N), building no oracle, amplitude
+vector or state.  An objective given only as a callable is evaluated once per
+input into such a table first.
 """
 from __future__ import annotations
 
@@ -26,13 +26,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .grover import SignOracle, _measure_marked
 from .rng import RngStream
 from .state import MAX_QUBITS
 
 MAIN_ITERATION_FACTOR = 4.5   # main-loop budget = ceil(factor * sqrt(2^n))
 WINDOW_GROWTH = 8.0 / 7.0
+MAX_MAIN_ITERATIONS = 2**20   # 57x the default budget at MAX_QUBITS bits
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def threshold_oracle(f: ObjectiveFn, y: float) -> SignOracle:
     return SignOracle(f.n_bits, lambda x: f.eval(x) < y, predicate_vectorized=vectorized)
 
 
-def argmin_via_search(values, rng: RngStream, max_main_iterations: int | None = None) -> int:
+def argmin_via_search(values, rng: RngStream) -> int:
     """Index of the smallest entry, found by quantum minimum finding.
 
     The candidate list is padded to the next power of two with +inf
@@ -103,7 +104,7 @@ def argmin_via_search(values, rng: RngStream, max_main_iterations: int | None = 
     n_bits = max(1, math.ceil(math.log2(table.size)))
     padded = np.full(2**n_bits, np.inf)
     padded[: table.size] = table
-    result = minimize(ObjectiveFn.from_table(padded), rng, max_main_iterations)
+    result = minimize(ObjectiveFn.from_table(padded), rng)
     index = int(result.argmin_bits, 2)
     if index >= table.size or not np.isfinite(result.min_value):
         return int(np.argmin(table))
@@ -122,32 +123,38 @@ def minimize(
     """Find the global minimum of ``f`` with high probability.
 
     Runs a fixed budget of main iterations (default ``ceil(4.5 * sqrt(2^n))``;
-    a negative budget is a ``DomainError``) and returns the best input seen,
-    including the random starting point.
+    a negative budget is a ``DomainError``, and one over
+    ``MAX_MAIN_ITERATIONS`` a ``ConfigError`` raised before any draw) and
+    returns the best input seen, including the random starting point.
     The per-iteration Grover round count is drawn uniformly from [0, m) with
     the window m starting at 1, growing by 8/7 on every failed iteration up
     to sqrt(2^n), and resetting to 1 on every accepted improvement.
 
-    The call costs one O(N log N) stable argsort of the value table (built
-    by evaluating ``f`` once per input when ``f`` has none), O(k log k) per
-    accepted improvement that leaves k inputs marked, and O(log^2 N) per
-    main iteration; each measurement consumes one ``rng.uniform()``, the
-    same double ``RngStream.choice`` would.  A NaN value is a
+    The call costs one O(N) compare of the value table (built by
+    evaluating ``f`` once per input when ``f`` has none) at the start and on
+    each accepted improvement, of which there are an expected O(log N), and
+    O(log^2 N) per main iteration in ``grover._measure_marked``; each
+    measurement consumes one ``rng.uniform()``, the same double
+    ``RngStream.choice`` would.  A NaN value is a
     ``DomainError``, as in ``ObjectiveFn.from_table``.
     """
     n = f.n_bits
     budget = default_budget(n) if max_main_iterations is None else int(max_main_iterations)
     if budget < 0:
         raise DomainError(f"main-iteration budget must be >= 0, got {budget}")
+    if budget > MAX_MAIN_ITERATIONS:
+        # One (threshold, candidate) trace entry takes about 72 bytes.
+        raise ConfigError(
+            f"main-iteration budget {budget:,} is over the {MAX_MAIN_ITERATIONS:,} cap: "
+            f"its trace would hold {budget:,} entries, about {72 * budget / 2**20:,.0f} MiB"
+        )
     dim = 2**n
     table = f.table
     if table is None:
         table = ObjectiveFn.from_table([f.eval(x) for x in range(dim)]).table
-    order = np.argsort(table, kind="stable")
-    sorted_values = table[order]
     best_x = rng.randint(dim)
     best_y = float(table[best_x])
-    marked = np.sort(order[: np.searchsorted(sorted_values, best_y, "left")])
+    marked = np.flatnonzero(table < best_y)
     window = 1
     window_cap = max(1, math.floor(math.sqrt(dim)))
     trace: list[tuple[float, int]] = []
@@ -160,7 +167,7 @@ def minimize(
         value = float(table[candidate])
         if value < best_y:
             best_x, best_y = candidate, value
-            marked = np.sort(order[: np.searchsorted(sorted_values, best_y, "left")])
+            marked = np.flatnonzero(table < best_y)
             window = 1
         else:
             window = min(math.ceil(window * WINDOW_GROWTH), window_cap)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .minimizer import ObjectiveFn, minimize
 from .rng import RngStream
 
@@ -143,9 +143,10 @@ def _penalized_table(
     once, while each entry needs only its own row."""
     total_bits = data.m * grid.bits_per_alpha
     if total_bits > GRID_BITS_CAP:
-        raise DomainError(
+        raise ConfigError(
             f"{data.m} multipliers at {grid.bits_per_alpha} bits exceed the "
-            f"{GRID_BITS_CAP}-bit search cap"
+            f"{GRID_BITS_CAP}-bit search cap: the {total_bits}-bit grid's table "
+            f"would hold {8 * 2**total_bits:,} bytes"
         )
     q = (data.labels[:, None] * data.labels[None, :]) * kernel
     table = np.empty(2**total_bits)

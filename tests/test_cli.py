@@ -432,6 +432,16 @@ class TestExitCodes:
         assert code == 1 and report is None
         assert "error: main-iteration budget must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_minimize_budget_over_cap(self, capsys):
+        code, report = cli.run(
+            ["minimize", "--objective", "builtin:demo3", "--budget", str(2**20 + 1)]
+        )
+        assert code == 1 and report is None
+        assert (
+            "error: main-iteration budget 1,048,577 is over the 1,048,576 cap: "
+            "its trace would hold 1,048,577 entries, about 72 MiB"
+        ) in capsys.readouterr().err
+
     def test_zero_minimize_budget(self):
         report = run_ok(["minimize", "--objective", "builtin:demo3", "--budget", "0"])
         assert report["results"]["main_iterations"] == 0

@@ -295,9 +295,9 @@ class TestAgainstReference:
 
 
 class TestSortedThreshold:
-    """The table path of ``minimize`` (sorted marked set, binary-search
-    draw) against the oracle + ``grover_search`` path it replaced, and the
-    binary-search draw against ``RngStream.choice``."""
+    """The table path of ``minimize`` (marked set by one compare of the
+    table, binary-search draw) against the oracle + ``grover_search`` path
+    it replaced, and the binary-search draw against ``RngStream.choice``."""
 
     @settings(max_examples=80)
     @given(
@@ -330,11 +330,17 @@ class TestSortedThreshold:
         seed=st.integers(0, 2**32 - 1),
         levels=st.sampled_from([1, 2, 3, 8, 64, None]),
         infinite=st.integers(0, 3),
+        minus_infinite=st.integers(0, 2),
+        zeros=st.integers(0, 4),
         budget=st.one_of(st.none(), st.integers(0, 400)),
     )
-    def test_minimize_matches_reference(self, n_bits, seed, levels, infinite, budget):
+    def test_minimize_matches_reference(
+        self, n_bits, seed, levels, infinite, minus_infinite, zeros, budget
+    ):
         # ``levels`` forces ties (None draws distinct normals); up to three
-        # +inf entries stand in for ``argmin_via_search``'s padding.
+        # +inf entries stand in for ``argmin_via_search``'s padding.  Then up
+        # to two -inf entries, and up to four zeros of random sign: -0.0 and
+        # 0.0 compare equal, so neither marks the other.
         gen = np.random.default_rng(seed)
         dim = 2**n_bits
         if levels is None:
@@ -342,6 +348,9 @@ class TestSortedThreshold:
         else:
             table = gen.integers(0, levels, size=dim).astype(float)
         table[gen.choice(dim, size=min(infinite, dim - 1), replace=False)] = np.inf
+        table[gen.choice(dim, size=min(minus_infinite, dim), replace=False)] = -np.inf
+        signs = gen.random(min(zeros, dim)) < 0.5
+        table[gen.choice(dim, size=signs.size, replace=False)] = np.where(signs, -0.0, 0.0)
         objective = minimizer.ObjectiveFn.from_table(table)
         fast = minimizer.minimize(objective, RngStream(seed), budget)
         slow = _reference_minimize(objective, RngStream(seed), budget)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qmlkit.errors import DomainError
+from qmlkit import minimizer
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.minimizer import (
     ObjectiveFn,
     argmin_via_search,
@@ -95,6 +96,38 @@ class TestMinimize:
     def test_negative_budget_rejected(self):
         with pytest.raises(DomainError, match="-1"):
             minimize(DEMO, RngStream(0), max_main_iterations=-1)
+
+    def test_budget_over_cap_refused_before_any_draw(self):
+        calls = []
+        objective = ObjectiveFn(3, lambda x: calls.append(x) or float(x))
+        rng = RngStream(0)
+        with pytest.raises(
+            ConfigError,
+            match=r"^main-iteration budget 1,048,577 is over the 1,048,576 cap: "
+            r"its trace would hold 1,048,577 entries, about 72 MiB$",
+        ):
+            minimize(objective, rng, max_main_iterations=2**20 + 1)
+        assert calls == []
+        assert rng.uniform() == RngStream(0).uniform()
+
+    def test_budget_at_cap_runs(self, monkeypatch):
+        monkeypatch.setattr(minimizer, "MAX_MAIN_ITERATIONS", 5)
+        assert minimize(DEMO, RngStream(0), max_main_iterations=5).main_iterations == 5
+        with pytest.raises(ConfigError, match="over the 5 cap"):
+            minimize(DEMO, RngStream(0), max_main_iterations=6)
+
+    def test_marked_set_takes_no_sort(self, monkeypatch):
+        # The inputs below a threshold are one compare of the table, already
+        # ascending: no argsort of the table and no re-sort of a prefix.
+        def refuse(*args, **kwargs):
+            raise AssertionError("minimize sorted an array")
+
+        values = np.random.default_rng(29).normal(size=2**10)
+        monkeypatch.setattr(np, "argsort", refuse)
+        monkeypatch.setattr(np, "sort", refuse)
+        result = minimize(ObjectiveFn.from_table(values), RngStream(29))
+        assert len({threshold for threshold, _ in result.trace}) > 2
+        assert result.min_value == values.min()
 
     def test_zero_budget_returns_starting_point(self):
         result = minimize(DEMO, RngStream(0), max_main_iterations=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmlkit import qsvm
-from qmlkit.errors import DomainError
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.qsvm import (
     AlphaGrid,
     KernelSpec,
@@ -262,6 +262,14 @@ class TestSolve:
         gen = np.random.default_rng(0)
         data = LabeledDataset(gen.normal(size=(8, 2)), [1, -1] * 4)
         with pytest.raises(DomainError):
+            solve(data, LINEAR, AlphaGrid(bits_per_alpha=3), RngStream(0))
+
+    def test_grid_cap_states_table_bytes(self):
+        gen = np.random.default_rng(0)
+        data = LabeledDataset(gen.normal(size=(7, 2)), [1, -1, 1, -1, 1, -1, 1])
+        with pytest.raises(
+            ConfigError, match=r"21-bit grid's table would hold 16,777,216 bytes$"
+        ):
             solve(data, LINEAR, AlphaGrid(bits_per_alpha=3), RngStream(0))
 
 
