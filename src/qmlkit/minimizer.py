@@ -146,7 +146,7 @@ def minimize(
         # One (threshold, candidate) trace entry takes about 72 bytes.
         raise ConfigError(
             f"main-iteration budget {budget:,} is over the {MAX_MAIN_ITERATIONS:,} cap: "
-            f"its trace would hold {budget:,} entries, about {72 * budget / 2**20:,.0f} MiB"
+            f"its trace would hold {budget:,} entries, about {72 * budget // 2**20:,} MiB"
         )
     dim = 2**n
     table = f.table

@@ -146,7 +146,7 @@ def _penalized_table(
         raise ConfigError(
             f"{data.m} multipliers at {grid.bits_per_alpha} bits exceed the "
             f"{GRID_BITS_CAP}-bit search cap: the {total_bits}-bit grid's table "
-            f"would hold {8 * 2**total_bits:,} bytes"
+            f"would hold 8 x 2^{total_bits} bytes"
         )
     q = (data.labels[:, None] * data.labels[None, :]) * kernel
     table = np.empty(2**total_bits)

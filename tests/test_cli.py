@@ -442,6 +442,15 @@ class TestExitCodes:
             "its trace would hold 1,048,577 entries, about 72 MiB"
         ) in capsys.readouterr().err
 
+    def test_qsvm_bits_over_cap(self, tmp_path, capsys):
+        data = write(tmp_path / "l.csv", "-1.0,-1\n1.0,1\n")
+        code, report = cli.run(["qsvm", "--data", data, "--bits", "1000000000000"])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err.startswith(
+            "error: 2 multipliers at 1000000000000 bits exceed the 20-bit search cap: "
+            "the 2000000000000-bit grid's table would hold 8 x 2^2000000000000 bytes"
+        )
+
     def test_zero_minimize_budget(self):
         report = run_ok(["minimize", "--objective", "builtin:demo3", "--budget", "0"])
         assert report["results"]["main_iterations"] == 0

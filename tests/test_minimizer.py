@@ -107,6 +107,9 @@ class TestMinimize:
             r"its trace would hold 1,048,577 entries, about 72 MiB$",
         ):
             minimize(objective, rng, max_main_iterations=2**20 + 1)
+        # Past about 2.6e312 a float estimate of the trace would overflow.
+        with pytest.raises(ConfigError, match=r"entries, about 6(,\d{3}){105} MiB$"):
+            minimize(objective, rng, max_main_iterations=10**320)
         assert calls == []
         assert rng.uniform() == RngStream(0).uniform()
 
