@@ -323,8 +323,8 @@ def _cmd_grover(args, rng, warnings):
         marked = sorted({int(tok) for tok in args.marked.split(",")})
     except ValueError:
         raise DomainError(f"--marked must be comma-separated integers, got {args.marked!r}") from None
-    for index in marked:
-        if not 0 <= index < 2**args.bits:
+    for index in marked:  # by bit length: SignOracle refuses widths whose 2**bits is huge
+        if index < 0 or index.bit_length() > args.bits:
             raise DomainError(f"marked index {index} out of range for {args.bits} bits")
     marked_set = frozenset(marked)
     marked_array = np.array(marked)
@@ -479,12 +479,9 @@ def _cmd_median(args, rng, warnings):
 def _cmd_cluster(args, rng, warnings):
     data = clustering.Dataset(ingest_csv(args.data, "vectors"))
     cfg = clustering.ClusterConfig(
-        k=args.k,
-        max_iterations=args.max_iterations,
-        eta=args.eta,
-        distance_mode=args.mode,
-        shots=args.shots,
+        k=args.k, max_iterations=args.max_iterations, distance_mode=args.mode, shots=args.shots,
         use_grover_argmin=args.grover_argmin,
+        **({"eta": args.eta} if args.command == "kmeans" else {}),  # kmedians has no --eta
     )
     # Looked up per call, not bound at import, so a wrapper installed on
     # ``clustering.kmeans`` / ``clustering.kmedians`` (bench/tracer.py) is used.
@@ -526,6 +523,7 @@ def _cmd_qpca(args, rng, warnings):
     matrix = ingest_csv(args.data, "vectors")
     try:
         prepared = qpca.preprocess(matrix, standardize=args.standardize)
+        del matrix  # the padded rows are the only copy of the data from here on
         model = qpca.build_model(prepared, n_control=args.controls)
     except DomainError as exc:
         raise type(exc)(f"{args.data}: {exc}") from None
@@ -694,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("exact", "shots"), default="exact")
         p.add_argument("--shots", type=int, default=subroutines.DEFAULT_SHOTS)
         p.add_argument("--grover-argmin", action="store_true")
-        p.add_argument("--eta", type=float, default=1e-4)
+        if name == "kmeans":  # k-medians stops when no centroid changes
+            p.add_argument("--eta", type=float, default=1e-4)
         p.add_argument("--max-iterations", type=int, default=100)
         common(p)
 

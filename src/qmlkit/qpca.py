@@ -26,7 +26,7 @@ from .errors import ConfigError, DomainError
 from .fourier import register_distribution
 from .rng import RngStream
 from .state import _check_n_qubits
-from .subroutines import _check_draw_budget, overlap_sq, swap_tests
+from .subroutines import DEFAULT_SHOTS, _check_draw_budget, overlap_sq, swap_tests
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
 DEFAULT_CONTROLS = 8
@@ -35,7 +35,6 @@ _RANK_TOL = 1e-10    # of the largest eigenvalue: below it a lifted column is of
 
 @dataclass(frozen=True)
 class PcaInput:
-    demeaned: np.ndarray
     rows: np.ndarray          # unit rows of the scaled data, zero-padded to 2^n columns
 
 
@@ -60,27 +59,26 @@ class ScoreMatrix:
 
 
 def preprocess(raw, standardize: bool = False) -> PcaInput:
-    """Demean columns, optionally standardize them, and normalize every row."""
+    """Demean columns, optionally standardize them, and normalize rows, in the padded copy."""
     matrix = np.atleast_2d(np.asarray(raw, dtype=float))
-    if matrix.shape[0] < 2:
+    m, n_features = matrix.shape
+    if m < 2:
         raise DomainError("need at least two rows")
-    demeaned = matrix - matrix.mean(axis=0)
-    scaled = demeaned
+    rows = np.zeros((m, 2 ** max(1, math.ceil(math.log2(n_features)))))
+    scaled = np.subtract(matrix, matrix.mean(axis=0), out=rows[:, :n_features])
     if standardize:
-        spread = demeaned.std(axis=0)
+        spread = scaled.std(axis=0)
         if np.any(spread <= 1e-12):
             raise DomainError("cannot standardize a constant column")
-        scaled = demeaned / spread
+        scaled /= spread
     norms = np.linalg.norm(scaled, axis=1)
     degenerate = np.nonzero(norms <= 1e-12)[0]
     if degenerate.size:
         raise DomainError(
             f"row {degenerate[0]} is zero after demeaning and has no amplitude encoding"
         )
-    n_features = scaled.shape[1]
-    rows = np.zeros((scaled.shape[0], 2 ** max(1, math.ceil(math.log2(n_features)))))
-    np.divide(scaled, norms[:, None], out=rows[:, :n_features])
-    return PcaInput(demeaned=demeaned, rows=rows)
+    scaled /= norms[:, None]
+    return PcaInput(rows=rows)
 
 
 def _eigensystem(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +159,7 @@ def extract_scores(
     input: PcaInput,
     r_components: int,
     mode: str = "exact",
-    shots: int = 4096,
+    shots: int = DEFAULT_SHOTS,
     rng: RngStream | None = None,
 ) -> ScoreMatrix:
     """Scores s_i^(j) = <x_i | phi_j> for the top r components.

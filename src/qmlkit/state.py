@@ -37,16 +37,18 @@ def _check_n_qubits(n_qubits: int) -> int:
     if n < 1:
         raise DomainError(f"need at least one qubit, got {n}")
     if n > MAX_QUBITS:
+        size = f"{16 * 2**n:,}" if n <= 64 else f"16 x 2^{n}"  # no huge integer past 64
         raise ConfigError(
-            f"{n} qubits exceeds the cap of {MAX_QUBITS}: the state needs {16 * 2**n:,} bytes"
+            f"{n} qubits exceeds the cap of {MAX_QUBITS}: the state needs {size} bytes"
         )
     return n
 
 
 def _check_dense_cap(n_qubits: int, what: str) -> None:
     if n_qubits > DENSE_MATRIX_CAP:
+        size = f"{16 * 4**n_qubits:,}" if n_qubits <= 32 else f"16 x 4^{n_qubits}"
         raise ConfigError(
-            f"{what} on {n_qubits} qubits needs {16 * 4**n_qubits:,} bytes; "
+            f"{what} on {n_qubits} qubits needs {size} bytes; "
             f"the dense-matrix cap is {DENSE_MATRIX_CAP} qubits"
         )
 

@@ -148,8 +148,8 @@ def _swap_test_p0(
 def _check_draw_budget(need: int, what: str) -> None:
     """Refuse draws whose arrays would take more than ``_DRAW_BYTES_CAP``."""
     if need > _DRAW_BYTES_CAP:
-        raise ConfigError(
-            f"{what} need {need / 2**20:,.0f} MiB, over the {_DRAW_BYTES_CAP // 2**20} MiB budget"
+        raise ConfigError(  # nearest MiB in integers: a float quotient overflows past 1e308
+            f"{what} need {(need + 2**19) // 2**20:,} MiB, over the {_DRAW_BYTES_CAP // 2**20} MiB budget"
         )
 
 

@@ -790,7 +790,6 @@ class TestExitCodes:
         "command, flag, field",
         [
             ("kmeans", "--eta", "eta"),
-            ("kmedians", "--eta", "eta"),
             ("qsvm", "--gamma", "gamma"),
             ("qsvm", "--alpha-max", "alpha_max"),
             ("qsvm", "--penalty", "penalty_coeff"),
@@ -800,7 +799,6 @@ class TestExitCodes:
     def test_non_finite_float_flag(self, command, flag, field, value, tmp_path, blob_csv, capsys):
         inputs = {
             "kmeans": ["--data", blob_csv, "--k", "2"],
-            "kmedians": ["--data", blob_csv, "--k", "2"],
             "qsvm": ["--data", write(tmp_path / "l.csv", "-1.0,-1\n1.0,1\n"),
                      "--kernel", "gaussian", "--gamma", "1.0"],
             "qnn": ["--data", write(tmp_path / "nn.csv", "0,0,1\n1,0,-1\n"), "--k-bits", "1",
@@ -827,6 +825,65 @@ class TestExitCodes:
             "error: 1,000,000,000,000 eigen-sample draws need 22,888,184 MiB, "
             "over the 256 MiB budget\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["qft", "--qubits", "20000", "--amps", "{state}"],
+         "20000 qubits exceeds the cap of 24: the state needs 16 x 2^20000 bytes"),
+        (["phase-est", "--unitary", "{unitary}", "--eigvec", "{state}", "--controls", "20000"],
+         "20001 qubits exceeds the cap of 24: the state needs 16 x 2^20001 bytes"),
+        (["phase-est", "--unitary", "{circuit}", "--eigvec", "{state}", "--controls", "1"],
+         "{circuit}: 20000 qubits exceeds the cap of 24: the state needs 16 x 2^20000 bytes"),
+        (["qpca", "--data", "{data}", "--components", "1", "--controls", "20000"],
+         "20001 qubits exceeds the cap of 24: the state needs 16 x 2^20001 bytes"),
+        (["qpca", "--data", "{data}", "--components", "1", "--samples", "{huge}"],
+         "{huge:,} eigen-sample draws need {samples_mib:,} MiB, over the 256 MiB budget"),
+        (["dist", "--a", "{vector}", "--b", "{vector}", "--mode", "shots", "--shots", "{huge}"],
+         "1 x {huge} shot draws need {shots_mib:,} MiB, over the 256 MiB budget"),
+        (["swaptest", "--a", "{state}", "--b", "{state}", "--shots", "{huge}"],
+         "1 x {huge} shot draws need {shots_mib:,} MiB, over the 256 MiB budget"),
+    ], ids=["qft", "phase-est", "phase-est-circuit", "qpca-controls", "qpca-samples",
+            "dist-shots", "swaptest-shots"])
+    def test_huge_figure_refused(self, argv, message, tmp_path, capsys):
+        # Each refusal states a figure past a float's range or Python's
+        # 4,300-digit int-to-str limit without building or dividing it.
+        huge = 10**400
+        names = {
+            "state": write(tmp_path / "s.csv", "0.6\n0.8\n"),
+            "unitary": write(tmp_path / "u.json", json.dumps(_MATRIX_DOC)),
+            "circuit": write(tmp_path / "c.json", json.dumps({"n_qubits": 20000, "steps": []})),
+            "data": write(tmp_path / "d.csv", "1,2\n3,4\n5,7\n"),
+            "vector": write(tmp_path / "v.csv", "3.0,4.0\n"),
+            "huge": huge,
+            "samples_mib": (24 * huge + 2**19) // 2**20,
+            "shots_mib": (8 * huge + 2**19) // 2**20,
+        }
+        started = time.perf_counter()
+        code, report = cli.run([arg.format(**names) for arg in argv])
+        assert time.perf_counter() - started < 1.0
+        assert code == 1 and report is None
+        assert capsys.readouterr().err.startswith("error: " + message.format(**names))
+
+    def test_grover_huge_width_refused_before_its_power(self):
+        # 2**(10**12) would take about 125 GB: the child's address space is
+        # capped so that building it cannot exhaust memory, and the timeout
+        # ends the squarings that lead up to it.
+        def cap_address_space():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-m", "qmlkit", "grover", "--bits", "1000000000000", "--marked", "1"],
+            env=env, capture_output=True, text=True, timeout=20, preexec_fn=cap_address_space,
+        )
+        assert out.returncode == 1
+        assert out.stderr == "error: oracle bit width 1000000000000 out of range\n"
+
+    def test_kmedians_has_no_eta(self, blob_csv):
+        code, report = cli.run(["kmedians", "--data", blob_csv, "--k", "2", "--eta", "0.1"])
+        assert code == 2 and report is None
+        assert "eta" not in run_ok(["kmedians", "--data", blob_csv, "--k", "2"])["config"]
 
     def test_threads_flag_removed(self):
         code, _ = cli.run(["grover", "--bits", "2", "--marked", "2", "--threads", "4"])

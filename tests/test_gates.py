@@ -253,6 +253,9 @@ class TestCircuit:
             Circuit(13, []).matrix()
         with pytest.raises(ConfigError, match="transform matrix on 13 qubits needs 1,073,741,824"):
             fourier.qft_gate(13)
+        # Past 32 qubits the size is stated, not built: 16 * 4**20000 has 12,000 digits.
+        with pytest.raises(ConfigError, match=r"on 20000 qubits needs 16 x 4\^20000 bytes;"):
+            fourier.qft_gate(20000)
 
     def test_json_round_trip(self, np_rng):
         custom = GateMatrix(2, random_unitary(np_rng, 2))

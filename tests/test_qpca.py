@@ -26,8 +26,16 @@ from conftest import random_state, reference_control_distribution
 
 
 def manual_input(rows) -> PcaInput:
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return PcaInput(demeaned=rows, rows=rows)
+    return PcaInput(rows=np.atleast_2d(np.asarray(rows, dtype=float)))
+
+
+def reference_rows(raw: np.ndarray, standardize: bool = False) -> np.ndarray:
+    """Demeaned, optionally standardized, unit rows, zero-padded to 2^n columns."""
+    scaled = raw - raw.mean(axis=0)
+    if standardize:
+        scaled = scaled / scaled.std(axis=0)
+    unit = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return np.pad(unit, ((0, 0), (0, 2 ** math.ceil(math.log2(raw.shape[1])) - raw.shape[1])))
 
 
 def build_density(input: PcaInput) -> DensityMatrix:
@@ -125,8 +133,8 @@ class TestPreprocess:
         assert np.allclose(prepared.rows, [[1.0, 0.0], [-1.0, 0.0]], atol=1e-12)
 
     def test_column_means_vanish(self, np_rng):
-        prepared = preprocess(np_rng.normal(size=(7, 5)) + 3.0)
-        assert np.allclose(prepared.demeaned.mean(axis=0), 0.0, atol=1e-9)
+        raw = np_rng.normal(size=(7, 5)) + 3.0
+        assert np.allclose(preprocess(raw).rows, reference_rows(raw), rtol=0.0, atol=1e-12)
 
     def test_rows_unit_norm(self, np_rng):
         prepared = preprocess(np_rng.normal(size=(3, 4)))
@@ -134,11 +142,27 @@ class TestPreprocess:
 
     def test_standardize_scales_columns(self, np_rng):
         raw = np_rng.normal(size=(20, 3)) * (1.0, 5.0, 0.2)
-        prepared = preprocess(raw, standardize=True)
-        scaled = prepared.demeaned / prepared.demeaned.std(axis=0)
         assert np.allclose(
-            prepared.rows[:, :3], scaled / np.linalg.norm(scaled, axis=1)[:, None], atol=1e-12
+            preprocess(raw, standardize=True).rows, reference_rows(raw, standardize=True),
+            rtol=0.0, atol=1e-12,
         )
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_holds_one_padded_copy(self, standardize):
+        # 300 x 4,096 features: 9.4 MiB of rows, demeaned, scaled and
+        # normalized in place.  What stays allocated is the rows alone, and
+        # the peak adds one temporary of their size (std's deviations, or the
+        # squares behind the row norms); 1 MiB covers the column statistics.
+        raw = np.random.default_rng(30).normal(size=(300, 4096)) * 2.0 + 1.0
+        tracemalloc.start()
+        try:
+            prepared = preprocess(raw, standardize=standardize)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = prepared.rows.nbytes
+        assert left <= rows + 2**20, (left, rows)
+        assert peak <= 2 * rows + 2**20, (peak, rows)
 
     def test_degenerate_row_named(self):
         with pytest.raises(DomainError, match="row 2"):
