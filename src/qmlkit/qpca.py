@@ -11,8 +11,9 @@ has rank at most M and is never formed: its one eigensystem comes from the
 smaller of R^T R / M and the Gram matrix R R^T / M (the method of
 snapshots); the tests keep the dense rho and the simulated register as the
 reference.  The eigensystem serves sampling and scores, which are overlaps
-of rows with eigenvectors; swap-test scores are one ``subroutines.swap_tests``
-call on the rows and the top eigenvectors.
+of rows with eigenvectors; a swap test on a real unit row and an eigenvector
+has p0 = 1/2 + <x|phi>^2 / 2, so swap-test scores draw their shots at that
+closed form and build no register.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import ConfigError, DomainError
 from .fourier import register_distribution
 from .rng import RngStream
 from .state import _check_n_qubits
-from .subroutines import DEFAULT_SHOTS, _check_draw_budget, overlap_sq, swap_tests
+from .subroutines import DEFAULT_SHOTS, _check_draw_budget, _check_shots, _estimate_p0, overlap_sq
 
 DEFAULT_TIME = math.pi       # keeps phases at lambda/2 in [0, 1/2]: no wraparound
 DEFAULT_CONTROLS = 8
@@ -166,12 +167,12 @@ def extract_scores(
 
     Exact mode computes the overlaps directly.  Swap-test mode estimates the
     magnitude |s|^2 from control measurements and takes the sign from the
-    exact overlap (the squared readout alone cannot recover it).  The rows
-    and the eigenvectors go to ``subroutines.swap_tests`` as one call, which
-    checks their norms and runs the (row, component) pairs in row-major
-    order; each row's ``shots`` draws per pair come in that order, as one
-    call per row would draw them, and one row's draws are the unit the
-    shot-memory budget refuses.
+    exact overlap (the squared readout alone cannot recover it).  Each row
+    must be a unit vector, whose swap test against a component has the
+    control probability p0 = 1/2 + s^2 / 2; ``shots`` draws per (row,
+    component) pair come at that p0 in row-major order, as one
+    ``subroutines.swap_test`` per pair would draw them, and one row's draws
+    are the unit the shot-memory budget refuses.
     """
     available = model.eigenvectors.shape[1]
     if not 1 <= r_components <= available:
@@ -184,7 +185,14 @@ def extract_scores(
         return ScoreMatrix(scores=exact)
     if rng is None:
         raise DomainError("swaptest mode requires an RngStream")
-    _, p0_hat = swap_tests(input.rows, vectors.T, shots, rng)
+    # Real dot products per row: a complex copy of 300 x 16,384 rows takes 75 MiB.
+    norm_sq = np.einsum("ij,ij->i", input.rows, input.rows)
+    # Written so that a NaN norm fails the comparison and is rejected.
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= state.NORM_TOL))
+    if bad.size:
+        raise DomainError(f"row {bad[0]} not normalized: sum |c_i|^2 = {float(norm_sq[bad[0]])!r}")
+    _check_shots(shots)
+    p0_hat = _estimate_p0(0.5 + 0.5 * np.square(exact).ravel(), shots, rng, row=r_components)
     return ScoreMatrix(
         scores=np.copysign(np.sqrt(overlap_sq(p0_hat)).reshape(exact.shape), exact)
     )

@@ -5,22 +5,17 @@ amplitude-encoded into ceil(log2 N) qubits, overlaps are read out through
 the swap-test circuit, and Euclidean distances come from the two-state
 construction whose ancilla overlap encodes |a-b|^2 / 2Z.
 
-One kernel, ``_swap_test_p0``, runs every overlap swap test, on pairs of
-rows of two row sets given by index: each slice of pairs is one register,
-of at most ``_SLICE_AMPS`` amplitudes unless one pair alone needs more,
-whose extra qubits index the pairs, and the gates act on it through
-``gates.apply``.  ``swap_tests`` runs every row of one set against every
-row of another in one call (all QPCA rows against the top eigenvectors).
-The distance test's p0 has a closed form in the norms and |a-b|^2, so
-``distance_p0`` builds no register; its callers pair the rows with the
-live centroids of a k-means pass, or the points i < j of a set median, in
-batches of whole rows of at most ``MAX_BATCH_PAIRS`` pairs.  Each
-estimator carries the exact p0 and a shot-based value, drawn in
-slice-sized chunks in the order of one batch per point.
+``swap_test`` runs one pair of states as one register, |+> (x) a (x) b,
+whose gates act on it through ``gates.apply``.  The distance test's p0 has
+a closed form in the norms and |a-b|^2, so ``distance_p0`` builds no
+register; its callers pair the rows with the live centroids of a k-means
+pass, or the points i < j of a set median, in batches of whole rows of at
+most ``MAX_BATCH_PAIRS`` pairs.  Each estimator carries the exact p0 and a
+shot-based value, drawn in chunks of at most 16 * ``_SLICE_AMPS`` bytes in
+the order of one batch per point.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +24,16 @@ from .errors import ConfigError, DomainError
 from .gates import apply, controlled, standard_gate
 from .minimizer import argmin_via_search
 from .rng import RngStream
-from .state import MAX_QUBITS, NORM_TOL, StateVector, _check_n_qubits
+from .state import MAX_QUBITS, StateVector, _check_n_qubits
 
 DEFAULT_SHOTS = 4096
 
 _H = standard_gate("H")
 _FREDKIN = controlled(standard_gate("SWAP"))
 _PLUS = _H.matrix[:, 0]  # the control qubit after the first H
-# Amplitudes of one batched swap-test register (64 KiB), which also bounds
-# the entries of one chunk of distance differences and the bytes of one
-# chunk of shot draws; on the clustering benchmark, drawing a whole k-means
-# pass's shots at once peaked 7 MiB higher.
+# Entries of one chunk of distance differences, and complex amplitudes'
+# worth (64 KiB) of one chunk of shot draws; on the clustering benchmark,
+# drawing a whole k-means pass's shots at once peaked 7 MiB higher.
 _SLICE_AMPS = 2**12
 # Pairs of one k-means or set-median distance batch: their per-pair arrays
 # (indices, Z, p0, estimates) take a few MiB, where a whole pass or median
@@ -104,45 +98,20 @@ def encode(a) -> EncodedVector:
     return EncodedVector(raw=raw, norm=float(norm), state=StateVector(n_qubits, amps))
 
 
-def _swap_test_p0(
-    left: np.ndarray, right: np.ndarray, i: np.ndarray, j: np.ndarray
-) -> np.ndarray:
-    """Exact control-qubit |0> probability of the swap test, one per pair.
+def _swap_test_p0(a: StateVector, b: StateVector) -> float:
+    """Exact control-qubit |0> probability of the swap test on one pair.
 
-    Pair k runs the register |0> (x) left[i[k]] (x) right[j[k]], with the
-    Fredkin ladder swapping each qubit of ``left`` with the matching leading
-    qubit of ``right``; further qubits of ``right`` ride along.  Pairs run in
-    slices of w = 4^j pairs, each slice as one register whose trailing 2j
-    qubits index its pairs, sum_b |pair_b>|b> / sqrt(w), held to
-    ``_SLICE_AMPS`` amplitudes unless one pair alone is larger; a short
-    last slice repeats its pairs to fill w.  Each slice gathers its own rows,
-    so no pair-aligned copy of the inputs is made.  Scaling by 1/sqrt(w) =
-    2^-j is exact, so each p0 carries the bits of a lone register.
+    The register |+> (x) a (x) b runs the Fredkin ladder, which swaps each
+    qubit of ``a`` with the matching qubit of ``b``, and then H on the
+    control; p0 is the weight of its control-0 half.
     """
-    batch, dim_left = len(i), left.shape[1]
-    half = dim_left * right.shape[1]
-    n_pair = _check_n_qubits(half.bit_length())
-    n_left = dim_left.bit_length() - 1
-    width = 1
-    while width < batch and 8 * half * width <= _SLICE_AMPS:
-        width *= 4
-    p0 = np.empty(batch)
-    for start in range(0, batch, width):
-        count = min(width, batch - start)
-        w = 1
-        while w < count:
-            w *= 4
-        rows = start + np.arange(w) % count
-        pairs = (left[i[rows], :, None] * right[j[rows], None, :]).reshape(w, half).T
-        joint = (_PLUS[:, None, None] * pairs) / math.sqrt(w)
-        state = StateVector(n_pair + (w.bit_length() - 1), joint.reshape(-1))
-        for q in range(1, 1 + n_left):
-            state = apply(_FREDKIN, [0, q, q + n_left], state)
-        state = apply(_H, [0], state)
-        final = state.amps[: half * w].reshape(half, w)[:, :count]
-        # Sum each pair along a contiguous axis, in a lone register's order.
-        p0[start : start + count] = (np.abs(np.ascontiguousarray(final.T)) ** 2).sum(axis=1) * w
-    return p0
+    n = a.n_qubits
+    # Refused before the joint amplitudes are built.
+    state = StateVector(_check_n_qubits(1 + 2 * n), np.kron(_PLUS, np.kron(a.amps, b.amps)))
+    for q in range(1, 1 + n):
+        state = apply(_FREDKIN, [0, q, q + n], state)
+    state = apply(_H, [0], state)
+    return float((np.abs(state.amps[: state.dim // 2]) ** 2).sum())
 
 
 def _check_draw_budget(need: int, what: str) -> None:
@@ -166,11 +135,10 @@ def _estimate_p0(
     Each shot re-prepares the same state, so control measurements are
     i.i.d. Bernoulli draws at the exact probability; pair b takes the b-th
     block of ``shots`` draws, as one call per pair would.  The draws are
-    made in chunks of pairs, each within the 16 * ``_SLICE_AMPS`` bytes of
-    one slice register unless one pair alone needs more (Philox gives the
-    same stream in any chunking).  A row of ``row`` pairs (by default the
-    whole batch) whose draws would pass ``_DRAW_BYTES_CAP`` is refused
-    before any draw.
+    made in chunks of pairs, each within 16 * ``_SLICE_AMPS`` bytes unless
+    one pair alone needs more (Philox gives the same stream in any
+    chunking).  A row of ``row`` pairs (by default the whole batch) whose
+    draws would pass ``_DRAW_BYTES_CAP`` is refused before any draw.
     """
     if rng is None:
         return exact_p0
@@ -190,41 +158,6 @@ def overlap_sq(p0):
     return np.clip(2.0 * p0 - 1.0, 0.0, 1.0)
 
 
-def _register_rows(amps) -> np.ndarray:
-    """Amplitude rows (a vector is one row) that pass the ``StateVector``
-    checks: 2^n entries, n >= 1, and unit norm within ``NORM_TOL``."""
-    rows = np.atleast_2d(np.asarray(amps, dtype=complex))
-    width = rows.shape[-1]
-    if rows.ndim != 2 or width < 2 or width & (width - 1):
-        raise DomainError(f"swap test needs rows of 2^n amplitudes, n >= 1, got shape {rows.shape}")
-    re, im = rows.real, rows.imag
-    norm_sq = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-    # Written so that a NaN norm fails the comparison and is rejected.
-    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= NORM_TOL))
-    if bad.size:
-        raise DomainError(
-            f"row {bad[0]} not normalized: sum |c_i|^2 = {float(norm_sq[bad[0]])!r}"
-        )
-    return rows
-
-
-def swap_tests(
-    a, others, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact and estimated p0 (exact without ``rng``) of each amplitude row
-    of ``a`` (a vector is one row) against each row of ``others``, in
-    row-major order, with the bits and draws of one call per row of ``a``;
-    one row's pairs are the unit the shot-memory budget refuses."""
-    left, right = _register_rows(a), _register_rows(others)
-    if left.shape[1] != right.shape[1]:
-        n_left, n_right = (rows.shape[1].bit_length() - 1 for rows in (left, right))
-        raise DomainError(f"swap test needs equal registers, got {n_left} and {n_right} qubits")
-    _check_shots(shots)
-    i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
-    exact_p0 = _swap_test_p0(left, right, i, j)
-    return exact_p0, _estimate_p0(exact_p0, shots, rng, row=len(right))
-
-
 def swap_test(
     a: StateVector, b: StateVector, shots: int = DEFAULT_SHOTS, rng: RngStream | None = None
 ) -> OverlapEstimate:
@@ -233,7 +166,13 @@ def swap_test(
     P(control = 0) equals 1/2 + |<a|b>|^2 / 2: one half for orthogonal
     inputs, one for identical inputs.
     """
-    (exact_p0,), (p0_hat,) = swap_tests(a.amps, [b.amps], shots, rng)
+    if a.n_qubits != b.n_qubits:
+        raise DomainError(
+            f"swap test needs equal registers, got {a.n_qubits} and {b.n_qubits} qubits"
+        )
+    _check_shots(shots)
+    exact_p0 = _swap_test_p0(a, b)
+    (p0_hat,) = _estimate_p0(np.array([exact_p0]), shots, rng)
     return OverlapEstimate(
         p0_hat=float(p0_hat),
         overlap_sq_hat=float(overlap_sq(p0_hat)),

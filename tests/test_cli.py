@@ -1286,6 +1286,17 @@ class TestSubcommands:
         assert sum(results["sampled_counts"]) == 256
         assert len(results["scores"]) == 6
 
+    def test_qpca_swaptest_past_pair_register_cap(self, tmp_path):
+        # 4,096 features are 12 qubits a row: a (row, component) pair
+        # register would need 25, over the cap, but swap-test scores take
+        # their p0 in closed form and build none.
+        rows = np.random.default_rng(7).normal(size=(10, 4096))
+        text = "\n".join(",".join(map(repr, row.tolist())) for row in rows)
+        path = write(tmp_path / "wide.csv", text)
+        report = run_ok(["qpca", "--data", path, "--components", "2", "--mode", "swaptest",
+                         "--shots", "256", "--seed", "3"])
+        assert np.shape(report["results"]["scores"]) == (10, 2)
+
     def test_qnn(self, tmp_path):
         data = write(tmp_path / "nn.csv", "0,0,1\n1,0,-1\n")
         params_out = str(tmp_path / "params.csv")

@@ -247,9 +247,9 @@ class TestAssignBatch:
         st.sampled_from([1, 7, 2**16]),
     )
     def test_matches_row_reference(self, case, mode, grover, seed, cap, batch):
-        # Small slices, batches of one or more rows, and a draw budget that
-        # one row fits but the pass passes: the batches span several slices
-        # and draw chunks, and give the rows, warnings, argmin inputs and
+        # Small chunks, batches of one or more rows, and a draw budget that
+        # one row fits but the pass passes: the batches span several
+        # difference and draw chunks, and give the rows, warnings, argmin inputs and
         # stream of one batch per row.
         data, centroids = case
         cfg = ClusterConfig(k=len(centroids), distance_mode=mode, shots=40,

@@ -21,7 +21,7 @@ from qmlkit.qpca import (
 )
 from qmlkit.rng import RngStream
 from qmlkit.state import StateVector
-from qmlkit.subroutines import overlap_sq, swap_tests
+from qmlkit.subroutines import overlap_sq, swap_test
 from conftest import random_state, reference_control_distribution
 
 
@@ -53,15 +53,17 @@ def dense_eigensystem(input: PcaInput) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_swaptest_scores(model, prepared, r, shots, rng) -> np.ndarray:
-    """Swap-test scores with one ``swap_tests`` call per row, as they were
-    computed before the rows were batched."""
+    """Swap-test scores with one register-built ``swap_test`` per (row,
+    component) pair, in row-major order."""
     rows = prepared.rows
     vectors = model.eigenvectors[:, :r]
     exact = rows @ vectors
+    n = rows.shape[1].bit_length() - 1
     scores = np.empty_like(exact)
     for i, row in enumerate(rows):
-        _, p0_hat = swap_tests(row, vectors.T, shots, rng)
-        scores[i] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i])
+        for j, vector in enumerate(vectors.T):
+            p0_hat = swap_test(StateVector(n, row), StateVector(n, vector), shots, rng).p0_hat
+            scores[i, j] = np.copysign(np.sqrt(overlap_sq(p0_hat)), exact[i, j])
     return scores
 
 
@@ -497,8 +499,9 @@ class TestExtractScores:
         data=st.data(),
     )
     def test_matches_per_row_reference(self, m, features, seed, shots, cap, data):
-        # All rows in one call give the scores of one call per row, bit for
-        # bit, and leave the stream where it left it.
+        # Shots drawn at the closed-form p0, in draw chunks set by ``cap``,
+        # give the scores of one register-built swap test per pair, bit for
+        # bit, and leave the stream where it leaves it.
         prepared = preprocess(np.random.default_rng(seed).normal(size=(m, features)))
         model = build_model(prepared)
         r = data.draw(st.integers(1, model.eigenvectors.shape[1]))
@@ -509,18 +512,31 @@ class TestExtractScores:
         assert got.tobytes() == want.tobytes()
         assert batched_rng.gen.random(4).tolist() == row_rng.gen.random(4).tolist()
 
-    def test_swaptest_is_one_swap_tests_call(self, np_rng):
+    def test_swaptest_builds_no_register(self, np_rng):
+        # Swap-test scores come from the closed-form p0: no path runs the
+        # swap-test kernel, applies a gate or builds a state.
         prepared = preprocess(np_rng.normal(size=(200, 8)))
         model = build_model(prepared)
-        calls = []
+        refuse = mock.Mock(side_effect=AssertionError("swap-test register built"))
+        with mock.patch.object(subroutines, "_swap_test_p0", refuse), \
+                mock.patch.object(subroutines, "apply", refuse), \
+                mock.patch.object(StateVector, "__post_init__", refuse):
+            scores = extract_scores(model, prepared, 3, "swaptest", 64, RngStream(0)).scores
+        refuse.assert_not_called()
+        assert scores.shape == (200, 3)
 
-        def counting(a, others, shots, rng):
-            calls.append((np.shape(a), np.shape(others)))
-            return subroutines.swap_tests(a, others, shots, rng)
-
-        with mock.patch.object(qpca, "swap_tests", counting):
-            extract_scores(model, prepared, 3, "swaptest", 64, RngStream(0))
-        assert calls == [((200, 8), (3, 8))]
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), same=st.sampled_from([0, 1, -1]))
+    def test_closed_form_p0_matches_register_kernel(self, n, seed, same):
+        # For real unit rows the swap test's control probability is
+        # 1/2 + <x|phi>^2 / 2, which swap-test scores draw at; ``same`` puts
+        # phi at +-x, where p0 is 1.
+        gen = np.random.default_rng(seed)
+        x, phi = gen.normal(size=(2, 2**n))
+        x /= np.linalg.norm(x)
+        phi = same * x if same else phi / np.linalg.norm(phi)
+        register = subroutines._swap_test_p0(StateVector(n, x), StateVector(n, phi))
+        assert abs((0.5 + 0.5 * np.square(x @ phi)) - register) <= 1e-14
 
     def test_swaptest_memory_holds_no_pair_copies(self):
         # 1,024 rows x 16 features x 4 components: the (row, component) pairs
@@ -540,6 +556,12 @@ class TestExtractScores:
         prepared = manual_input([[1.0, 0.0], [0.6, 0.0]])
         model = build_model(manual_input([[1.0, 0.0], [0.0, 1.0]]))
         with pytest.raises(DomainError, match=r"row 1 not normalized: sum \|c_i\|\^2 = 0\.36"):
+            extract_scores(model, prepared, 1, "swaptest", 64, RngStream(0))
+
+    def test_swaptest_rejects_nan_row(self):
+        prepared = manual_input([[1.0, 0.0], [math.nan, 0.0]])
+        model = build_model(manual_input([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match=r"^row 1 not normalized: sum \|c_i\|\^2 = nan$"):
             extract_scores(model, prepared, 1, "swaptest", 64, RngStream(0))
 
     def test_swaptest_shots_checked(self):

@@ -21,12 +21,11 @@ from qmlkit.subroutines import (
     median_calc,
     overlap_sq,
     swap_test,
-    swap_tests,
 )
 
 
-# Per-pair reference: one kron-built register per pair and one validated
-# ``gates.apply`` per gate, as the swap test ran before it was batched.
+# Per-pair reference: one kron-built register per pair, with the control
+# prepared by H, and one validated ``gates.apply`` per gate.
 
 def reference_swap_test_p0(registers: StateVector, group_a, group_b) -> float:
     state = apply(standard_gate("H"), [0], registers)
@@ -102,8 +101,9 @@ def reference_median_sums(points, shots: int, rng: RngStream, mode: str) -> np.n
 
 
 def slice_caps():
-    """Slice sizes from one-pair slices up to the default, so that batches
-    run whole, in slices of 4 or 16, or with a short last slice."""
+    """``_SLICE_AMPS`` caps from 8 to 2^16, so that a batch's distance
+    differences and shot draws run in one chunk, in many, or with a short
+    last chunk."""
     return st.sampled_from([2**k for k in range(3, 17)])
 
 
@@ -123,19 +123,6 @@ def swap_batches(draw):
     others = [random_state(gen, n) for _ in range(batch)]
     if draw(st.booleans()):
         others[draw(st.integers(0, batch - 1))] = a
-    return a, others
-
-
-@st.composite
-def swap_matrices(draw):
-    """1-6 amplitude rows of n <= 5 qubits and 1-5 rows to test them
-    against; one row may be a copy of one of the others."""
-    n = draw(st.integers(1, 5))
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = np.array([random_state(gen, n).amps for _ in range(draw(st.integers(1, 6)))])
-    others = np.array([random_state(gen, n).amps for _ in range(draw(st.integers(1, 5)))])
-    if draw(st.booleans()):
-        a[draw(st.integers(0, len(a) - 1))] = others[draw(st.integers(0, len(others) - 1))]
     return a, others
 
 
@@ -225,31 +212,23 @@ class TestSwapTest:
 
 
 class TestSwapTestBatch:
+    """``swap_test`` on each pair of a batch against the per-pair reference,
+    and its refusals."""
+
     @settings(max_examples=60)
-    @given(swap_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64), slice_caps())
-    def test_matches_per_pair_reference(self, case, seed, shots, cap):
+    @given(swap_batches(), st.integers(0, 2**32 - 1), st.integers(1, 64))
+    def test_matches_per_pair_reference(self, case, seed, shots):
         a, others = case
-        rows = [b.amps for b in others]
-        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
-            exact_p0, p0 = swap_tests(a.amps, rows)
+        exact_p0 = [swap_test(a, b).exact_p0 for b in others]
         reference = [reference_swap_test(a, b, shots, None)[0] for b in others]
-        assert np.max(np.abs(exact_p0 - reference)) <= 1e-12
-        assert np.array_equal(p0, exact_p0)
-        # Slicing scales amplitudes by powers of two only: no bit changes.
-        assert np.array_equal(exact_p0, [swap_tests(a.amps, [b])[0][0] for b in rows])
+        assert np.max(np.abs(np.subtract(exact_p0, reference))) <= 1e-12
+        assert [swap_test(a, b).p0_hat for b in others] == exact_p0
 
-        batched_rng, pair_rng = RngStream(seed), RngStream(seed)
-        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
-            _, p0_hat = swap_tests(a.amps, rows, shots, batched_rng)
+        rng, pair_rng = RngStream(seed), RngStream(seed)
+        p0_hat = [swap_test(a, b, shots, rng).p0_hat for b in others]
         pair_hat = [reference_swap_test(a, b, shots, pair_rng)[1] for b in others]
-        assert p0_hat.tolist() == pair_hat
-        assert _next_draws(batched_rng) == _next_draws(pair_rng)
-
-    def test_swap_test_is_a_batch_of_one(self, np_rng):
-        a, b = random_state(np_rng, 3), random_state(np_rng, 3)
-        estimate = swap_test(a, b, shots=500, rng=RngStream(3))
-        exact_p0, p0_hat = swap_tests(a.amps, [b.amps], shots=500, rng=RngStream(3))
-        assert (estimate.exact_p0, estimate.p0_hat) == (exact_p0[0], p0_hat[0])
+        assert p0_hat == pair_hat
+        assert _next_draws(rng) == _next_draws(pair_rng)
 
     def test_register_over_qubit_cap_refused(self):
         psi = basis_state(12, 0)
@@ -259,58 +238,12 @@ class TestSwapTestBatch:
     def test_zero_shots_rejected(self, np_rng):
         psi = random_state(np_rng, 1)
         with pytest.raises(DomainError, match="shots must be >= 1, got 0"):
-            swap_tests(psi.amps, [psi.amps], shots=0)
-
-    @settings(max_examples=40)
-    @given(swap_matrices(), st.integers(0, 2**32 - 1), st.integers(1, 64), slice_caps())
-    def test_matrix_matches_row_calls(self, case, seed, shots, cap):
-        # Every row of a matrix against every other row, in one call, gives
-        # the p0 bits and the draws of one call per row.
-        a, others = case
-        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
-            exact_p0, p0 = swap_tests(a, others)
-            row_p0 = [swap_tests(row, others)[0] for row in a]
-        assert exact_p0.tobytes() == np.concatenate(row_p0).tobytes()
-        assert p0.tobytes() == exact_p0.tobytes()
-
-        batched_rng, row_rng = RngStream(seed), RngStream(seed)
-        with mock.patch.object(subroutines, "_SLICE_AMPS", cap):
-            got = swap_tests(a, others, shots, batched_rng)
-            want = [swap_tests(row, others, shots, row_rng) for row in a]
-        for mine, theirs in zip(got, zip(*want)):
-            assert mine.tobytes() == np.concatenate(theirs).tobytes()
-        assert _next_draws(batched_rng) == _next_draws(row_rng)
-
-    @pytest.mark.parametrize("width", [1, 3, 6])
-    def test_width_not_a_power_of_two_refused(self, width):
-        row = np.full(width, 1 / math.sqrt(width), dtype=complex)
-        message = rf"rows of 2\^n amplitudes, n >= 1, got shape \(1, {width}\)$"
-        with pytest.raises(DomainError, match=message):
-            swap_tests(row, [row])
-
-    def test_non_unit_row_of_others_refused(self, np_rng):
-        psi = random_state(np_rng, 2).amps
-        with pytest.raises(DomainError, match=r"^row 1 not normalized: sum \|c_i\|\^2 = 0\.36"):
-            swap_tests(psi, [psi, 0.6 * psi])
-        with pytest.raises(DomainError, match=r"^row 0 not normalized: sum \|c_i\|\^2 = nan$"):
-            swap_tests(psi, [np.full(4, np.nan)])
+            swap_test(psi, psi, shots=0)
 
     def test_unequal_widths_refused(self, np_rng):
-        a, b = random_state(np_rng, 2).amps, random_state(np_rng, 1).amps
+        a, b = random_state(np_rng, 2), random_state(np_rng, 1)
         with pytest.raises(DomainError, match="^swap test needs equal registers, got 2 and 1 "):
-            swap_tests(a, [b])
-
-    def test_draw_budget_is_one_row_of_pairs(self, np_rng):
-        # Four rows against three others at 64 shots: one row's 3 x 64 draws
-        # fit the budget, though the call's 12 x 64 do not.
-        a = np.array([random_state(np_rng, 2).amps for _ in range(4)])
-        others = np.array([random_state(np_rng, 2).amps for _ in range(3)])
-        want = swap_tests(a, others, 64, RngStream(1))[1]
-        with mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * 3 * 64):
-            assert swap_tests(a, others, 64, RngStream(1))[1].tobytes() == want.tobytes()
-        with mock.patch.object(subroutines, "_DRAW_BYTES_CAP", 8 * 3 * 64 - 1):
-            with pytest.raises(ConfigError, match="^3 x 64 shot draws"):
-                swap_tests(a, others, 64, RngStream(1))
+            swap_test(a, b)
 
 
 class TestDistanceBatch:
