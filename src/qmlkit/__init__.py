@@ -18,7 +18,7 @@ from .state import (
     variance,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "ConfigError",

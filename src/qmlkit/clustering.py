@@ -185,11 +185,15 @@ def _lloyd(
     """
     if cfg.k > data.m:
         raise DomainError(f"k = {cfg.k} exceeds the {data.m} data rows")
-    centroids = (
-        np.array(initial_centroids, dtype=float)
-        if initial_centroids is not None
-        else _init_centroids(data, cfg.k, rng)
-    )
+    if initial_centroids is None:
+        centroids = _init_centroids(data, cfg.k, rng)
+    else:
+        centroids = np.array(initial_centroids, dtype=float)
+        expected = (cfg.k, data.n_features)
+        if centroids.shape != expected:
+            raise DomainError(
+                f"initial centroids have shape {centroids.shape}, expected {expected}"
+            )
     warnings: list[str] = []
     trace: list[dict] = []
     converged = False

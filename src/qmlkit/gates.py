@@ -8,11 +8,12 @@ are unitary by construction and skip the d^3 product; every state they reach
 is still norm-checked.  ``apply`` updates only the addressed qubits'
 amplitude strides; the fully kron-expanded matrix is never materialized (the
 tests keep that construction as the reference).  Arrays of at most
-``_CHUNK_AMPS`` entries are contracted in one transpose-matmul-transpose;
-larger ones are streamed in sub-blocks of about one chunk, each gathered with
-the targets in front, multiplied once and written into the single output
-array, so applying a gate holds the input, the output and O(chunk) (the
-tests keep the one-piece kernel as the reference).  The same kernel runs a
+``_CHUNK_AMPS`` entries are contracted in one transpose-matmul-transpose,
+faster there on a leading target; larger ones are streamed in sub-blocks of
+about one chunk, each gathered with the targets in front, multiplied once
+and written into the single output array, so applying a gate holds the
+input, the output and O(chunk).  The one-piece kernel thus lives both here,
+for small arrays, and in the tests, as the reference.  The same kernel runs a
 circuit's steps on the identity to give ``Circuit.matrix``, which is held to
 ``DENSE_MATRIX_CAP`` qubits.  ``run_circuit`` fuses consecutive steps
 into blocks of at most ``FUSION_WIDTH`` qubits and applies each block once
@@ -167,6 +168,10 @@ def _apply_matrix(matrix: np.ndarray, positions: list[int], amps: np.ndarray) ->
     n = amps.shape[0].bit_length() - 1
     grid = amps.reshape([2] * n + list(amps.shape[1:]))
     rest = [ax for ax in range(n) if ax not in positions]
+    # A size-selected fast path, not a duplicate of the streamed one below:
+    # on a leading target the transposes are views and the matmul runs on
+    # the array as it lies.  A 1-qubit gate on qubit 0 of 2^16 amplitudes
+    # took 0.13-0.19 ms, streamed 0.9-1.4 ms, on a 2-core Xeon.
     if amps.size <= _CHUNK_AMPS:
         # Bring target axes to the front, contract with the gate, restore order.
         order = positions + rest + list(range(n, grid.ndim))

@@ -133,13 +133,13 @@ def eigen_sample(model: PcaModel, m_samples: int, rng: RngStream) -> list[PcaSam
     # Refused before any draw: per draw, a uniform double, an int64 index and
     # its sorted copy (18 bytes measured at the peak).
     _check_draw_budget(24 * m_samples, f"{m_samples:,} eigen-sample draws")
-    probs = np.clip(model.eigenvalues, 0.0, None)
-    component_counts = rng.gen.multinomial(m_samples, probs / probs.sum())
     if model.t <= 0:
         raise DomainError("evolution time must be > 0")
     if model.n_control < 1:
         raise DomainError("need at least one control qubit")
     _check_n_qubits(model.n_control + model.eigenvectors.shape[0].bit_length() - 1)
+    probs = np.clip(model.eigenvalues, 0.0, None)
+    component_counts = rng.gen.multinomial(m_samples, probs / probs.sum())
     dim = 2**model.n_control
     samples: list[PcaSample] = []
     for j, count in enumerate(component_counts):

@@ -12,10 +12,10 @@ that want renormalization must ask for it via :func:`normalize`.
 
 Registers over ``MAX_QUBITS`` and dense ``2^n x 2^n`` matrices over
 ``DENSE_MATRIX_CAP`` are refused with their byte count before anything is
-built.  A full measurement streams |c_i|^2 through the chunked inverse CDF
-of ``rng.inverse_cdf``, so besides the collapsed basis state it holds
-O(chunk); a subset measurement writes the kept slice, renormalized, straight
-into one zero-filled buffer.
+built.  Every measurement draws one basis index, streaming |c_i|^2 through
+the chunked inverse CDF of ``rng.inverse_cdf`` in O(chunk) besides the
+collapsed state; a subset measurement reads its bits off that index and
+scales the kept slice straight into one zero-filled buffer.
 """
 from __future__ import annotations
 
@@ -180,19 +180,22 @@ def variance(obs: Observable, psi: StateVector) -> float:
     return value.real
 
 
-def measure_all(psi: StateVector, rng: RngStream) -> MeasurementOutcome:
-    """Sample a full computational-basis measurement and collapse the state.
-
-    |c_i|^2 is streamed one chunk at a time through ``rng.inverse_cdf`` on
-    one ``rng.uniform()``; only the collapsed basis state is full-size.
-    """
+def _sample_index(psi: StateVector, rng: RngStream) -> tuple[int, float]:
+    """A Born-rule basis index and its probability: |c_i|^2 streamed one
+    chunk at a time through ``inverse_cdf`` on one ``rng.uniform()``."""
     amps = psi.amps
 
     def probs_of(lo: int, hi: int) -> np.ndarray:
         probs = np.abs(amps[lo:hi])
         return np.square(probs, out=probs)
 
-    index, probability = inverse_cdf(probs_of, psi.dim, rng.uniform)
+    return inverse_cdf(probs_of, psi.dim, rng.uniform)
+
+
+def measure_all(psi: StateVector, rng: RngStream) -> MeasurementOutcome:
+    """Sample a full computational-basis measurement and collapse the state;
+    only the collapsed basis state is full-size."""
+    index, probability = _sample_index(psi, rng)
     return MeasurementOutcome(
         basis_index=index,
         collapsed=basis_state(psi.n_qubits, index),
@@ -216,25 +219,18 @@ def measure_subset(
     """Measure the given qubit positions; return their bits and the
     renormalized post-measurement state on all qubits.
 
-    The returned bitstring lists one '0'/'1' per requested position, in the
-    order the positions were given; no positions measure nothing, draw
-    nothing and return ``("", psi)``.
+    A subset's distribution is the marginal of the full one, so the bits
+    are read off one ``_sample_index`` draw, in the order the positions
+    were given; no |c|^2 vector is built.  No positions measure nothing,
+    draw nothing and return ``("", psi)``.
     """
     positions = _validate_positions(psi.n_qubits, qubits)
     if not positions:
         return "", psi
     n = psi.n_qubits
     grid = psi.amps.reshape([2] * n)
-    rest = [ax for ax in range(n) if ax not in positions]
-
-    # Joint distribution over the measured qubits, in the order requested.
-    probs = psi.probabilities().reshape(grid.shape)
-    if rest:
-        probs = probs.sum(axis=tuple(rest))
-    probs = np.transpose(probs, [sorted(positions).index(q) for q in positions])
-    flat = probs.reshape(-1)
-    outcome = rng.choice(flat)
-    bits = format(outcome, f"0{len(positions)}b")
+    index, _ = _sample_index(psi, rng)
+    bits = "".join(str(index >> (n - 1 - q) & 1) for q in positions)
 
     # Keep the slice of the measured bits, scaled by its own norm (taken
     # first: it copies the slice) and written straight into a fresh np.zeros

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -174,6 +175,22 @@ class TestKmeans:
         assert model.iterations == 2 and model.converged
         assert np.array_equal(model.centroids, [[0.0, 0.0]])
         assert model.warnings == ["centroid 0 has zero norm; host-side distance used"]
+
+    @pytest.mark.parametrize(
+        "k, initial, shape",
+        [
+            (2, [[1.0, 0.0]], (1, 2)),
+            (2, [[1.0, 0.0, 0.0], [0.0, 5.0, 0.0]], (2, 3)),
+            (1, [[1.0, 0.0], [0.0, 5.0]], (2, 2)),
+        ],
+        ids=["too few rows", "wrong width", "too many rows"],
+    )
+    def test_mis_shaped_initial_centroids_refused(self, k, initial, shape):
+        data = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]]))
+        message = re.escape(f"shape {shape}, expected {(k, 2)}")
+        for cluster in (kmeans, kmedians):
+            with pytest.raises(DomainError, match=message):
+                cluster(data, ClusterConfig(k=k), RngStream(0), initial_centroids=initial)
 
     def test_bit_identical_to_host_reference(self):
         gen = np.random.default_rng(77)

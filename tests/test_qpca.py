@@ -388,17 +388,24 @@ class TestEigenSample:
         assert sum(s.counts for s in samples) == 500
 
     def test_control_count_refusals(self):
+        # Refused before the first draw: the caller's stream does not move.
         model = build_model(tilted_pair_input(), n_control=0)
+        stream = RngStream(0)
         with pytest.raises(DomainError, match="^need at least one control qubit$"):
-            eigen_sample(model, 10, RngStream(0))
+            eigen_sample(model, 10, stream)
+        assert stream.uniform() == RngStream(0).uniform()
         model = build_model(tilted_pair_input(), n_control=24)
+        stream = RngStream(0)
         with pytest.raises(ConfigError, match="^25 qubits exceeds the cap of 24: the state"):
-            eigen_sample(model, 10, RngStream(0))
+            eigen_sample(model, 10, stream)
+        assert stream.uniform() == RngStream(0).uniform()
 
     def test_nonpositive_time_rejected(self):
         model = build_model(tilted_pair_input(), t=0.0)
+        stream = RngStream(3)
         with pytest.raises(DomainError, match="evolution time must be > 0"):
-            eigen_sample(model, 10, RngStream(0))
+            eigen_sample(model, 10, stream)
+        assert stream.uniform() == RngStream(3).uniform()
 
     def test_rank_one_always_first_component(self):
         model = build_model(manual_input([[1.0, 0.0], [-1.0, 0.0]]))

@@ -27,18 +27,15 @@ from conftest import random_state
 
 
 def measure_subset_reference(psi: StateVector, qubits, rng: RngStream):
-    """``measure_subset`` as first written: zero a full copy, copy the kept
-    slice in, and renormalize the whole vector."""
+    """The bits of the index ``measure_all_reference`` draws, read at the
+    measured positions; the collapse as first written: zero a full copy,
+    copy the kept slice in, and renormalize the whole vector."""
     positions = _validate_positions(psi.n_qubits, qubits)
     n = psi.n_qubits
+    index, _ = measure_all_reference(psi, rng)
+    word = format(index, f"0{n}b")
+    bits = "".join(word[q] for q in positions)
     grid = psi.amps.reshape([2] * n)
-    rest = [ax for ax in range(n) if ax not in positions]
-    probs = np.square(np.abs(grid))
-    if rest:
-        probs = probs.sum(axis=tuple(rest))
-    probs = np.transpose(probs, [sorted(positions).index(q) for q in positions])
-    outcome = rng.choice(probs.reshape(-1))
-    bits = format(outcome, f"0{len(positions)}b")
     selector: list = [slice(None)] * n
     for q, bit in zip(positions, bits):
         selector[q] = int(bit)
@@ -470,10 +467,27 @@ class TestMeasureSubset:
     @given(subset_measurements())
     def test_matches_reference(self, case):
         psi, qubits, seed = case
-        bits, after = measure_subset(psi, qubits, RngStream(seed))
-        ref_bits, ref_after = measure_subset_reference(psi, qubits, RngStream(seed))
+        stream, ref_stream = RngStream(seed), RngStream(seed)
+        bits, after = measure_subset(psi, qubits, stream)
+        ref_bits, ref_after = measure_subset_reference(psi, qubits, ref_stream)
         assert bits == ref_bits
         assert np.max(np.abs(after.amps - ref_after.amps)) <= 1e-12
+        # One uniform drawn, as measure_all draws it: later draws keep their bits.
+        assert stream.uniform() == ref_stream.uniform()
+
+    def test_bits_are_those_of_measure_all_index(self, np_rng, monkeypatch):
+        # Neither the |c|^2 vector nor the explicit-vector sampler is used:
+        # the bits are read off the index measure_all draws on the same seed.
+        def refuse(*args):
+            raise AssertionError("measure_subset built a probability table")
+
+        monkeypatch.setattr(StateVector, "probabilities", refuse)
+        monkeypatch.setattr(RngStream, "choice", refuse)
+        psi = random_state(np_rng, 6)
+        for seed in range(20):
+            bits, _ = measure_subset(psi, [4, 1, 5], RngStream(seed))
+            index = format(measure_all(psi, RngStream(seed)).basis_index, "06b")
+            assert bits == index[4] + index[1] + index[5]
 
     def test_invalid_positions(self):
         psi = basis_state(2, 0)
