@@ -313,7 +313,7 @@ def _read_unitary(path: str) -> gates.GateMatrix | gates.Circuit:
 
 
 def _complex_pairs(amps: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in amps]
+    return np.stack((amps.real, amps.imag), axis=-1).tolist()
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -327,12 +327,11 @@ def _cmd_grover(args, rng, warnings):
         if index < 0 or index.bit_length() > args.bits:
             raise DomainError(f"marked index {index} out of range for {args.bits} bits")
     marked_set = frozenset(marked)
-    marked_array = np.array(marked)
     oracle = grover.SignOracle(
         args.bits,
         lambda x: x in marked_set,
         marked_count_hint=len(marked_set),
-        predicate_vectorized=lambda xs: np.isin(xs, marked_array),
+        marked=np.array(marked, dtype=np.intp),
     )
     result = grover.grover_search(oracle, rng, iterations=args.iterations)
     results = {
@@ -379,7 +378,7 @@ def _cmd_qft(args, rng, warnings):
     out = fourier.qft(_read_state(args.amps, args.qubits, args.normalize))
     return {
         "amplitudes": _complex_pairs(out.amps),
-        "probabilities": [float(p) for p in out.probabilities()],
+        "probabilities": out.probabilities().tolist(),
     }
 
 
@@ -393,7 +392,7 @@ def _cmd_dft(args, rng, warnings):
     magnitudes = np.abs(spectrum)
     order = np.argsort(magnitudes)[::-1][: args.top]
     results = {
-        "magnitudes": [float(m) for m in magnitudes],
+        "magnitudes": magnitudes.tolist(),
         "top_bins": sorted(int(b) for b in order),
     }
     if args.zero_bins:
@@ -408,7 +407,7 @@ def _cmd_dft(args, rng, warnings):
                 raise DomainError(f"bin {bin_index} out of range for {len(kept)} samples")
             kept[bin_index] = 0.0
         restored = np.fft.fft(kept, norm="ortho")
-        results["denoised"] = [float(v) for v in restored.real]
+        results["denoised"] = restored.real.tolist()
     return results
 
 
@@ -473,7 +472,7 @@ def _cmd_median(args, rng, warnings):
     index, point = subroutines.median_calc(
         list(points), shots=args.shots, rng=rng, mode=args.mode
     )
-    return {"index": index, "point": [float(v) for v in point]}
+    return {"index": index, "point": point.tolist()}
 
 
 def _cmd_cluster(args, rng, warnings):
@@ -489,7 +488,7 @@ def _cmd_cluster(args, rng, warnings):
     warnings.extend(model.warnings)
     return {
         "k": model.k,
-        "centroids": [[float(v) for v in row] for row in model.centroids],
+        "centroids": model.centroids.tolist(),
         "assignments": [int(a) for a in model.assignments],
         "iterations": model.iterations,
         "converged": model.converged,
@@ -536,7 +535,7 @@ def _cmd_qpca(args, rng, warnings):
     for sample in samples:
         per_component[sample.component_index] += sample.counts
     return {
-        "eigenvalues": [float(v) for v in model.eigenvalues],
+        "eigenvalues": model.eigenvalues.tolist(),
         "sampled_counts": per_component,
         "samples": [
             {
@@ -546,7 +545,7 @@ def _cmd_qpca(args, rng, warnings):
             }
             for s in samples
         ],
-        "scores": [[float(v) for v in row] for row in scores.scores],
+        "scores": scores.scores.tolist(),
     }
 
 

@@ -6,11 +6,11 @@ N = 2^n inputs marked, oracle and inversion around the mean keep the state in
 span{|marked>, |unmarked>}, where each round is a rotation by 2*theta with
 sin(theta) = sqrt(k/N) (Boyer, Brassard, Hoyer and Tapp,
 arXiv:quant-ph/9605034).  After any number of rounds the state is therefore
-fixed by the sorted marked indices and two amplitudes.  A search makes one
-O(2^n) pass of the predicate to find the marked indices, then measures by
-binary search over the two-level cumulative distribution in O(log^2 N)
-(``_measure_marked``, which ``minimizer.minimize`` shares).  It builds no
-2^n amplitude vector; the final state is built only when it is read.
+fixed by the sorted marked indices and two amplitudes.  Marking costs O(k)
+for an oracle that states its marked set, else one pass over all 2^n inputs,
+and a measurement (``_measure_marked``, which ``minimizer.minimize`` shares)
+O(log k) probes of the marked set plus a closed form settled by galloping.
+It builds no 2^n amplitude vector; the final state is built only when read.
 """
 from __future__ import annotations
 
@@ -25,41 +25,43 @@ from .errors import DomainError
 from .rng import RngStream
 from .state import MAX_QUBITS, StateVector
 
-# Inputs per call of a vectorized predicate, so that marking a wide search
-# holds index and mask temporaries of this size rather than of 2^n.
-_MARK_CHUNK = 2**16
-
 
 @dataclass(frozen=True)
 class SignOracle:
     """Black-box predicate on n-bit inputs, acting as |x> -> (-1)^f(x) |x>.
 
-    ``predicate_vectorized``, when provided, must agree with ``predicate``
-    on every input; it lets array-backed predicates mark a block of inputs
-    in one call instead of one Python call per input.
+    ``marked``, when given, states the marked set: a strictly increasing
+    integer array in [0, 2^n) that agrees with ``predicate``, checked in O(k)
+    and kept read-only.  Without it, marking is one predicate pass over 2^n.
     """
 
     n_bits: int
     predicate: Callable[[int], bool]
     marked_count_hint: int | None = None
-    predicate_vectorized: Callable[[np.ndarray], np.ndarray] | None = None
+    marked: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.n_bits <= MAX_QUBITS:
             raise DomainError(f"oracle bit width {self.n_bits} out of range")
+        if self.marked is None:
+            return
+        marked = np.asarray(self.marked)
+        if marked.ndim != 1 or marked.dtype.kind not in "iu":
+            raise DomainError(f"marked set must be 1-D integers, not {marked.dtype}{marked.shape}")
+        marked = np.ascontiguousarray(marked, dtype=np.intp).view()
+        if np.any(marked[1:] <= marked[:-1]):
+            raise DomainError("marked indices must be strictly increasing")
+        if marked.size and not 0 <= marked[0] <= marked[-1] < 2**self.n_bits:
+            raise DomainError(f"marked {marked[0]}..{marked[-1]} outside [0, 2^{self.n_bits})")
+        marked.flags.writeable = False
+        object.__setattr__(self, "marked", marked)
 
     def marked_indices(self) -> np.ndarray:
-        """The marked inputs in ascending order, from one pass over all 2^n."""
-        dim = 2**self.n_bits
-        if self.predicate_vectorized is None:
-            return np.fromiter((x for x in range(dim) if self.predicate(x)), dtype=np.intp)
-        return np.concatenate([
-            start + np.flatnonzero(np.asarray(
-                self.predicate_vectorized(np.arange(start, min(start + _MARK_CHUNK, dim))),
-                dtype=bool,
-            ))
-            for start in range(0, dim, _MARK_CHUNK)
-        ])
+        """The marked inputs in ascending order: ``marked`` when given, else
+        from one pass of the predicate over all 2^n inputs."""
+        if self.marked is not None:
+            return self.marked
+        return np.fromiter((x for x in range(2**self.n_bits) if self.predicate(x)), dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,29 +110,52 @@ def two_level_amplitudes(n_marked: int, dim: int, rounds: int) -> tuple[float, f
     return math.sin(angle) / math.sqrt(n_marked), math.cos(angle) / math.sqrt(dim - n_marked)
 
 
+def _first_true(exceeds: Callable[[int], bool], lo: int, hi: int, start: int) -> int:
+    """Smallest i in [lo, hi) with ``exceeds(i)``, or ``hi`` if none, for a
+    predicate non-decreasing in i: steps doubling away from ``start`` (in
+    [lo, hi]) bracket it and bisection settles it, in O(log |i - start|)."""
+    a = b = start
+    step = 1
+    while a > lo and exceeds(a - 1):
+        a, b, step = max(lo, a - step), a - 1, step * 2
+    step = 1
+    while b < hi and not exceeds(b):
+        a, b, step = b + 1, min(hi, b + step), step * 2
+    while a < b:
+        mid = (a + b) // 2
+        a, b = (a, mid) if exceeds(mid) else (mid + 1, b)
+    return a
+
+
 def _measure_marked(marked: np.ndarray, dim: int, rounds: int, u: float) -> int:
     """Index measured after ``rounds`` Grover rounds with the ascending
     indices ``marked`` marked, for the uniform draw ``u`` in [0, 1).
 
     It is the inverse-CDF draw of ``RngStream.choice`` without the CDF: the
-    smallest i whose cumulative probability exceeds ``u`` times the total,
-    found by binary search.  The cumulative probability up to i is summed as
+    smallest i whose cumulative probability exceeds ``u`` times the total
+    (the last index always does: its sum is the total).  The sum up to i is
     p_marked * M + p_unmarked * (i + 1 - M), with M = #marked <= i, so that
-    each term, and their rounded sum, is non-decreasing in i.
+    each term, and their rounded sum, is non-decreasing in i.  Probing the
+    sum at the marked inputs, O(log k) times, finds the gap that holds i;
+    there M is fixed, and the sum solved for i is settled by galloping (it
+    can be thousands of indices off when p_unmarked is tiny).
     """
     k = marked.size
     amp_marked, amp_unmarked = two_level_amplitudes(k, dim, rounds)
     p_marked, p_unmarked = amp_marked**2, amp_unmarked**2
     target = u * (p_marked * k + p_unmarked * (dim - k))
-    lo, hi = 0, dim - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        below = int(marked.searchsorted(mid, "right"))
-        if p_marked * below + p_unmarked * (mid + 1 - below) > target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    at = memoryview(marked)
+    # The first marked input past the target ends the gap (start: where equal shares put it).
+    j = _first_true(
+        lambda j: p_marked * (j + 1) + p_unmarked * (at[j] - j) > target, 0, k, int(u * k)
+    )
+    lo, hi = (at[j - 1] + 1 if j else 0), (at[j] if j < k else dim)
+    # p_unmarked > 0: |cos| of a double angle is never below about 2^-62.
+    first = (target - p_marked * j) / p_unmarked + j
+    return _first_true(
+        lambda i: p_marked * j + p_unmarked * (i + 1 - j) > target,
+        lo, hi, int(min(max(first, lo), hi)),
+    )
 
 
 def grover_search(
@@ -146,10 +171,12 @@ def grover_search(
     is 0; with everything marked the amplitudes are (-1)^r/sqrt(N) and
     ``success_probability`` is 1.
 
-    A search costs one pass of the predicate over all 2^n inputs, O(k) for
-    the success probability and an O(log^2 N) measurement, which takes one
-    ``rng.uniform()``, the same double ``RngStream.choice`` would, whatever
-    the round count.  ``final_state`` costs O(2^n) more, on its first read.
+    A search costs the oracle's marking (O(k) for a stated marked set, one
+    predicate pass over all 2^n inputs otherwise), O(k) for the success
+    probability and a measurement of O(log k) probes plus a settled closed
+    form, which takes one ``rng.uniform()``, the same double
+    ``RngStream.choice`` would, whatever the round count.  ``final_state``
+    costs O(2^n) more, on its first read.
 
     With no iteration count given, uses the optimum for the oracle's
     ``marked_count_hint`` (assumed 1 when absent).  A negative count is a

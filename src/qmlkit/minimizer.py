@@ -14,9 +14,9 @@ table against the threshold, made at the start and on each accepted
 improvement, of which there are an expected O(log N).  Each main iteration
 then measures through ``grover._measure_marked``, the sampler
 ``grover.grover_search`` also uses, which inverts the cumulative distribution
-by binary search over the index in O(log^2 N), building no oracle, amplitude
-vector or state.  An objective given only as a callable is evaluated once per
-input into such a table first.
+in O(log k) probes of the k marked inputs plus a settled closed-form index,
+building no oracle, amplitude vector or state.  An objective given only as a
+callable is evaluated once per input into such a table first.
 """
 from __future__ import annotations
 
@@ -80,11 +80,8 @@ class MinimizeResult:
 
 def threshold_oracle(f: ObjectiveFn, y: float) -> SignOracle:
     """Sign oracle marking exactly the inputs with f(x) < y (strictly)."""
-    vectorized = None
-    if f.table is not None:
-        table = f.table
-        vectorized = lambda xs: table[xs] < y
-    return SignOracle(f.n_bits, lambda x: f.eval(x) < y, predicate_vectorized=vectorized)
+    marked = None if f.table is None else np.flatnonzero(f.table < y)
+    return SignOracle(f.n_bits, lambda x: f.eval(x) < y, marked=marked)
 
 
 def argmin_via_search(values, rng: RngStream) -> int:
@@ -133,10 +130,11 @@ def minimize(
     The call costs one O(N) compare of the value table (built by
     evaluating ``f`` once per input when ``f`` has none) at the start and on
     each accepted improvement, of which there are an expected O(log N), and
-    O(log^2 N) per main iteration in ``grover._measure_marked``; each
-    measurement consumes one ``rng.uniform()``, the same double
-    ``RngStream.choice`` would.  A NaN value is a
-    ``DomainError``, as in ``ObjectiveFn.from_table``.
+    per main iteration a ``grover._measure_marked`` draw of O(log k) probes
+    of the k marked inputs plus a settled closed form; each measurement
+    consumes one ``rng.uniform()``, the same double ``RngStream.choice``
+    would.  A NaN value is a ``DomainError``, as in
+    ``ObjectiveFn.from_table``.
     """
     n = f.n_bits
     budget = default_budget(n) if max_main_iterations is None else int(max_main_iterations)

@@ -1136,7 +1136,7 @@ class TestSubcommands:
         assert abs(results["success_probability"] - expected) <= 1e-9
         assert "amplitudes" not in results
 
-    def test_grover_vectorized_oracle_matches_predicate(self, monkeypatch):
+    def test_grover_stated_marked_set_matches_predicate(self, monkeypatch):
         seen = []
         search = cli.grover.grover_search
 
@@ -1147,10 +1147,25 @@ class TestSubcommands:
         monkeypatch.setattr(cli.grover, "grover_search", capture)
         run_ok(["grover", "--bits", "6", "--marked", "63,0,17,17,40"])
         (oracle,) = seen
-        inputs = np.arange(2**6)
-        vectorized = np.asarray(oracle.predicate_vectorized(inputs), dtype=bool)
-        assert vectorized.tolist() == [oracle.predicate(int(x)) for x in inputs]
-        assert set(np.flatnonzero(vectorized)) == {0, 17, 40, 63}
+        plain = cli.grover.SignOracle(6, oracle.predicate).marked_indices()
+        assert oracle.marked.tolist() == plain.tolist() == [0, 17, 40, 63]
+        assert oracle.marked_count_hint == 4
+
+    def test_grover_makes_no_marking_pass(self, monkeypatch):
+        # Every callable the CLI hands its oracle raises, so a pass over the
+        # 2^24 inputs, by the predicate or any other callable, fails the run.
+        oracle_type = cli.grover.SignOracle
+
+        def refuse(*args):
+            raise AssertionError("the oracle's predicate was called")
+
+        def oracle(n_bits, predicate, **options):
+            options = {key: refuse if callable(v) else v for key, v in options.items()}
+            return oracle_type(n_bits, refuse, **options)
+
+        monkeypatch.setattr(cli.grover, "SignOracle", oracle)
+        results = run_ok(["grover", "--bits", "24", "--marked", "1,2,3", "--seed", "1"])["results"]
+        assert results["iterations"] == cli.grover.default_iterations(24, 3)
 
     def test_minimize_builtin(self):
         report = run_ok(["minimize", "--objective", "builtin:demo3", "--seed", "5"])

@@ -13,6 +13,7 @@ from qmlkit import minimizer
 from qmlkit.errors import DomainError
 from qmlkit.grover import (
     SignOracle,
+    _measure_marked,
     default_iterations,
     grover_search,
     two_level_amplitudes,
@@ -109,11 +110,28 @@ def _reference_minimize(
 def _set_oracle(n_bits: int, marked: np.ndarray) -> SignOracle:
     members = frozenset(int(x) for x in marked)
     return SignOracle(
-        n_bits,
-        lambda x: x in members,
-        marked_count_hint=len(members),
-        predicate_vectorized=lambda xs: np.isin(xs, marked),
+        n_bits, lambda x: x in members, marked_count_hint=len(members), marked=marked
     )
+
+
+def _reference_measure_marked(marked: np.ndarray, dim: int, rounds: int, u: float) -> int:
+    """Slow reference for ``grover._measure_marked``: bisection over all N
+    indices, counting the marked inputs at or below each probe by
+    ``searchsorted``, in O(log^2 N).  It evaluates the same cumulative sum
+    in the same float operations, so the two must agree index for index."""
+    k = marked.size
+    amp_marked, amp_unmarked = two_level_amplitudes(k, dim, rounds)
+    p_marked, p_unmarked = amp_marked**2, amp_unmarked**2
+    target = u * (p_marked * k + p_unmarked * (dim - k))
+    lo, hi = 0, dim - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        below = int(marked.searchsorted(mid, "right"))
+        if p_marked * below + p_unmarked * (mid + 1 - below) > target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class TestOracleGate:
@@ -364,6 +382,79 @@ class TestSortedThreshold:
         assert fast == slow
 
 
+class TestTwoLevelDraw:
+    """``_measure_marked``'s search over the k marked inputs and then one
+    gap between them, against the O(log^2 N) bisection over all N indices
+    it replaced, and the marked set an oracle states up front."""
+
+    @staticmethod
+    def _marked_set(gen: np.random.Generator, dim: int, k: int) -> np.ndarray:
+        """About k sorted inputs below ``dim`` (exactly k for k in {0, 1,
+        dim - 1, dim}): min(k, dim - k) random draws set or clear a mask."""
+        mark = 2 * k <= dim
+        mask = np.full(dim, not mark)
+        mask[gen.integers(0, dim, size=min(k, dim - k))] = mark
+        return np.flatnonzero(mask)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_bits=st.integers(1, 24),
+        count=st.sampled_from(["none", "one", "random", "all-but-one", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_bisection(self, n_bits, count, seed, data):
+        dim = 2**n_bits
+        counts = {"none": 0, "one": 1, "all-but-one": dim - 1, "all": dim}
+        k = counts[count] if count in counts else data.draw(st.integers(0, dim), label="k")
+        gen = np.random.default_rng(seed)
+        marked = self._marked_set(gen, dim, k)
+        k = marked.size
+        rounds = data.draw(st.integers(0, 3 * default_iterations(n_bits, k)), label="rounds")
+        # Draws that land on a cumulative-sum step, and the double below it,
+        # test the ">" of the inverse CDF at the exact boundary.
+        amp_marked, amp_unmarked = two_level_amplitudes(k, dim, rounds)
+        p_marked, p_unmarked = amp_marked**2, amp_unmarked**2
+        i = int(gen.integers(dim))
+        below = int(marked.searchsorted(i, "right"))
+        step = (p_marked * below + p_unmarked * (i + 1 - below)) / (
+            p_marked * k + p_unmarked * (dim - k)
+        )
+        draws = [0.0, math.nextafter(1.0, 0.0), step, math.nextafter(step, 0.0)]
+        draws += [data.draw(st.floats(0.0, 1.0, exclude_max=True), label="u"), *gen.random(3)]
+        for u in (float(u) for u in draws if 0.0 <= u < 1.0):
+            assert _measure_marked(marked, dim, rounds, u) == _reference_measure_marked(
+                marked, dim, rounds, u
+            ), (n_bits, k, rounds, u)
+
+    @pytest.mark.parametrize(
+        "marked, message",
+        [
+            ([3, 1], "strictly increasing"),
+            ([1, 1], "strictly increasing"),
+            ([-1, 2], r"marked -1\.\.2 outside"),
+            ([2, 8], r"marked 2\.\.8 outside \[0, 2\^3\)"),
+            ([[1, 2]], r"1-D integers, not int\d+\(1, 2\)"),
+            ([1.0, 2.0], r"1-D integers, not float64\(2,\)"),
+        ],
+        ids=["unsorted", "duplicate", "negative", "past-2^n", "2-D", "float"],
+    )
+    def test_stated_marked_set_refused(self, marked, message):
+        with pytest.raises(DomainError, match=message):
+            SignOracle(3, lambda x: False, marked=np.array(marked))
+
+    def test_stated_marked_set_is_read_only(self):
+        given = np.array([1, 5], dtype=np.int32)
+        predicate = frozenset({1, 5}).__contains__
+        oracle = SignOracle(3, predicate, marked=given)
+        assert oracle.marked_indices().tolist() == [1, 5]
+        assert oracle.marked.dtype == np.intp and not oracle.marked.flags.writeable
+        assert given.flags.writeable
+        # ``marked`` takes no part in equality, hashing or repr.
+        plain = SignOracle(3, predicate)
+        assert oracle == plain and hash(oracle) == hash(plain) and repr(oracle) == repr(plain)
+
+
 def _closed_form_success(mask: np.ndarray, rounds: int) -> float:
     """The success probability as the full-vector closed form summed it:
     the marked entries of the squared amplitude vector."""
@@ -382,16 +473,16 @@ class TestLazySearch:
         count=st.sampled_from(["none", "one", "random", "all-but-one", "all"]),
         schedule=st.sampled_from(["zero", "optimum", "past"]),
         seed=st.integers(0, 2**32 - 1),
-        vectorized=st.booleans(),
+        stated=st.booleans(),
         data=st.data(),
     )
-    def test_matches_reference(self, n_bits, count, schedule, seed, vectorized, data):
+    def test_matches_reference(self, n_bits, count, schedule, seed, stated, data):
         dim = 2**n_bits
         counts = {"none": 0, "one": 1, "all-but-one": dim - 1, "all": dim}
         k = counts[count] if count in counts else data.draw(st.integers(0, dim), label="k")
         marked = np.sort(np.random.default_rng(seed).choice(dim, size=k, replace=False))
         oracle = _set_oracle(n_bits, marked)
-        if not vectorized:
+        if not stated:
             oracle = SignOracle(n_bits, oracle.predicate, marked_count_hint=k)
         optimum = default_iterations(n_bits, k)
         if schedule == "zero":
@@ -411,8 +502,8 @@ class TestLazySearch:
         assert fast.success_probability == _closed_form_success(mask, fast.iterations_used)
 
     def test_marked_indices_both_predicates(self):
-        # At 17 bits the vectorized predicate runs on blocks, one of which
-        # starts at dim // 2.
+        # A stated marked set and a pass of the plain predicate mark the
+        # same inputs, at both ends and around dim // 2.
         for n_bits in (1, 3, 17):
             dim = 2**n_bits
             marked = np.array(sorted({0, 5 % dim, dim // 2 - 1, dim // 2, dim - 1}))
@@ -455,7 +546,9 @@ class TestLazySearch:
     def test_cli_24_bit_search_peak_rss(self):
         # The full-vector search peaked at 694 MiB, 2.7 times the 256 MiB
         # complex state of 24 qubits.  The bound is one 2^24 array of 8-byte
-        # entries: the marking pass holds its index and mask blocks only.
+        # entries, far above the search's own needs: the CLI states its
+        # marked set, so no 2^24 marking pass runs, and the draw reads k
+        # marked indices.
         # The child reports VmHWM, its own address space's peak: Linux
         # carries the launching process's peak into a child's ru_maxrss
         # across exec, so under a large test process ru_maxrss reads high.
