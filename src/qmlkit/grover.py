@@ -21,9 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .rng import RngStream
 from .state import MAX_QUBITS, StateVector
+
+# The angle (2r+1)*theta carries a rounding error of about (2r+1)*theta*2^-53,
+# which nears the 1e-9 of the acceptance tolerances past 2^21 rounds; the
+# default at MAX_QUBITS bits is 3,216.
+MAX_ROUNDS = 2**21
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def two_level_amplitudes(n_marked: int, dim: int, rounds: int) -> tuple[float, f
         uniform = 1.0 / math.sqrt(dim)
         return uniform, uniform
     if n_marked == dim:
-        uniform = (-1.0) ** rounds / math.sqrt(dim)
+        uniform = (-1.0 if rounds % 2 else 1.0) / math.sqrt(dim)
         return uniform, uniform
     angle = (2 * rounds + 1) * math.asin(math.sqrt(n_marked / dim))
     return math.sin(angle) / math.sqrt(n_marked), math.cos(angle) / math.sqrt(dim - n_marked)
@@ -180,13 +185,23 @@ def grover_search(
 
     With no iteration count given, uses the optimum for the oracle's
     ``marked_count_hint`` (assumed 1 when absent).  A negative count is a
-    ``DomainError``.  An unmarked measured index is reported, never raised.
+    ``DomainError`` and one over ``MAX_ROUNDS`` a ``ConfigError``, both
+    raised before any draw.  An unmarked measured index is reported, never
+    raised.
     """
     n = o.n_bits
     if iterations is None:
         iterations = default_iterations(n, o.marked_count_hint or 1)
     if iterations < 0:
         raise DomainError(f"Grover round count must be >= 0, got {iterations}")
+    if iterations > MAX_ROUNDS:
+        bits = int(iterations).bit_length()
+        count = f"{iterations:,}" if bits <= 64 else f"of 2^{bits - 1} or more"
+        raise ConfigError(
+            f"Grover round count {count} is over the cap of {MAX_ROUNDS:,} (2^21): "
+            "past it the float angle (2r+1)*theta carries a rounding error near the "
+            "1e-9 of the acceptance tolerances"
+        )
     marked = o.marked_indices()
     amplitudes = two_level_amplitudes(marked.size, 2**n, iterations)
     measured = _measure_marked(marked, 2**n, iterations, rng.uniform())

@@ -49,18 +49,16 @@ class RngStream:
         return inverse_cdf(probs_of, len(p), self.gen.random)[0]
 
 
-def inverse_cdf(probs_of, size: int, draw) -> tuple[int, float]:
-    """Index in ``[0, size)`` drawn by inverse CDF, and its probability.
+def cdf_table(probs_of, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass of the inverse-CDF sampler over ``[0, size)``: the running
+    total at the end of each chunk of ``_CHUNK`` indices, and the last
+    chunk's probabilities and CDF.
 
     ``probs_of(lo, hi)`` returns a fresh float array of the probabilities of
-    indices ``lo`` to ``hi``.  It is called once per chunk of ``_CHUNK``
-    indices to accumulate the CDF, so no full-length array is held.  The
-    last chunk's probabilities and CDF are kept; a draw that lands in an
-    earlier chunk calls it once more for that chunk.  The running sum carries
-    across chunks, so every CDF value is bitwise that of one ``np.cumsum``
-    over the whole vector.  A total off 1 by more than ``np.isclose``'s
-    default tolerance is a ``ValueError``, raised before the single
-    ``draw()``; a draw at or past the total takes the last index.
+    indices ``lo`` to ``hi``; it is called once per chunk, so no full-length
+    array is held.  The running sum carries across chunks, so every total is
+    bitwise that of one ``np.cumsum`` over the whole vector.  A total off 1
+    by more than ``np.isclose``'s default tolerance is a ``ValueError``.
     """
     starts = range(0, size, _CHUNK)
     ends = np.empty(len(starts))
@@ -72,13 +70,31 @@ def inverse_cdf(probs_of, size: int, draw) -> tuple[int, float]:
     # NaN fails the comparison.
     if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise ValueError(f"probabilities sum to {total}, expected 1")
-    target = draw() * total
-    k = min(int(np.searchsorted(ends, target, side="right")), len(ends) - 1)
-    if k < len(ends) - 1:
-        probs = probs_of(starts[k], starts[k + 1])
+    return ends, probs, cdf
+
+
+def inverse_cdf(probs_of, size: int, draw, table=None) -> tuple[int, float]:
+    """Index in ``[0, size)`` drawn by inverse CDF, and its probability.
+
+    Without ``table`` it first makes the :func:`cdf_table` pass, which
+    checks the total before the single ``draw()``.  With ``table``, such a
+    pass kept from an earlier call over the same probabilities (its last
+    chunk's probabilities and CDF may be ``None``), the draw is taken at
+    once, so a later draw costs one chunk, not a pass.  A draw that lands in
+    a chunk whose CDF is not at hand calls ``probs_of`` once more for that
+    chunk and re-accumulates it from the previous chunk's total, to the same
+    bits; a draw at or past the total takes the last index.
+    """
+    ends, probs, cdf = cdf_table(probs_of, size) if table is None else table
+    target = draw() * ends[-1]
+    last = len(ends) - 1
+    k = min(int(np.searchsorted(ends, target, side="right")), last) if last else 0
+    if k < last or cdf is None:
+        lo = k * _CHUNK
+        probs = probs_of(lo, min(lo + _CHUNK, size))
         cdf = _accumulate(probs.copy(), ends[k - 1] if k else 0.0)
     offset = min(int(np.searchsorted(cdf, target, side="right")), len(cdf) - 1)
-    return starts[k] + offset, float(probs[offset])
+    return k * _CHUNK + offset, float(probs[offset])
 
 
 def _accumulate(chunk: np.ndarray, carry: float) -> np.ndarray:

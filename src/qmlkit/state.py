@@ -12,19 +12,23 @@ that want renormalization must ask for it via :func:`normalize`.
 
 Registers over ``MAX_QUBITS`` and dense ``2^n x 2^n`` matrices over
 ``DENSE_MATRIX_CAP`` are refused with their byte count before anything is
-built.  Every measurement draws one basis index, streaming |c_i|^2 through
-the chunked inverse CDF of ``rng.inverse_cdf`` in O(chunk) besides the
-collapsed state; a subset measurement reads its bits off that index and
-scales the kept slice straight into one zero-filled buffer.
+built.  Every measurement draws one basis index through the chunked
+inverse CDF of ``rng.inverse_cdf``, in O(chunk) memory besides the
+collapsed state.  The first draw from a state streams |c_i|^2 over all 2^n
+amplitudes and the state keeps the running total at the end of each chunk;
+every later draw from it reads one chunk (a state of one chunk keeps its
+whole CDF and reads none).  A subset measurement reads its bits off that
+index and scales the kept slice straight into one zero-filled buffer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .rng import RngStream, inverse_cdf
+from .rng import RngStream, cdf_table, inverse_cdf
 
 MAX_QUBITS = 24          # dense 2^24 complex vector is the desk-scale budget
 DENSE_MATRIX_CAP = 12    # a dense 2^n x 2^n complex matrix is 256 MiB at 12
@@ -74,14 +78,38 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _trusted(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
+        # Skip the shape and norm checks for complex vectors normalized by
+        # construction (basis states, a measured state's renormalized
+        # slice).  All externally supplied vectors go through __init__ and
+        # are checked.
+        amps.setflags(write=False)
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "n_qubits", n_qubits)
+        object.__setattr__(psi, "amps", amps)
+        return psi
+
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
 
     def probabilities(self) -> np.ndarray:
         """|c_i|^2 per basis state, squared in place in one temporary."""
-        probs = np.abs(self.amps)
+        return self._probs_of(0, self.dim)
+
+    def _probs_of(self, lo: int, hi: int) -> np.ndarray:
+        probs = np.abs(self.amps[lo:hi])
         return np.square(probs, out=probs)
+
+    @cached_property
+    def _cdf(self) -> tuple:
+        """``rng.cdf_table`` of |c_i|^2, made by the first draw and kept,
+        since the amplitudes never change: the chunk totals, plus the
+        probabilities and CDF of a state of one chunk (no larger than the
+        state itself)."""
+        ends, probs, cdf = cdf_table(self._probs_of, self.dim)
+        return (ends, probs, cdf) if len(ends) == 1 else (ends, None, None)
 
 
 @dataclass(frozen=True)
@@ -134,7 +162,7 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
         raise DomainError(f"basis index {index} out of range for {n} qubits")
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
-    return StateVector(n, amps)
+    return StateVector._trusted(n, amps)
 
 
 def from_bits(bits: str) -> StateVector:
@@ -181,15 +209,11 @@ def variance(obs: Observable, psi: StateVector) -> float:
 
 
 def _sample_index(psi: StateVector, rng: RngStream) -> tuple[int, float]:
-    """A Born-rule basis index and its probability: |c_i|^2 streamed one
-    chunk at a time through ``inverse_cdf`` on one ``rng.uniform()``."""
-    amps = psi.amps
-
-    def probs_of(lo: int, hi: int) -> np.ndarray:
-        probs = np.abs(amps[lo:hi])
-        return np.square(probs, out=probs)
-
-    return inverse_cdf(probs_of, psi.dim, rng.uniform)
+    """A Born-rule basis index and its probability, by ``inverse_cdf`` on
+    one ``rng.uniform()``.  The first draw from a state streams |c_i|^2 one
+    chunk at a time and keeps the chunk totals; a later draw from the same
+    state reads only the chunk that holds it (a state of one chunk, none)."""
+    return inverse_cdf(psi._probs_of, psi.dim, rng.uniform, psi._cdf)
 
 
 def measure_all(psi: StateVector, rng: RngStream) -> MeasurementOutcome:
@@ -240,9 +264,13 @@ def measure_subset(
         selector[q] = slice(int(bit), int(bit) + 1)
     kept = grid[tuple(selector)]
     norm = np.linalg.norm(kept)
+    # Dividing by a positive finite norm normalizes; only a draw clamped
+    # onto a zero tail can leave nothing to renormalize.
+    if not 0.0 < norm < np.inf:
+        raise DomainError(f"state not normalized: measured slice has norm {norm!r}")
     projected = np.zeros(grid.shape, dtype=complex)
     np.divide(kept, norm, out=projected[tuple(selector)])
-    return bits, StateVector(n, projected.reshape(-1))
+    return bits, StateVector._trusted(n, projected.reshape(-1))
 
 
 def is_product_two_subsystems(psi: StateVector, split: int) -> bool:

@@ -427,6 +427,21 @@ class TestExitCodes:
         assert code == 1 and report is None
         assert "error: Grover round count must be >= 0, got -3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("power", [300, 400])
+    def test_grover_iterations_over_cap(self, power, capsys):
+        start = time.perf_counter()
+        code, report = cli.run(
+            ["grover", "--bits", "4", "--marked", "3", "--iterations", str(10**power)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert "over the cap of 2,097,152 (2^21)" in err and "Traceback" not in err
+
+    def test_grover_iterations_at_cap(self):
+        report = run_ok(["grover", "--bits", "4", "--marked", "3", "--iterations", str(2**21)])
+        assert report["results"]["iterations"] == 2**21
+
     def test_negative_minimize_budget(self, capsys):
         code, report = cli.run(["minimize", "--objective", "builtin:demo3", "--budget", "-1"])
         assert code == 1 and report is None

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmlkit import minimizer
-from qmlkit.errors import DomainError
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.grover import (
+    MAX_ROUNDS,
     SignOracle,
     _measure_marked,
     default_iterations,
@@ -243,6 +244,19 @@ class TestSearch:
         oracle = SignOracle(3, lambda x: x == 1, marked_count_hint=1)
         with pytest.raises(DomainError, match="-2"):
             grover_search(oracle, RngStream(0), iterations=-2)
+
+    @pytest.mark.parametrize("rounds", [MAX_ROUNDS + 1, 10**300, 10**400])
+    def test_round_count_over_cap_refused_before_the_draw(self, rounds):
+        oracle = SignOracle(3, lambda x: x == 1, marked_count_hint=1)
+        stream = RngStream(4)
+        with pytest.raises(ConfigError, match="cap of 2,097,152"):
+            grover_search(oracle, stream, iterations=rounds)
+        assert stream.uniform() == RngStream(4).uniform()
+
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 7, 10**400, 10**400 + 1])
+    def test_everything_marked_sign_is_round_parity(self, rounds):
+        sign = -1.0 if rounds % 2 else 1.0
+        assert two_level_amplitudes(4, 4, rounds) == (sign / 2, sign / 2)
 
 
 class TestAgainstReference:

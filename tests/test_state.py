@@ -91,6 +91,25 @@ def sampled_states(draw):
 
 
 @st.composite
+def measurement_runs(draw):
+    """A dense, sparse, zero-tailed or zero-headed state on n <= 10 qubits
+    (a zero head puts the mass, and so most draws, in the last chunk), a
+    sampler chunk of 2-16 entries, and 1-6 calls: ``None`` for
+    ``measure_all`` or 1-3 distinct positions for ``measure_subset``, each
+    with a draw seed."""
+    psi, _, _ = draw(sampled_states())
+    if draw(st.booleans()):
+        psi = StateVector(psi.n_qubits, psi.amps[::-1].copy())
+    chunk = draw(st.integers(2, 16))
+    n = psi.n_qubits
+    positions = st.permutations(range(n)).flatmap(
+        lambda order: st.integers(1, min(n, 3)).map(lambda k: order[:k])
+    )
+    calls = st.tuples(st.none() | positions, st.integers(0, 2**32 - 1))
+    return psi, chunk, draw(st.lists(calls, min_size=1, max_size=6))
+
+
+@st.composite
 def subset_measurements(draw):
     """A random state on n <= 8 qubits and 1-3 distinct qubits in any order."""
     n = draw(st.integers(1, 8))
@@ -377,6 +396,56 @@ class TestChunkedSampler:
                 with pytest.raises(ValueError, match="expected 1"):
                     stream.choice(np.array(bad))
                 assert stream.uniform() == RngStream(4).uniform()
+
+    @settings(max_examples=80)
+    @given(measurement_runs())
+    def test_later_draws_match_fresh_copies(self, case):
+        # Draws after the first reuse the state's kept chunk totals; each
+        # call on a fresh copy makes the whole pass.  Every result and the
+        # stream position after it must be the same, to the bit, and the
+        # index that of the full-vector reference.
+        psi, chunk, calls = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng_module, "_CHUNK", chunk)
+            for positions, seed in calls:
+                stream, fresh_stream = RngStream(seed), RngStream(seed)
+                fresh = StateVector(psi.n_qubits, psi.amps.copy())
+                index, probability = measure_all_reference(psi, RngStream(seed))
+                if positions is None:
+                    got, want = measure_all(psi, stream), measure_all(fresh, fresh_stream)
+                    # Non-negative, non-NaN floats: equal values are equal bits.
+                    assert (got.basis_index, got.probability) == (
+                        want.basis_index, want.probability) == (index, probability)
+                    got_after, want_after = got.collapsed, want.collapsed
+                else:
+                    bits, got_after = measure_subset(psi, positions, stream)
+                    fresh_bits, want_after = measure_subset(fresh, positions, fresh_stream)
+                    word = format(index, f"0{psi.n_qubits}b")
+                    assert bits == fresh_bits == "".join(word[q] for q in positions)
+                assert got_after.amps.tobytes() == want_after.amps.tobytes()
+                assert stream.uniform() == fresh_stream.uniform()
+        assert "_cdf" in vars(psi)
+
+    def test_later_draw_reads_at_most_one_chunk(self, np_rng, monkeypatch):
+        probs_of = StateVector._probs_of
+        calls = []
+
+        def counting(self, lo, hi):
+            calls.append((lo, hi))
+            return probs_of(self, lo, hi)
+
+        monkeypatch.setattr(StateVector, "_probs_of", counting)
+        for n, most in ((20, 1), (4, 0)):
+            psi = random_state(np_rng, n)
+            measure_all(psi, RngStream(0))
+            assert len(calls) >= psi.dim // rng_module._CHUNK
+            for seed in range(1, 6):
+                calls.clear()
+                outcome = measure_all(psi, RngStream(seed))
+                assert len(calls) <= most
+                index, probability = measure_all_reference(psi, RngStream(seed))
+                assert (outcome.basis_index, outcome.probability) == (index, probability)
+            calls.clear()
 
     def test_measure_all_peak_memory(self, np_rng):
         # The collapsed basis state plus a few sampler chunks; no full-length
