@@ -7,6 +7,12 @@ except for ``timings_ms``.  Reports go to stdout as JSON by default; ``--format
 csv`` flattens the results into plot-ready rows instead, and
 ``timings_ms.serialize`` times whichever of the two serializers ran.
 
+Each handler returns its library record (``MinimizeResult``,
+``PhaseEstimate``, ...), the record's fields plus what it lacks, or a plain
+dict.  One converter, ``_to_report``, writes what a handler returns as the
+``results`` dict: a record as its fields by name, a complex array as
+``[re, im]`` pairs, any other array as a list; lists are written as given.
+
 The published contract is two schemas in ``qmlkit/schemas/``: a report
 validates against ``report.json``, the envelope shared by every subcommand,
 and its ``results`` validate against ``<config.command>.json``.  Errors from
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -312,8 +319,21 @@ def _read_unitary(path: str) -> gates.GateMatrix | gates.Circuit:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _complex_pairs(amps: np.ndarray) -> list[list[float]]:
-    return np.stack((amps.real, amps.imag), axis=-1).tolist()
+def _to_report(value):
+    """``value`` as the report writes it: a dataclass record as a dict of its
+    fields by name, a dict with each value converted, a complex array as
+    ``[re, im]`` pairs, any other array as ``tolist()``.  Anything else,
+    lists included, is kept as it is: a list is never walked, so a handler
+    hands over its lists ready to write."""
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: _to_report(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            value = np.stack((value.real, value.imag), axis=-1)
+        return value.tolist()
+    return value
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -340,7 +360,7 @@ def _cmd_grover(args, rng, warnings):
         "success_probability": result.success_probability,
     }
     if args.bits <= 12:
-        results["amplitudes"] = _complex_pairs(result.final_state.amps)
+        results["amplitudes"] = result.final_state.amps
     return results
 
 
@@ -360,12 +380,8 @@ def _cmd_minimize(args, rng, warnings):
             f"--bits {args.bits} does not match the {objective.n_bits}-bit objective"
         )
     result = minimizer.minimize(objective, rng, max_main_iterations=args.budget)
-    return {
-        "argmin_bits": result.argmin_bits,
-        "min_value": result.min_value,
-        "main_iterations": result.main_iterations,
-        "oracle_calls": result.oracle_calls,
-        "trace": [[threshold, candidate] for threshold, candidate in result.trace],
+    return vars(result) | {
+        "trace": [[threshold, candidate] for threshold, candidate in result.trace]
     }
 
 
@@ -376,10 +392,7 @@ def _cmd_qft(args, rng, warnings):
             f"to read and report its amplitudes; the report cap is {QFT_REPORT_CAP} qubits"
         )
     out = fourier.qft(_read_state(args.amps, args.qubits, args.normalize))
-    return {
-        "amplitudes": _complex_pairs(out.amps),
-        "probabilities": out.probabilities().tolist(),
-    }
+    return {"amplitudes": out.amps, "probabilities": out.probabilities()}
 
 
 def _cmd_dft(args, rng, warnings):
@@ -391,10 +404,7 @@ def _cmd_dft(args, rng, warnings):
     spectrum = fourier.classical_dft(signal[:, 0])
     magnitudes = np.abs(spectrum)
     order = np.argsort(magnitudes)[::-1][: args.top]
-    results = {
-        "magnitudes": magnitudes.tolist(),
-        "top_bins": sorted(int(b) for b in order),
-    }
+    results = {"magnitudes": magnitudes, "top_bins": sorted(int(b) for b in order)}
     if args.zero_bins:
         # Denoising demo: discard the listed bins and invert the transform.
         kept = spectrum.copy()
@@ -407,7 +417,7 @@ def _cmd_dft(args, rng, warnings):
                 raise DomainError(f"bin {bin_index} out of range for {len(kept)} samples")
             kept[bin_index] = 0.0
         restored = np.fft.fft(kept, norm="ortho")
-        results["denoised"] = restored.real.tolist()
+        results["denoised"] = restored.real
     return results
 
 
@@ -417,16 +427,9 @@ def _cmd_phase_est(args, rng, warnings):
     state._check_n_qubits(unitary.n_qubits + max(args.controls, 0))
     eigvec = _read_state(args.eigvec, unitary.n_qubits, args.normalize)
     try:
-        estimate = fourier.phase_estimate(unitary, eigvec, args.controls, rng)
+        return fourier.phase_estimate(unitary, eigvec, args.controls, rng)
     except DomainError as exc:
         raise type(exc)(f"{args.unitary}, {args.eigvec}: {exc}") from None
-    return {
-        "n_control": estimate.n_control,
-        "measured_register": estimate.measured_register,
-        "theta_estimate": estimate.theta_estimate,
-        "success_probability": estimate.success_probability,
-        "delta": estimate.delta,
-    }
 
 
 def _cmd_swaptest(args, rng, warnings):
@@ -437,13 +440,7 @@ def _cmd_swaptest(args, rng, warnings):
             f"{args.a}, {args.b}: swap test needs equal registers, "
             f"got {a.n_qubits} and {b.n_qubits} qubits"
         )
-    estimate = subroutines.swap_test(a, b, shots=args.shots, rng=rng)
-    return {
-        "p0_hat": estimate.p0_hat,
-        "overlap_sq_hat": estimate.overlap_sq_hat,
-        "exact_p0": estimate.exact_p0,
-        "shots": estimate.shots,
-    }
+    return subroutines.swap_test(a, b, shots=args.shots, rng=rng)
 
 
 def _cmd_dist(args, rng, warnings):
@@ -456,15 +453,8 @@ def _cmd_dist(args, rng, warnings):
         raise DomainError(
             f"{args.a}, {args.b}: dimension mismatch: {a.shape[1]} vs {b.shape[1]} columns"
         )
-    estimate = subroutines.dist_calc(
-        a[0], b[0], shots=args.shots, rng=rng, mode=args.mode
-    )
-    return {
-        "z": estimate.z,
-        "dist_sq": estimate.dist_sq,
-        "inner_prod": estimate.inner_prod,
-        "mode": args.mode,
-    }
+    estimate = subroutines.dist_calc(a[0], b[0], shots=args.shots, rng=rng, mode=args.mode)
+    return vars(estimate) | {"mode": args.mode}
 
 
 def _cmd_median(args, rng, warnings):
@@ -472,7 +462,7 @@ def _cmd_median(args, rng, warnings):
     index, point = subroutines.median_calc(
         list(points), shots=args.shots, rng=rng, mode=args.mode
     )
-    return {"index": index, "point": point.tolist()}
+    return {"index": index, "point": point}
 
 
 def _cmd_cluster(args, rng, warnings):
@@ -484,16 +474,9 @@ def _cmd_cluster(args, rng, warnings):
     )
     # Looked up per call, not bound at import, so a wrapper installed on
     # ``clustering.kmeans`` / ``clustering.kmedians`` (bench/tracer.py) is used.
-    model = getattr(clustering, args.command)(data, cfg, rng)
-    warnings.extend(model.warnings)
-    return {
-        "k": model.k,
-        "centroids": model.centroids.tolist(),
-        "assignments": [int(a) for a in model.assignments],
-        "iterations": model.iterations,
-        "converged": model.converged,
-        "trace": model.trace,
-    }
+    results = dict(vars(getattr(clustering, args.command)(data, cfg, rng)))
+    warnings.extend(results.pop("warnings"))
+    return results
 
 
 def _cmd_qsvm(args, rng, warnings):
@@ -503,19 +486,17 @@ def _cmd_qsvm(args, rng, warnings):
     grid = qsvm.AlphaGrid(
         bits_per_alpha=args.bits, alpha_max=args.alpha_max, penalty_coeff=args.penalty
     )
-    solution = qsvm.solve(data, spec, grid, rng)
+    try:
+        solution = qsvm.solve(data, spec, grid, rng)
+    except ConfigError:  # a cap on the grid, named by its flags' values
+        raise
+    except DomainError as exc:
+        raise type(exc)(f"{args.data}: {exc}") from None
     correct = sum(
         qsvm.predict(solution, data, spec, x) == y
-        for x, y in zip(data.vectors, data.labels)
+        for x, y in zip(data.vectors, data.labels.tolist())
     )
-    return {
-        "alphas": [float(a) for a in solution.alphas],
-        "theta": None if solution.theta is None else [float(t) for t in solution.theta],
-        "b": solution.b,
-        "dual_value": solution.dual_value,
-        "support_indices": solution.support_indices,
-        "training_accuracy": correct / data.m,
-    }
+    return vars(solution) | {"training_accuracy": correct / data.m}
 
 
 def _cmd_qpca(args, rng, warnings):
@@ -535,7 +516,7 @@ def _cmd_qpca(args, rng, warnings):
     for sample in samples:
         per_component[sample.component_index] += sample.counts
     return {
-        "eigenvalues": model.eigenvalues.tolist(),
+        "eigenvalues": model.eigenvalues,
         "sampled_counts": per_component,
         "samples": [
             {
@@ -545,7 +526,7 @@ def _cmd_qpca(args, rng, warnings):
             }
             for s in samples
         ],
-        "scores": scores.scores.tolist(),
+        "scores": scores.scores,
     }
 
 
@@ -576,9 +557,7 @@ def _cmd_qnn(args, rng, warnings):
 def _cmd_paper_check(args, rng, warnings):
     results = checks_mod.run_all()
     return {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "checks": [vars(r) for r in results],
         "total": len(results),
         "failures": sum(not r.passed for r in results),
         "passed": all(r.passed for r in results),
@@ -785,7 +764,7 @@ def run(argv) -> tuple[int, dict | None]:
     }
     started = time.perf_counter()
     try:
-        results = _HANDLERS[args.command](args, rng, warnings)
+        results = _to_report(_HANDLERS[args.command](args, rng, warnings))
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None

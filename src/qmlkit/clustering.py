@@ -42,7 +42,14 @@ class Dataset:
         v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         if v.size == 0:
             raise DomainError("empty dataset")
-        norms = np.linalg.norm(v, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            norms = np.linalg.norm(v, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise DomainError(
+                f"dataset row {bad[0]} has no amplitude encoding: its squared norm is not a "
+                "finite float"
+            )
         bad = np.nonzero(norms <= ZERO_NORM_TOL)[0]
         if bad.size:
             raise DomainError(f"dataset row {bad[0]} is a zero vector and cannot be encoded")

@@ -6,8 +6,10 @@ normalization, ``y_k = (1/sqrt(N)) sum_j x_j exp(2 pi i k j / N)``, which is
 ``np.fft.ifft(x, norm="ortho")``; its inverse is ``np.fft.fft`` with the same
 norm.  Sample vectors and whole registers (up to ``MAX_QUBITS``) are
 transformed by ``np.fft`` in O(N log N) with no matrix.  Phase estimation
-runs U (a gate or a circuit) once on its eigenvector; the control register
-is then one FFT in closed form, shared with QPCA.  The dense gate
+runs U (a gate or a circuit) on its eigenvector to read its eigenangle, at
+present twice per estimate (``control_distribution`` reads it, then
+``phase_estimate`` reads it again for theta); the control register is then
+one FFT in closed form, shared with QPCA.  The dense gate
 (``dagger()`` is its inverse; at most ``DENSE_MATRIX_CAP`` qubits) and the
 circuit decomposition remain for circuits and known-value checks; the
 circuit (qubit-reversal SWAPs, then the Hadamard / controlled-phase ladder
@@ -32,7 +34,14 @@ def classical_dft(x) -> np.ndarray:
     samples = np.asarray(x, dtype=complex)
     if samples.size == 0:
         raise DomainError("empty sample vector")
-    return np.fft.ifft(samples, norm="ortho")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        out = np.fft.ifft(samples, norm="ortho")
+    if not np.isfinite(out).all():
+        raise DomainError(
+            "the transform overflows the float range" if np.isfinite(samples).all()
+            else "cannot transform NaN or infinite samples"
+        )
+    return out
 
 
 def qft(psi: StateVector) -> StateVector:

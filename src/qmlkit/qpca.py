@@ -66,13 +66,22 @@ def preprocess(raw, standardize: bool = False) -> PcaInput:
     if m < 2:
         raise DomainError("need at least two rows")
     rows = np.zeros((m, 2 ** max(1, math.ceil(math.log2(n_features)))))
-    scaled = np.subtract(matrix, matrix.mean(axis=0), out=rows[:, :n_features])
-    if standardize:
-        spread = scaled.std(axis=0)
-        if np.any(spread <= 1e-12):
-            raise DomainError("cannot standardize a constant column")
-        scaled /= spread
-    norms = np.linalg.norm(scaled, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        scaled = np.subtract(matrix, matrix.mean(axis=0), out=rows[:, :n_features])
+        if standardize:
+            spread = scaled.std(axis=0)
+            if not np.isfinite(spread).all():
+                column = np.flatnonzero(~np.isfinite(spread))[0]
+                raise DomainError(f"column {column}'s variance overflows the float range")
+            if np.any(spread <= 1e-12):
+                raise DomainError("cannot standardize a constant column")
+            scaled /= spread
+        norms = np.linalg.norm(scaled, axis=1)
+    overflow = np.flatnonzero(~np.isfinite(norms))
+    if overflow.size:
+        raise DomainError(
+            f"row {overflow[0]}'s squared norm after demeaning overflows the float range"
+        )
     degenerate = np.nonzero(norms <= 1e-12)[0]
     if degenerate.size:
         raise DomainError(

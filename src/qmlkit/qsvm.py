@@ -191,9 +191,20 @@ def solve(
     """
     if len(set(data.labels.tolist())) < 2:
         raise DomainError("training data contains a single class")
-    kernel = kernel_matrix(data, spec)
-    penalty = grid.penalty_coeff if grid.penalty_coeff is not None else _default_penalty(kernel)
-    table = _penalized_table(data, kernel, grid, penalty)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        kernel = kernel_matrix(data, spec)
+        if not np.isfinite(kernel).all():
+            raise DomainError(
+                f"the {spec.kind} kernel overflows the float range; rescale the features"
+            )
+        penalty = grid.penalty_coeff if grid.penalty_coeff is not None else _default_penalty(kernel)
+        table = _penalized_table(data, kernel, grid, penalty)
+    overflow = np.flatnonzero(~np.isfinite(table))
+    if overflow.size:
+        raise DomainError(
+            f"the penalized dual at grid entry {overflow[0]} overflows the float range at "
+            f"alpha_max={grid.alpha_max!r} and penalty={penalty!r}; lower one of them"
+        )
     result = minimize(ObjectiveFn.from_table(table), rng)
     best = _neighbor_descent(
         int(result.argmin_bits, 2), table, data.m, grid.bits_per_alpha
@@ -224,7 +235,8 @@ def _kernel_against(x, data: LabeledDataset, spec: KernelSpec) -> np.ndarray:
     point = np.asarray(x, dtype=float)
     if spec.kind == "linear":
         return data.vectors @ point
-    return np.exp(-spec.gamma * np.sum((data.vectors - point) ** 2, axis=1))
+    with np.errstate(over="ignore"):  # an exponent past -1e308 gives the kernel's limit 0
+        return np.exp(-spec.gamma * np.sum((data.vectors - point) ** 2, axis=1))
 
 
 def decision_value(model: SvmSolution, data: LabeledDataset, spec: KernelSpec, x) -> float:

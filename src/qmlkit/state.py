@@ -144,9 +144,12 @@ def normalize(amps: np.ndarray, n_qubits: int | None = None) -> StateVector:
     """Build a state from an unnormalized amplitude vector, explicitly
     rescaling one owned complex copy of it in place."""
     amps = np.array(amps, dtype=complex)
-    norm = np.linalg.norm(amps)
+    with np.errstate(over="ignore"):  # refused below, not warned
+        norm = np.linalg.norm(amps)
     if norm == 0:
         raise DomainError("cannot normalize the zero vector")
+    if norm == np.inf:
+        raise DomainError("cannot normalize amplitudes whose sum |c_i|^2 overflows the float range")
     if n_qubits is None:
         n_qubits = int(np.log2(len(amps)))
         if 2**n_qubits != len(amps):

@@ -70,11 +70,16 @@ class DistanceEstimate:
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Norms of the rows of a matrix, refused unless every row has an
-    amplitude encoding: finite, nonzero and within ``MAX_QUBITS`` qubits."""
-    if not np.all(np.isfinite(rows)):
-        raise DomainError("cannot encode a vector with NaN or infinite entries")
-    # One dot product per row, summed as np.linalg.norm sums one vector.
-    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+    amplitude encoding: finite entries, a nonzero squared norm within the
+    float range, and within ``MAX_QUBITS`` qubits."""
+    # One dot product per row, summed as np.linalg.norm sums one vector.  A
+    # non-finite entry or an overflowing sum makes its norm non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+    if not np.all(np.isfinite(norms)):
+        if not np.all(np.isfinite(rows)):
+            raise DomainError("cannot encode a vector with NaN or infinite entries")
+        raise DomainError("cannot encode a vector whose squared norm overflows the float range")
     if np.any(norms == 0.0):
         raise DomainError("cannot encode the zero vector")
     _check_n_qubits(_encoded_qubits(rows.shape[1]))

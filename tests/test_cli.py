@@ -63,6 +63,10 @@ def canonical(report):
     return json.dumps(stripped, sort_keys=True)
 
 
+# Four separable rows, +-1 labels last.
+_SVM_ROWS = "1.0,0.0,1\n0.0,1.0,-1\n-1.0,0.0,1\n0.0,-1.0,-1\n"
+
+
 # One subcommand per ingestion schema, reading the file given last.
 SCHEMA_READERS = {
     "vectors": ["dft", "--signal"],
@@ -916,6 +920,83 @@ class TestExitCodes:
         assert "gamma" not in run_ok(["qsvm", "--data", data, "--kernel", "linear"])["config"]
 
     @pytest.mark.parametrize(
+        "rows, flags, message",
+        [
+            (_SVM_ROWS, ["--alpha-max", "1e200"],
+             "the penalized dual at grid entry 1 overflows the float range at "
+             "alpha_max=1e+200 and penalty=20.0; lower one of them"),
+            (_SVM_ROWS, ["--penalty", "1e308"],
+             "the penalized dual at grid entry 3 overflows the float range at "
+             "alpha_max=4.0 and penalty=1e+308; lower one of them"),
+            ("1e200" + _SVM_ROWS[3:], [],
+             "the linear kernel overflows the float range; rescale the features"),
+        ],
+        ids=["alpha-max", "penalty", "feature"],
+    )
+    def test_qsvm_overflowing_table_refused(self, rows, flags, message, tmp_path, capsys):
+        data = write(tmp_path / "l.csv", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the run
+            code, report = cli.run(["qsvm", "--data", data, *flags])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags", [["--alpha-max", "1e150"], ["--kernel", "gaussian", "--gamma", "1e308"]],
+        ids=["alpha-max", "gamma"],
+    )
+    def test_qsvm_large_finite_settings_run(self, flags, tmp_path, capsys):
+        # A gaussian exponent past -1e308 gives the kernel's limit 0, not an
+        # overflow: the kernel is the identity, and the run warns of nothing.
+        data = write(tmp_path / "l.csv", _SVM_ROWS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_ok(["qsvm", "--data", data, *flags])
+        assert capsys.readouterr().err == ""
+        assert all(map(math.isfinite, report["results"]["alphas"]))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dist", "--a", "{big}", "--b", "{small}"],
+             "cannot encode a vector whose squared norm overflows the float range"),
+            (["dft", "--signal", "{signal}"], "the transform overflows the float range"),
+            (["kmeans", "--data", "{rows}", "--k", "2"],
+             "dataset row 0 has no amplitude encoding: its squared norm is not a finite float"),
+            (["kmedians", "--data", "{rows}", "--k", "2"],
+             "dataset row 0 has no amplitude encoding: its squared norm is not a finite float"),
+            (["median", "--points", "{rows}"],
+             "cannot encode a vector whose squared norm overflows the float range"),
+            (["qpca", "--data", "{rows}", "--components", "1"],
+             "{rows}: row 0's squared norm after demeaning overflows the float range"),
+            (["qpca", "--data", "{rows}", "--components", "1", "--standardize"],
+             "{rows}: column 0's variance overflows the float range"),
+            (["swaptest", "--a", "{amps}", "--b", "{unit}"],
+             "{amps}: cannot normalize amplitudes whose sum |c_i|^2 overflows the float range"),
+            (["qft", "--qubits", "1", "--amps", "{amps}", "--normalize"],
+             "{amps}: cannot normalize amplitudes whose sum |c_i|^2 overflows the float range"),
+        ],
+        ids=["dist", "dft", "kmeans", "kmedians", "median", "qpca", "qpca-standardize",
+             "swaptest", "qft"],
+    )
+    def test_overflowing_squares_refused(self, argv, message, tmp_path, capsys):
+        # Finite cells whose squares or sums pass the float range end in one
+        # error line: no traceback, no RuntimeWarning, no zeroed row used.
+        files = {
+            name: write(tmp_path / f"{name}.csv", text)
+            for name, text in [
+                ("big", "1e200,1e200\n"), ("small", "1.0,2.0\n"), ("signal", "1e308\n" * 4),
+                ("rows", "1e200,1\n2,3\n-1e200,4\n"), ("amps", "1e200\n1\n"),
+                ("unit", "0.6\n0.8\n"),
+            ]
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the run
+            code, report = cli.run([arg.format(**files) for arg in argv])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ('{"n_qubits": 1, "steps": [{"targets": [0]}]}', "step 0: missing key 'gate'"),
@@ -1369,6 +1450,29 @@ class TestReportContract:
             report = run_ok(argv)
             assert report["config"]["command"] == argv[0]
             validate_report(report)
+
+    def test_results_keys_follow_their_schemas(self, tmp_path, blob_csv):
+        # Checked whether or not a schema admits extra keys.
+        for argv in _all_command_invocations(tmp_path, blob_csv):
+            schema = load_schema(argv[0])
+            keys = set(run_ok(argv)["results"])
+            assert set(schema.get("required", ())) <= keys, argv
+            assert keys <= set(schema["properties"]), (argv, keys - set(schema["properties"]))
+
+    def test_results_hold_only_json_types(self, tmp_path, blob_csv):
+        # The in-process report, not its JSON text: a tuple, a numpy scalar
+        # (np.float64 included) or an array fails.
+        plain = (dict, list, str, int, float, bool, type(None))
+
+        def values(value):
+            yield value
+            if isinstance(value, (dict, list)):
+                for item in value.values() if isinstance(value, dict) else value:
+                    yield from values(item)
+
+        for argv in _all_command_invocations(tmp_path, blob_csv):
+            for value in values(run_ok(argv)["results"]):
+                assert type(value) in plain, (argv, type(value))
 
     def test_schema_files_match_commands(self):
         folder = resources.files("qmlkit") / "schemas"
