@@ -15,8 +15,10 @@ dict.  One converter, ``_to_report``, writes what a handler returns as the
 
 The published contract is two schemas in ``qmlkit/schemas/``: a report
 validates against ``report.json``, the envelope shared by every subcommand,
-and its ``results`` validate against ``<config.command>.json``.  Errors from
-an input file name the file.
+and its ``results`` validate against ``<config.command>.json``.  An error
+about data read from a file starts with that file's path, both paths for
+``swaptest``, ``dist`` and ``phase-est`` (``_naming``); a CSV fault also
+gives its line, and a flag error names the flag.
 
 ``run`` may be called any number of times in one process.  The argument
 parser is built on the first call and reused by every later one, because
@@ -78,6 +80,16 @@ def _open_text(path: str):
             yield handle
     except UnicodeDecodeError:
         raise DomainError(f"{path}: not UTF-8 text") from None
+
+
+@contextlib.contextmanager
+def _naming(*paths: str):
+    """Put the input ``paths`` in front of any DomainError raised inside.  The
+    readers' own faults, which name the file already, are raised outside."""
+    try:
+        yield
+    except DomainError as exc:
+        raise type(exc)(f"{', '.join(paths)}: {exc}") from None
 
 
 def _data_lines(handle):
@@ -272,7 +284,7 @@ def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False)
     instead of rejecting an unnormalized vector, and without ``n_qubits``
     needs a power-of-two row count.  Every error names the file."""
     matrix = ingest_csv(path, "vectors")
-    try:
+    with _naming(path):
         if matrix.shape[1] > 2:
             raise DomainError("amplitude rows must have 1 (re) or 2 (re,im) columns")
         amps = matrix[:, 0]
@@ -292,8 +304,6 @@ def _read_state(path: str, n_qubits: int | None = None, normalize: bool = False)
         if normalize:
             return state.normalize(amps, n_qubits)
         return state.StateVector(n_qubits, amps)
-    except DomainError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_unitary(path: str) -> gates.GateMatrix | gates.Circuit:
@@ -302,11 +312,11 @@ def _read_unitary(path: str) -> gates.GateMatrix | gates.Circuit:
     A malformed document is an error that names the file and the bad field."""
     with _open_text(path) as handle:
         text = handle.read()
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DomainError(f"{path}: not valid JSON ({exc})") from None
-    try:
+    with _naming(path):
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DomainError(f"not valid JSON ({exc})") from None
         if isinstance(doc, dict) and "steps" in doc:
             return gates.Circuit._from_doc(doc)
         if isinstance(doc, dict) and "matrix" not in doc:
@@ -315,8 +325,6 @@ def _read_unitary(path: str) -> gates.GateMatrix | gates.Circuit:
         if matrix.shape[0] < 2:
             raise DomainError("a 1x1 matrix acts on no qubit; a gate needs at least 2x2")
         return gates.GateMatrix(matrix.shape[0], matrix)
-    except DomainError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _to_report(value):
@@ -397,27 +405,27 @@ def _cmd_qft(args, rng, warnings):
 
 def _cmd_dft(args, rng, warnings):
     signal = ingest_csv(args.signal, "vectors")
-    if signal.shape[1] != 1:
-        raise DomainError(f"{args.signal}: signal must be a single column")
     if args.top < 0:
         raise DomainError(f"--top must be >= 0, got {args.top}")
-    spectrum = fourier.classical_dft(signal[:, 0])
-    magnitudes = np.abs(spectrum)
-    order = np.argsort(magnitudes)[::-1][: args.top]
-    results = {"magnitudes": magnitudes, "top_bins": sorted(int(b) for b in order)}
-    if args.zero_bins:
-        # Denoising demo: discard the listed bins and invert the transform.
-        kept = spectrum.copy()
-        for token in args.zero_bins.split(","):
-            try:
-                bin_index = int(token)
-            except ValueError:
-                raise DomainError(f"--zero-bins entry {token!r} is not an integer") from None
-            if not 0 <= bin_index < len(kept):
-                raise DomainError(f"bin {bin_index} out of range for {len(kept)} samples")
-            kept[bin_index] = 0.0
-        restored = np.fft.fft(kept, norm="ortho")
-        results["denoised"] = restored.real
+    try:
+        zero_bins = [int(token) for token in args.zero_bins.split(",")] if args.zero_bins else []
+    except ValueError:
+        raise DomainError(f"--zero-bins must list integers, got {args.zero_bins!r}") from None
+    with _naming(args.signal):
+        if signal.shape[1] != 1:
+            raise DomainError("signal must be a single column")
+        spectrum = fourier.classical_dft(signal[:, 0])
+        magnitudes = np.abs(spectrum)
+        order = np.argsort(magnitudes)[::-1][: args.top]
+        results = {"magnitudes": magnitudes, "top_bins": sorted(int(b) for b in order)}
+        if args.zero_bins:
+            # Denoising demo: discard the listed bins and invert the transform.
+            kept = spectrum.copy()
+            for bin_index in zero_bins:
+                if not 0 <= bin_index < len(kept):
+                    raise DomainError(f"bin {bin_index} out of range for {len(kept)} samples")
+                kept[bin_index] = 0.0
+            results["denoised"] = np.fft.fft(kept, norm="ortho").real
     return results
 
 
@@ -426,92 +434,81 @@ def _cmd_phase_est(args, rng, warnings):
     # The register cap comes before reading the 2^n-row eigenvector file.
     state._check_n_qubits(unitary.n_qubits + max(args.controls, 0))
     eigvec = _read_state(args.eigvec, unitary.n_qubits, args.normalize)
-    try:
+    with _naming(args.unitary, args.eigvec):
         return fourier.phase_estimate(unitary, eigvec, args.controls, rng)
-    except DomainError as exc:
-        raise type(exc)(f"{args.unitary}, {args.eigvec}: {exc}") from None
 
 
 def _cmd_swaptest(args, rng, warnings):
     a = _read_state(args.a, normalize=True)
     b = _read_state(args.b, normalize=True)
-    if a.n_qubits != b.n_qubits:
-        raise DomainError(
-            f"{args.a}, {args.b}: swap test needs equal registers, "
-            f"got {a.n_qubits} and {b.n_qubits} qubits"
-        )
-    return subroutines.swap_test(a, b, shots=args.shots, rng=rng)
+    with _naming(args.a, args.b):
+        return subroutines.swap_test(a, b, shots=args.shots, rng=rng)
 
 
 def _cmd_dist(args, rng, warnings):
     a = ingest_csv(args.a, "vectors")
     b = ingest_csv(args.b, "vectors")
     for path, rows in ((args.a, a), (args.b, b)):
-        if rows.shape[0] != 1:
-            raise DomainError(f"{path}: dist expects one vector row, found {rows.shape[0]}")
-    if a.shape[1] != b.shape[1]:
-        raise DomainError(
-            f"{args.a}, {args.b}: dimension mismatch: {a.shape[1]} vs {b.shape[1]} columns"
-        )
-    estimate = subroutines.dist_calc(a[0], b[0], shots=args.shots, rng=rng, mode=args.mode)
+        with _naming(path):
+            if rows.shape[0] != 1:
+                raise DomainError(f"dist expects one vector row, found {rows.shape[0]}")
+    with _naming(args.a, args.b):
+        estimate = subroutines.dist_calc(a[0], b[0], shots=args.shots, rng=rng, mode=args.mode)
     return vars(estimate) | {"mode": args.mode}
 
 
 def _cmd_median(args, rng, warnings):
     points = ingest_csv(args.points, "vectors")
-    index, point = subroutines.median_calc(
-        list(points), shots=args.shots, rng=rng, mode=args.mode
-    )
+    with _naming(args.points):
+        index, point = subroutines.median_calc(
+            list(points), shots=args.shots, rng=rng, mode=args.mode
+        )
     return {"index": index, "point": point}
 
 
 def _cmd_cluster(args, rng, warnings):
-    data = clustering.Dataset(ingest_csv(args.data, "vectors"))
+    matrix = ingest_csv(args.data, "vectors")
     cfg = clustering.ClusterConfig(
         k=args.k, max_iterations=args.max_iterations, distance_mode=args.mode, shots=args.shots,
         use_grover_argmin=args.grover_argmin,
         **({"eta": args.eta} if args.command == "kmeans" else {}),  # kmedians has no --eta
     )
-    # Looked up per call, not bound at import, so a wrapper installed on
-    # ``clustering.kmeans`` / ``clustering.kmedians`` (bench/tracer.py) is used.
-    results = dict(vars(getattr(clustering, args.command)(data, cfg, rng)))
+    with _naming(args.data):
+        data = clustering.Dataset(matrix)
+        # Looked up per call, not bound at import, so a wrapper installed on
+        # ``clustering.kmeans`` / ``clustering.kmedians`` (bench/tracer.py) is used.
+        results = dict(vars(getattr(clustering, args.command)(data, cfg, rng)))
     warnings.extend(results.pop("warnings"))
     return results
 
 
 def _cmd_qsvm(args, rng, warnings):
     vectors, labels = ingest_csv(args.data, "labeled")
-    data = qsvm.LabeledDataset(vectors, labels)
     spec = qsvm.KernelSpec(args.kernel, gamma=args.gamma)
     grid = qsvm.AlphaGrid(
         bits_per_alpha=args.bits, alpha_max=args.alpha_max, penalty_coeff=args.penalty
     )
-    try:
+    with _naming(args.data):
+        data = qsvm.LabeledDataset(vectors, labels)
         solution = qsvm.solve(data, spec, grid, rng)
-    except ConfigError:  # a cap on the grid, named by its flags' values
-        raise
-    except DomainError as exc:
-        raise type(exc)(f"{args.data}: {exc}") from None
-    correct = sum(
-        qsvm.predict(solution, data, spec, x) == y
-        for x, y in zip(data.vectors, data.labels.tolist())
-    )
+        correct = sum(
+            qsvm.predict(solution, data, spec, x) == y
+            for x, y in zip(data.vectors, data.labels.tolist())
+        )
     return vars(solution) | {"training_accuracy": correct / data.m}
 
 
 def _cmd_qpca(args, rng, warnings):
     matrix = ingest_csv(args.data, "vectors")
-    try:
+    with _naming(args.data):
         prepared = qpca.preprocess(matrix, standardize=args.standardize)
         del matrix  # the padded rows are the only copy of the data from here on
         model = qpca.build_model(prepared, n_control=args.controls)
-    except DomainError as exc:
-        raise type(exc)(f"{args.data}: {exc}") from None
-    samples = qpca.eigen_sample(model, args.samples, rng)
-    score_rng = rng.child() if args.mode == "swaptest" else None
-    scores = qpca.extract_scores(
-        model, prepared, args.components, mode=args.mode, shots=args.shots, rng=score_rng
-    )
+        samples = qpca.eigen_sample(model, args.samples, rng)
+        score_rng = rng.child() if args.mode == "swaptest" else None
+        scores = qpca.extract_scores(
+            model, prepared, args.components, mode=args.mode, shots=args.shots, rng=score_rng
+        )
     per_component = [0] * len(model.eigenvalues)
     for sample in samples:
         per_component[sample.component_index] += sample.counts
@@ -533,17 +530,17 @@ def _cmd_qpca(args, rng, warnings):
 def _cmd_qnn(args, rng, warnings):
     vectors, labels = ingest_csv(args.data, "labeled-integers")
     enc = qnn.QnnEncoding(k=args.k_bits, m=args.m_bits)
-    if vectors.shape[1] != 2:
-        raise DomainError(
-            f"{args.data}: qnn expects exactly two integer features per row, "
-            f"found {vectors.shape[1]}"
-        )
-    dataset = [
-        (int(row[0]), int(row[1]), 0 if label < 0 else 1)
-        for row, label in zip(vectors, labels)
-    ]
     cfg = qnn.QnnTrainConfig(eta=args.eta, epochs=args.epochs, cost_kind=args.cost)
-    params, trace = qnn.train(enc, dataset, cfg, rng)
+    with _naming(args.data):
+        if vectors.shape[1] != 2:
+            raise DomainError(
+                f"qnn expects exactly two integer features per row, found {vectors.shape[1]}"
+            )
+        dataset = [
+            (int(row[0]), int(row[1]), 0 if label < 0 else 1)
+            for row, label in zip(vectors, labels)
+        ]
+        params, trace = qnn.train(enc, dataset, cfg, rng)
     with open(args.params_out, "w", encoding="utf-8") as handle:
         for alpha in params.alphas:
             handle.write(f"{float(alpha)!r}\n")

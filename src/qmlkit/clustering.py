@@ -24,6 +24,7 @@ from .rng import RngStream
 from .subroutines import (
     DEFAULT_SHOTS,
     MAX_BATCH_PAIRS,
+    _row_norms,
     distance_p0,
     estimate_dist_sq,
     median_calc,
@@ -34,7 +35,8 @@ ZERO_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Dataset:
-    """Row-per-example matrix; rows must be nonzero to be encodable."""
+    """Row-per-example matrix; every row must have an amplitude encoding
+    (``subroutines._row_norms``)."""
 
     vectors: np.ndarray
 
@@ -42,17 +44,7 @@ class Dataset:
         v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
         if v.size == 0:
             raise DomainError("empty dataset")
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-            norms = np.linalg.norm(v, axis=1)
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
-            raise DomainError(
-                f"dataset row {bad[0]} has no amplitude encoding: its squared norm is not a "
-                "finite float"
-            )
-        bad = np.nonzero(norms <= ZERO_NORM_TOL)[0]
-        if bad.size:
-            raise DomainError(f"dataset row {bad[0]} is a zero vector and cannot be encoded")
+        _row_norms(v)
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 

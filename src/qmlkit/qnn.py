@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMatrix
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .rng import RngStream
 
 QUBIT_CAP = 6                 # 4^6 parameters is the trainability ceiling
@@ -46,9 +46,13 @@ class QnnEncoding:
     def __post_init__(self):
         if self.k < 1 or self.m < 1:
             raise DomainError("feature and label widths must be >= 1")
-        if self.n_total > QUBIT_CAP:
-            raise DomainError(
-                f"{self.n_total} qubits exceed the {QUBIT_CAP}-qubit trainability cap"
+        n = self.n_total
+        if n > QUBIT_CAP:
+            words = f"{4**n:,}" if n <= 32 else f"4^{n}"  # no huge integer past 32
+            rows = f"{2 * 4**n:,}" if n <= 32 else f"2 x 4^{n}"
+            raise ConfigError(
+                f"{n} qubits exceed the {QUBIT_CAP}-qubit trainability cap: the network has "
+                f"{words} parameters, and one gradient scores {rows} shifted parameter rows"
             )
 
     @property

@@ -71,17 +71,21 @@ class DistanceEstimate:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Norms of the rows of a matrix, refused unless every row has an
     amplitude encoding: finite entries, a nonzero squared norm within the
-    float range, and within ``MAX_QUBITS`` qubits."""
+    float range, and within ``MAX_QUBITS`` qubits.  A refusal names the
+    first row that has none."""
     # One dot product per row, summed as np.linalg.norm sums one vector.  A
     # non-finite entry or an overflowing sum makes its norm non-finite.
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
         norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
-    if not np.all(np.isfinite(norms)):
-        if not np.all(np.isfinite(rows)):
-            raise DomainError("cannot encode a vector with NaN or infinite entries")
-        raise DomainError("cannot encode a vector whose squared norm overflows the float range")
-    if np.any(norms == 0.0):
-        raise DomainError("cannot encode the zero vector")
+    if not (np.all(np.isfinite(norms)) and np.all(norms)):
+        row = int(np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))[0])
+        if not np.all(np.isfinite(rows[row])):
+            reason = "it has NaN or infinite entries"
+        elif norms[row]:
+            reason = "its squared norm overflows the float range"
+        else:
+            reason = "it is the zero vector"
+        raise DomainError(f"row {row} has no amplitude encoding: {reason}")
     _check_n_qubits(_encoded_qubits(rows.shape[1]))
     return norms
 
@@ -210,12 +214,20 @@ def distance_p0(left, right, pairs) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = (np.asarray(index) for index in pairs)
     if rows.shape != cols.shape:
         raise DomainError(f"{rows.size} left rows cannot pair with {cols.size} right rows")
-    z = np.square(_row_norms(left))[rows] + np.square(_row_norms(right))[cols]
-    dist_sq = np.empty(z.size)
+    dist_sq = np.empty(rows.size)
     chunk = max(1, _SLICE_AMPS // left.shape[1])
-    for start in range(0, z.size, chunk):
-        diff = left[rows[start : start + chunk]] - right[cols[start : start + chunk]]
-        dist_sq[start : start + chunk] = np.einsum("ij,ij->i", diff, diff)
+    with np.errstate(over="ignore"):  # refused below, not warned
+        z = np.square(_row_norms(left))[rows] + np.square(_row_norms(right))[cols]
+        for start in range(0, z.size, chunk):
+            diff = left[rows[start : start + chunk]] - right[cols[start : start + chunk]]
+            dist_sq[start : start + chunk] = np.einsum("ij,ij->i", diff, diff)
+        # Every entry is >= 0 or inf, so the largest is finite exactly when
+        # every pair's is.
+        if not (2.0 * z.max(initial=0.0) < np.inf and dist_sq.max(initial=0.0) < np.inf):
+            raise DomainError(
+                "a distance pair overflows the float range: 2(|a|^2 + |b|^2) or |a-b|^2 is "
+                "not finite; rescale the data"
+            )
     return z, 0.5 + 0.5 * (dist_sq / (2.0 * z))
 
 

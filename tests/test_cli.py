@@ -466,7 +466,7 @@ class TestExitCodes:
         code, report = cli.run(["qsvm", "--data", data, "--bits", "1000000000000"])
         assert code == 1 and report is None
         assert capsys.readouterr().err.startswith(
-            "error: 2 multipliers at 1000000000000 bits exceed the 20-bit search cap: "
+            f"error: {data}: 2 multipliers at 1000000000000 bits exceed the 20-bit search cap: "
             "the 2000000000000-bit grid's table would hold 8 x 2^2000000000000 bytes"
         )
 
@@ -478,15 +478,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["dist", "median", "kmeans", "kmedians"])
     def test_zero_shots(self, command, tmp_path, blob_csv, capsys):
         vec = write(tmp_path / "vec.csv", "3.0,4.0\n")
-        inputs = {
-            "dist": ["--a", vec, "--b", vec],
-            "median": ["--points", blob_csv],
-            "kmeans": ["--data", blob_csv, "--k", "2"],
-            "kmedians": ["--data", blob_csv, "--k", "2"],
+        inputs, named = {
+            "dist": (["--a", vec, "--b", vec], f"{vec}, {vec}"),
+            "median": (["--points", blob_csv], blob_csv),
+            "kmeans": (["--data", blob_csv, "--k", "2"], blob_csv),
+            "kmedians": (["--data", blob_csv, "--k", "2"], blob_csv),
         }[command]
         code, report = cli.run([command, *inputs, "--mode", "shots", "--shots", "0"])
         assert code == 1 and report is None
-        assert "error: shots must be >= 1, got 0" in capsys.readouterr().err
+        assert f"error: {named}: shots must be >= 1, got 0" in capsys.readouterr().err
 
     def test_zero_cluster_iterations(self, blob_csv, capsys):
         code, report = cli.run(["kmeans", "--data", blob_csv, "--k", "2", "--max-iterations", "0"])
@@ -563,7 +563,7 @@ class TestExitCodes:
         a = write(tmp_path / "a.csv", "1.0\n" + "0.0\n" * 4095)
         code, report = cli.run(["swaptest", "--a", a, "--b", a])
         assert code == 1 and report is None
-        assert "error: 25 qubits exceeds the cap of 24" in capsys.readouterr().err
+        assert f"error: {a}, {a}: 25 qubits exceeds the cap of 24" in capsys.readouterr().err
 
     def test_dist_over_qubit_cap(self, tmp_path, monkeypatch, capsys):
         # A row of 64 entries needs a 6-qubit amplitude encoding.
@@ -571,7 +571,7 @@ class TestExitCodes:
         a = write(tmp_path / "a.csv", ",".join(["1.0"] * 64) + "\n")
         code, report = cli.run(["dist", "--a", a, "--b", a])
         assert code == 1 and report is None
-        assert "error: 6 qubits exceeds the cap of 5" in capsys.readouterr().err
+        assert f"error: {a}, {a}: 6 qubits exceeds the cap of 5" in capsys.readouterr().err
 
     def test_dist_at_qubit_cap(self, tmp_path, monkeypatch):
         # A row of 32 entries fills a 5-qubit encoding, at the cap; no
@@ -588,8 +588,8 @@ class TestExitCodes:
         # refused with the estimate before anything is drawn.
         vec = write(tmp_path / "vec.csv", "3.0,4.0\n")
         inputs = {
-            "dist": (["--a", vec, "--b", vec], "1 x"),
-            "kmeans": (["--data", blob_csv, "--k", "2"], "2 x"),
+            "dist": (["--a", vec, "--b", vec], f"{vec}, {vec}: 1 x"),
+            "kmeans": (["--data", blob_csv, "--k", "2"], f"{blob_csv}: 2 x"),
         }
         argv, batch = inputs[command]
         code, report = cli.run([command, *argv, "--mode", "shots", "--shots", str(10**12)])
@@ -659,7 +659,7 @@ class TestExitCodes:
         [
             ("swaptest", "1.0\n0.0\n", "1.0\n0.0\n0.0\n0.0\n",
              "swap test needs equal registers, got 1 and 2 qubits"),
-            ("dist", "1.0,0.0\n", "1.0,0.0,0.0\n", "dimension mismatch: 2 vs 3 columns"),
+            ("dist", "1.0,0.0\n", "1.0,0.0,0.0\n", "dimension mismatch: 2 vs 3"),
         ],
         ids=["swaptest-registers", "dist-columns"],
     )
@@ -671,6 +671,43 @@ class TestExitCodes:
         code, report = cli.run([command, "--a", a, "--b", b])
         assert code == 1 and report is None
         assert capsys.readouterr().err == f"error: {a}, {b}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, texts",
+        [
+            (["minimize", "--objective", "{first}"], ["00,1.0\n01,2.0\n10,3.0\n"]),
+            (["qft", "--qubits", "1", "--amps", "{first}"], ["1.0\n1.0\n"]),
+            (["dft", "--signal", "{first}"], ["1e308\n" * 4]),
+            (["phase-est", "--unitary", "{first}", "--eigvec", "{second}", "--controls", "2"],
+             [json.dumps({"n_qubits": 1, "steps": [{"gate": "H", "targets": [0]}]}),
+              "1.0\n0.0\n"]),
+            (["swaptest", "--a", "{first}", "--b", "{second}"],
+             ["1.0\n" + "0.0\n" * 4095, "0.0\n1.0\n" + "0.0\n" * 4094]),
+            (["dist", "--a", "{first}", "--b", "{second}"], ["1.2e154\n", "1.1e154\n"]),
+            (["median", "--points", "{first}"], ["1e200,1\n2,3\n"]),
+            (["kmeans", "--data", "{first}", "--k", "2"], ["1.2e154,1\n1.1e154,2\n1,3\n"]),
+            (["kmedians", "--data", "{first}", "--k", "2"], ["1,2\n0,0\n3,4\n"]),
+            (["qsvm", "--data", "{first}"], ["1e200,1\n-1.0,-1\n"]),
+            (["qpca", "--data", "{first}", "--components", "1"], ["1.0,2.0\n"]),
+            (["qnn", "--data", "{first}", "--k-bits", "1", "--m-bits", "1", "--epochs", "1",
+              "--params-out", "{params}"], ["0,5,1\n1,0,-1\n"]),
+        ],
+        ids=["minimize", "qft", "dft", "phase-est", "swaptest", "dist", "median", "kmeans",
+             "kmedians", "qsvm", "qpca", "qnn"],
+    )
+    def test_data_error_starts_with_its_paths(self, argv, texts, tmp_path, capsys):
+        # A fault in a file's content ends in one error line that starts
+        # with the input path (both, for a two-file command), each path once.
+        paths = [write(tmp_path / name, text) for name, text in zip(["first", "second"], texts)]
+        names = dict(zip(["first", "second"], paths), params=str(tmp_path / "params.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the run
+            code, report = cli.run([arg.format(**names) for arg in argv])
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {', '.join(paths)}:"), err
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err
+        assert all(err.count(path) == 1 for path in paths), err
 
     def test_qpca_one_row_names_the_file(self, tmp_path, capsys):
         data = write(tmp_path / "one.csv", "1.0,2.0\n")
@@ -715,7 +752,7 @@ class TestExitCodes:
             ["qpca", "--data", blob_csv, "--components", "1", "--controls", controls]
         )
         assert code == 1 and report is None
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {blob_csv}: {message}\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -841,7 +878,7 @@ class TestExitCodes:
         assert time.perf_counter() - started < 5.0
         assert code == 1 and report is None
         assert capsys.readouterr().err == (
-            "error: 1,000,000,000,000 eigen-sample draws need 22,888,184 MiB, "
+            f"error: {blob_csv}: 1,000,000,000,000 eigen-sample draws need 22,888,184 MiB, "
             "over the 256 MiB budget\n"
         )
 
@@ -853,13 +890,13 @@ class TestExitCodes:
         (["phase-est", "--unitary", "{circuit}", "--eigvec", "{state}", "--controls", "1"],
          "{circuit}: 20000 qubits exceeds the cap of 24: the state needs 16 x 2^20000 bytes"),
         (["qpca", "--data", "{data}", "--components", "1", "--controls", "20000"],
-         "20001 qubits exceeds the cap of 24: the state needs 16 x 2^20001 bytes"),
+         "{data}: 20001 qubits exceeds the cap of 24: the state needs 16 x 2^20001 bytes"),
         (["qpca", "--data", "{data}", "--components", "1", "--samples", "{huge}"],
-         "{huge:,} eigen-sample draws need {samples_mib:,} MiB, over the 256 MiB budget"),
+         "{data}: {huge:,} eigen-sample draws need {samples_mib:,} MiB, over the 256 MiB budget"),
         (["dist", "--a", "{vector}", "--b", "{vector}", "--mode", "shots", "--shots", "{huge}"],
-         "1 x {huge} shot draws need {shots_mib:,} MiB, over the 256 MiB budget"),
+         "{vector}, {vector}: 1 x {huge} shot draws need {shots_mib:,} MiB, over the 256 MiB budget"),
         (["swaptest", "--a", "{state}", "--b", "{state}", "--shots", "{huge}"],
-         "1 x {huge} shot draws need {shots_mib:,} MiB, over the 256 MiB budget"),
+         "{state}, {state}: 1 x {huge} shot draws need {shots_mib:,} MiB, over the 256 MiB budget"),
     ], ids=["qft", "phase-est", "phase-est-circuit", "qpca-controls", "qpca-samples",
             "dist-shots", "swaptest-shots"])
     def test_huge_figure_refused(self, argv, message, tmp_path, capsys):
@@ -959,14 +996,21 @@ class TestExitCodes:
         "argv, message",
         [
             (["dist", "--a", "{big}", "--b", "{small}"],
-             "cannot encode a vector whose squared norm overflows the float range"),
-            (["dft", "--signal", "{signal}"], "the transform overflows the float range"),
+             "{big}, {small}: row 0 has no amplitude encoding: its squared norm overflows the "
+             "float range"),
+            (["dist", "--a", "{near}", "--b", "{far}"],
+             "{near}, {far}: a distance pair overflows the float range: 2(|a|^2 + |b|^2) or "
+             "|a-b|^2 is not finite; rescale the data"),
+            (["dft", "--signal", "{signal}"], "{signal}: the transform overflows the float range"),
             (["kmeans", "--data", "{rows}", "--k", "2"],
-             "dataset row 0 has no amplitude encoding: its squared norm is not a finite float"),
+             "{rows}: row 0 has no amplitude encoding: its squared norm overflows the float range"),
+            (["kmeans", "--data", "{pairs}", "--k", "2"],
+             "{pairs}: a distance pair overflows the float range: 2(|a|^2 + |b|^2) or "
+             "|a-b|^2 is not finite; rescale the data"),
             (["kmedians", "--data", "{rows}", "--k", "2"],
-             "dataset row 0 has no amplitude encoding: its squared norm is not a finite float"),
+             "{rows}: row 0 has no amplitude encoding: its squared norm overflows the float range"),
             (["median", "--points", "{rows}"],
-             "cannot encode a vector whose squared norm overflows the float range"),
+             "{rows}: row 0 has no amplitude encoding: its squared norm overflows the float range"),
             (["qpca", "--data", "{rows}", "--components", "1"],
              "{rows}: row 0's squared norm after demeaning overflows the float range"),
             (["qpca", "--data", "{rows}", "--components", "1", "--standardize"],
@@ -976,18 +1020,21 @@ class TestExitCodes:
             (["qft", "--qubits", "1", "--amps", "{amps}", "--normalize"],
              "{amps}: cannot normalize amplitudes whose sum |c_i|^2 overflows the float range"),
         ],
-        ids=["dist", "dft", "kmeans", "kmedians", "median", "qpca", "qpca-standardize",
-             "swaptest", "qft"],
+        ids=["dist", "dist-sum", "dft", "kmeans", "kmeans-sum", "kmedians", "median", "qpca",
+             "qpca-standardize", "swaptest", "qft"],
     )
     def test_overflowing_squares_refused(self, argv, message, tmp_path, capsys):
         # Finite cells whose squares or sums pass the float range end in one
         # error line: no traceback, no RuntimeWarning, no zeroed row used.
+        # In the "-sum" cases each row's squared norm is finite, but a pair's
+        # Z = |a|^2 + |b|^2, the distance test's normalizer, is not.
         files = {
             name: write(tmp_path / f"{name}.csv", text)
             for name, text in [
                 ("big", "1e200,1e200\n"), ("small", "1.0,2.0\n"), ("signal", "1e308\n" * 4),
                 ("rows", "1e200,1\n2,3\n-1e200,4\n"), ("amps", "1e200\n1\n"),
-                ("unit", "0.6\n0.8\n"),
+                ("unit", "0.6\n0.8\n"), ("near", "1.2e154\n"), ("far", "1.1e154\n"),
+                ("pairs", "1.2e154,1\n1.1e154,2\n1,3\n"),
             ]
         }
         with warnings.catch_warnings():

@@ -252,8 +252,16 @@ class TestKmeans:
             ClusterConfig(k=2, max_iterations=0)
 
     def test_zero_row_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^row 1 has no amplitude encoding: it is the zero"):
             Dataset([[1.0, 0.0], [0.0, 0.0]])
+
+    def test_rows_follow_the_encoding_rule(self):
+        # A row is refused exactly when it has no amplitude encoding, by the
+        # rule ``distances`` applies, and the refusal names the row; a norm
+        # of 1e-13 is tiny, not zero.
+        assert Dataset([[1e-13, 0.0], [1.0, 1.0]]).m == 2
+        with pytest.raises(DomainError, match="^row 2 has no amplitude encoding: its squared"):
+            Dataset([[1.0, 0.0], [2.0, 0.0], [1e200, 1.0]])
 
 
 class TestAssignBatch:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_state
 from qmlkit import qnn
 from qmlkit.density import mixed_density, partial_trace, pure_density
-from qmlkit.errors import DomainError
+from qmlkit.errors import ConfigError, DomainError
 from qmlkit.qnn import (
     _PAULI,
     QnnEncoding,
@@ -205,8 +206,13 @@ class TestEncoding:
             encode_example(2, 0, ENC)
 
     def test_qubit_cap(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match=re.escape(
+            "7 qubits exceed the 6-qubit trainability cap: the network has 16,384 parameters, "
+            "and one gradient scores 32,768 shifted parameter rows"
+        )):
             QnnEncoding(k=3, m=1)
+        with pytest.raises(ConfigError, match=re.escape("has 4^2000000000001 parameters")):
+            QnnEncoding(k=10**12, m=1)
 
 
 class TestBuildUnitary:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,17 @@ class TestDistanceBatch:
     def test_non_finite_row_rejected(self, bad):
         with pytest.raises(DomainError, match="NaN or infinite"):
             distances([1.0, 2.0], [[1.0, 0.0], [bad, 1.0]])
+
+    @pytest.mark.parametrize("far", [1.1e154, 3e153], ids=["z", "twice-z"])
+    def test_overflowing_pair_refused_before_any_draw(self, far):
+        # Every row's squared norm is finite, and so is 2Z for the pair with
+        # row 0; for the pair with row 1, Z = |a|^2 + |b|^2 or 2Z is not.
+        rng = RngStream(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(DomainError, match="^a distance pair overflows the float range"):
+                distances([9e153], [[1.0], [far]], rng=rng, mode="shots")
+        assert _next_draws(rng) == _next_draws(RngStream(1))
 
     def test_shots_mode_requires_stream(self):
         with pytest.raises(DomainError, match="RngStream"):
