@@ -359,7 +359,7 @@ def _cmd_grover(args, rng, warnings):
         args.bits,
         lambda x: x in marked_set,
         marked_count_hint=len(marked_set),
-        marked=np.array(marked, dtype=np.intp),
+        marked=marked,  # a list, so that the width check precedes any int64 cast
     )
     result = grover.grover_search(oracle, rng, iterations=args.iterations)
     results = {

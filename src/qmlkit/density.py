@@ -4,7 +4,11 @@ Beyond the textbook constructors and the trace-rule expectation, this module
 provides the partial trace, which the neural-network label readout needs to
 reduce a register to a sub-register.  It is a single einsum over the qubit
 axes of the matrix; the index-pair summation it replaces lives in the tests
-as the reference.
+as the reference.  A matrix from outside goes through ``DensityMatrix``: the
+dense-matrix cap on its dimension alone, the operator entry check of
+``state`` (square, power-of-two dimension, finite entries), then Hermiticity,
+trace 1 and no negative eigenvalue.  Outer products of unit states and
+reductions of valid densities skip all of it through ``_trusted``.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .state import Observable, StateVector, _check_dense_cap, _validate_positions
+from .state import _real, _square_matrix, _unchecked
 
 DENSITY_TOL = 1e-9
 
@@ -26,13 +31,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = int(np.log2(self.dim))
-        if 2**n != self.dim:
-            raise DomainError(f"density dimension {self.dim} is not a power of two")
-        _check_dense_cap(n, "density matrix")
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DomainError(f"matrix has shape {m.shape}, expected ({self.dim}, {self.dim})")
+        _check_dense_cap(int(self.dim).bit_length() - 1, "density matrix")
+        m = _square_matrix(self.dim, self.matrix)
         if np.max(np.abs(m - m.conj().T)) >= DENSITY_TOL:
             raise DomainError("density matrix is not Hermitian")
         trace = complex(np.trace(m))
@@ -41,7 +41,6 @@ class DensityMatrix:
         smallest = float(np.linalg.eigvalsh(m)[0])
         if smallest < -DENSITY_TOL:
             raise DomainError(f"density matrix has negative eigenvalue {smallest}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -50,15 +49,9 @@ class DensityMatrix:
 
     @classmethod
     def _trusted(cls, dim: int, matrix: np.ndarray) -> "DensityMatrix":
-        # Skip validation for matrices whose validity is guaranteed by the
-        # construction itself (outer products of unit states, reductions of
-        # valid densities).  All externally supplied matrices go through
-        # __init__ and are checked.
-        rho = object.__new__(cls)
+        # Valid by construction: a unit state's outer product, a reduction.
         matrix.setflags(write=False)
-        object.__setattr__(rho, "dim", dim)
-        object.__setattr__(rho, "matrix", matrix)
-        return rho
+        return _unchecked(cls, dim=dim, matrix=matrix)
 
 
 def pure_density(psi: StateVector) -> DensityMatrix:
@@ -76,7 +69,7 @@ def mixed_density(parts: list[tuple[float, StateVector]]) -> DensityMatrix:
     probs = np.array([p for p, _ in parts], dtype=float)
     if np.any(probs < 0):
         raise DomainError(f"negative probability in {probs}")
-    if abs(probs.sum() - 1.0) > 1e-9:
+    if not abs(probs.sum() - 1.0) <= 1e-9:  # a NaN sum is refused too
         raise DomainError(f"probabilities sum to {probs.sum()}, expected 1")
     _check_dense_cap(parts[0][1].n_qubits, "density matrix")
     dim = parts[0][1].dim
@@ -92,10 +85,7 @@ def trace_expectation(rho: DensityMatrix, obs: Observable) -> float:
     """<O> = Tr(rho O) for a pure or mixed state."""
     if rho.dim != obs.dim:
         raise DomainError(f"dimension mismatch: density {rho.dim}, observable {obs.dim}")
-    value = complex(np.trace(rho.matrix @ obs.matrix))
-    if abs(value.imag) >= 1e-9:
-        raise DomainError(f"trace expectation has imaginary residue {value.imag}")
-    return value.real
+    return _real(np.trace(rho.matrix @ obs.matrix), "trace expectation")
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -1,11 +1,13 @@
 """Unitary gates, circuits, and their application to state vectors.
 
-Unitarity is checked where a matrix enters the program: the public
-``GateMatrix`` constructor, which the custom steps of circuit documents and
-the CLI's matrix documents go through.  Gates derived from checked ones
-(fixed tables, adjoints, Kronecker products, controlled gates, fused blocks)
-are unitary by construction and skip the d^3 product; every state they reach
-is still norm-checked.  ``apply`` updates only the addressed qubits'
+A matrix from outside (a custom step of a circuit document, the CLI's
+matrix document) enters through the public ``GateMatrix`` constructor: the
+one operator entry check of ``state`` (square, power-of-two dimension,
+finite entries), then the d^3 unitarity product.  A gate built from checked
+ones (a fixed table, an adjoint, a Kronecker product, a controlled gate, a
+fused block) is unitary by construction and skips both through
+``_trusted``; every state it reaches is still norm-checked.  ``apply``
+updates only the addressed qubits'
 amplitude strides; the fully kron-expanded matrix is never materialized (the
 tests keep that construction as the reference).  Arrays of at most
 ``_CHUNK_AMPS`` entries are contracted in one transpose-matmul-transpose,
@@ -38,6 +40,8 @@ from .state import (
     StateVector,
     _check_dense_cap,
     _check_n_qubits,
+    _square_matrix,
+    _unchecked,
     _validate_positions,
 )
 
@@ -69,32 +73,17 @@ class GateMatrix:
     name: str | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DomainError(f"matrix has shape {m.shape}, expected ({self.dim}, {self.dim})")
-        n = int(np.log2(self.dim))
-        if 2**n != self.dim:
-            raise DomainError(f"gate dimension {self.dim} is not a power of two")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix has NaN or infinite entries")
+        m = _square_matrix(self.dim, self.matrix)
         if np.max(np.abs(m @ m.conj().T - np.eye(self.dim))) >= UNITARY_TOL:
             raise DomainError("matrix is not unitary")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def _trusted(cls, dim: int, matrix: np.ndarray, name: str | None = None) -> "GateMatrix":
-        # Skip the unitarity product for matrices that are unitary by
-        # construction (fixed tables, adjoints, products and blocks of checked
-        # gates).  All externally supplied matrices go through __init__ and
-        # are checked.
-        m = np.asarray(matrix, dtype=complex)
-        m.setflags(write=False)
-        gate = object.__new__(cls)
-        object.__setattr__(gate, "dim", dim)
-        object.__setattr__(gate, "matrix", m)
-        object.__setattr__(gate, "name", name)
-        return gate
+        # Unitary by construction: a fixed table, an adjoint, a product or
+        # block of checked gates.
+        matrix.setflags(write=False)
+        return _unchecked(cls, dim=dim, matrix=matrix, name=name)
 
     @property
     def n_qubits(self) -> int:

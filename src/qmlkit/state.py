@@ -34,6 +34,7 @@ MAX_QUBITS = 24          # dense 2^24 complex vector is the desk-scale budget
 DENSE_MATRIX_CAP = 12    # a dense 2^n x 2^n complex matrix is 256 MiB at 12
 NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-9
+RESIDUE_TOL = 1e-9       # imaginary part at which an expectation is refused
 
 
 def _check_n_qubits(n_qubits: int) -> int:
@@ -55,6 +56,38 @@ def _check_dense_cap(n_qubits: int, what: str) -> None:
             f"{what} on {n_qubits} qubits needs {size} bytes; "
             f"the dense-matrix cap is {DENSE_MATRIX_CAP} qubits"
         )
+
+
+def _square_matrix(dim: int, matrix) -> np.ndarray:
+    """The operator entry check: ``matrix`` as a read-only complex ``dim x
+    dim`` array, refused when its shape is wrong, ``dim`` is not a power of
+    two or an entry is NaN or infinite (a NaN would pass every later test)."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (dim, dim):
+        raise DomainError(f"matrix has shape {m.shape}, expected ({dim}, {dim})")
+    d = len(m)  # ``dim`` as a Python int
+    if d < 1 or d & (d - 1):
+        raise DomainError(f"matrix dimension {dim} is not a power of two")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix has NaN or infinite entries")
+    m.setflags(write=False)
+    return m
+
+
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, with no check: for
+    values valid by construction; all others go through ``cls`` itself."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _real(value, what: str) -> float:
+    """The real part of an expectation, refused at a residue of ``RESIDUE_TOL``."""
+    value = complex(value)
+    if abs(value.imag) >= RESIDUE_TOL:
+        raise DomainError(f"{what} has imaginary residue {value.imag}")
+    return value.real
 
 
 @dataclass(frozen=True)
@@ -80,15 +113,9 @@ class StateVector:
 
     @classmethod
     def _trusted(cls, n_qubits: int, amps: np.ndarray) -> "StateVector":
-        # Skip the shape and norm checks for complex vectors normalized by
-        # construction (basis states, a measured state's renormalized
-        # slice).  All externally supplied vectors go through __init__ and
-        # are checked.
+        # Normalized by construction: a basis state, a measured slice.
         amps.setflags(write=False)
-        psi = object.__new__(cls)
-        object.__setattr__(psi, "n_qubits", n_qubits)
-        object.__setattr__(psi, "amps", amps)
-        return psi
+        return _unchecked(cls, n_qubits=n_qubits, amps=amps)
 
     @property
     def dim(self) -> int:
@@ -120,12 +147,9 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DomainError(f"matrix has shape {m.shape}, expected square of dim {self.dim}")
+        m = _square_matrix(self.dim, self.matrix)
         if np.max(np.abs(m - m.conj().T)) >= HERMITIAN_TOL:
             raise DomainError("observable matrix is not Hermitian")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -195,20 +219,14 @@ def expectation(obs: Observable, psi: StateVector) -> float:
     """<psi|O|psi> as a real number; a large imaginary residue is an error."""
     if obs.dim != psi.dim:
         raise DomainError(f"dimension mismatch: observable {obs.dim}, state {psi.dim}")
-    value = complex(np.vdot(psi.amps, obs.matrix @ psi.amps))
-    if abs(value.imag) >= 1e-9:
-        raise DomainError(f"expectation has imaginary residue {value.imag}")
-    return value.real
+    return _real(np.vdot(psi.amps, obs.matrix @ psi.amps), "expectation")
 
 
 def variance(obs: Observable, psi: StateVector) -> float:
     """<psi|(O - <O>)^2|psi>, the spread of measured values around the mean."""
     mean = expectation(obs, psi)
     shifted = obs.matrix - mean * np.eye(obs.dim)
-    value = complex(np.vdot(psi.amps, shifted @ (shifted @ psi.amps)))
-    if abs(value.imag) >= 1e-9:
-        raise DomainError(f"variance has imaginary residue {value.imag}")
-    return value.real
+    return _real(np.vdot(psi.amps, shifted @ (shifted @ psi.amps)), "variance")
 
 
 def _sample_index(psi: StateVector, rng: RngStream) -> tuple[int, float]:

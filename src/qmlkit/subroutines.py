@@ -70,8 +70,9 @@ class DistanceEstimate:
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Norms of the rows of a matrix, refused unless every row has an
-    amplitude encoding: finite entries, a nonzero squared norm within the
-    float range, and within ``MAX_QUBITS`` qubits.  A refusal names the
+    amplitude encoding: finite entries, a squared norm within the float
+    range (neither overflowing nor rounding to 0), and within ``MAX_QUBITS``
+    qubits.  A refusal names the
     first row that has none."""
     # One dot product per row, summed as np.linalg.norm sums one vector.  A
     # non-finite entry or an overflowing sum makes its norm non-finite.
@@ -83,6 +84,8 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
             reason = "it has NaN or infinite entries"
         elif norms[row]:
             reason = "its squared norm overflows the float range"
+        elif np.any(rows[row]):
+            reason = "its squared norm underflows the float range"
         else:
             reason = "it is the zero vector"
         raise DomainError(f"row {row} has no amplitude encoding: {reason}")

@@ -936,6 +936,15 @@ class TestExitCodes:
         assert out.returncode == 1
         assert out.stderr == "error: oracle bit width 1000000000000 out of range\n"
 
+    def test_grover_wide_index_refused_before_its_cast(self, capsys):
+        # 2^80 passes the per-index bit-length check at 100 bits but has no
+        # int64 form; the oracle's width check must refuse it first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = cli.run(["grover", "--bits", "100", "--marked", str(2**80)])
+        assert code == 1 and report is None
+        assert capsys.readouterr().err == "error: oracle bit width 100 out of range\n"
+
     def test_kmedians_has_no_eta(self, blob_csv):
         code, report = cli.run(["kmedians", "--data", blob_csv, "--k", "2", "--eta", "0.1"])
         assert code == 2 and report is None
@@ -1015,26 +1024,34 @@ class TestExitCodes:
              "{rows}: row 0's squared norm after demeaning overflows the float range"),
             (["qpca", "--data", "{rows}", "--components", "1", "--standardize"],
              "{rows}: column 0's variance overflows the float range"),
+            (["dist", "--a", "{tiny}", "--b", "{unit_row}"],
+             "{tiny}, {unit_row}: row 0 has no amplitude encoding: its squared norm underflows "
+             "the float range"),
+            (["kmeans", "--data", "{tiny_rows}", "--k", "2"],
+             "{tiny_rows}: row 0 has no amplitude encoding: its squared norm underflows the "
+             "float range"),
             (["swaptest", "--a", "{amps}", "--b", "{unit}"],
              "{amps}: cannot normalize amplitudes whose sum |c_i|^2 overflows the float range"),
             (["qft", "--qubits", "1", "--amps", "{amps}", "--normalize"],
              "{amps}: cannot normalize amplitudes whose sum |c_i|^2 overflows the float range"),
         ],
         ids=["dist", "dist-sum", "dft", "kmeans", "kmeans-sum", "kmedians", "median", "qpca",
-             "qpca-standardize", "swaptest", "qft"],
+             "qpca-standardize", "dist-underflow", "kmeans-underflow", "swaptest", "qft"],
     )
     def test_overflowing_squares_refused(self, argv, message, tmp_path, capsys):
         # Finite cells whose squares or sums pass the float range end in one
         # error line: no traceback, no RuntimeWarning, no zeroed row used.
         # In the "-sum" cases each row's squared norm is finite, but a pair's
-        # Z = |a|^2 + |b|^2, the distance test's normalizer, is not.
+        # Z = |a|^2 + |b|^2, the distance test's normalizer, is not.  In the
+        # "-underflow" cases a nonzero row's squared norm rounds to 0.
         files = {
             name: write(tmp_path / f"{name}.csv", text)
             for name, text in [
                 ("big", "1e200,1e200\n"), ("small", "1.0,2.0\n"), ("signal", "1e308\n" * 4),
                 ("rows", "1e200,1\n2,3\n-1e200,4\n"), ("amps", "1e200\n1\n"),
                 ("unit", "0.6\n0.8\n"), ("near", "1.2e154\n"), ("far", "1.1e154\n"),
-                ("pairs", "1.2e154,1\n1.1e154,2\n1,3\n"),
+                ("pairs", "1.2e154,1\n1.1e154,2\n1,3\n"), ("tiny", "1e-170,0\n"),
+                ("unit_row", "1,0\n"), ("tiny_rows", "1e-170,0\n1,0\n0,1\n"),
             ]
         }
         with warnings.catch_warnings():
@@ -1481,6 +1498,20 @@ class TestSubcommands:
         assert report["results"]["passed"] is True
         assert report["results"]["failures"] == 0
         assert report["results"]["total"] >= 10
+
+    def test_paper_check_failure_exits_one_with_its_report(self, monkeypatch, capsys):
+        first = cli.checks_mod.ALL_CHECKS[0]()
+        failed = cli.checks_mod.CheckResult("planted", False, "expected 1, got 2")
+        monkeypatch.setattr(cli.checks_mod, "run_all", lambda: [first, failed])
+        code, report = cli.run(["paper-check"])
+        assert code == 1
+        assert report["results"]["passed"] is False and report["results"]["failures"] == 1
+        printed = json.loads(capsys.readouterr().out)["results"]
+        assert [check["name"] for check in printed["checks"]] == [first.name, "planted"]
+
+    def test_verbose_prints_the_total_time_to_stderr(self, capsys):
+        report = run_ok(["grover", "--bits", "2", "--marked", "2", "--verbose"])
+        assert capsys.readouterr().err == f"done in {report['timings_ms']['total']:.1f} ms\n"
 
 
 class TestReportContract:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,57 @@ class TestDensityCap:
     def test_validating_constructor(self, monkeypatch):
         # Refused on its dimension alone, before the matrix is looked at.
         self._refused(lambda: DensityMatrix(2**13, np.eye(2)), monkeypatch)
+
+
+class TestDensityRefusals:
+    """The properties ``DensityMatrix`` checks past the operator entry check
+    (the entry check itself is in ``test_state.TestOperatorEntryCheck``)."""
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.5, 0.1], [0.0, 0.5]], "density matrix is not Hermitian"),
+            (np.eye(2), "density matrix has trace (2+0j), expected 1"),
+            (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -0.5"),
+        ],
+        ids=["hermitian", "trace", "negative"],
+    )
+    def test_property_refused(self, matrix, message):
+        with pytest.raises(DomainError) as refused:
+            DensityMatrix(2, matrix)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ([], "mixed state needs at least one component"),
+            ([(-0.5, basis_state(1, 0)), (1.5, basis_state(1, 1))],
+             "negative probability in [-0.5  1.5]"),
+            ([(0.6, basis_state(1, 0)), (0.6, basis_state(1, 1))],
+             "probabilities sum to 1.2, expected 1"),
+            ([(math.nan, basis_state(1, 0))], "probabilities sum to nan, expected 1"),
+            ([(0.5, basis_state(1, 0)), (0.5, basis_state(2, 0))],
+             "mixed-state components must share a dimension"),
+        ],
+        ids=["empty", "negative", "sum", "nan", "dimensions"],
+    )
+    def test_mixture_refused(self, parts, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as refused:
+                mixed_density(parts)
+        assert str(refused.value) == message
+
+    def test_trace_expectation_dimension_mismatch(self):
+        with pytest.raises(DomainError, match="^dimension mismatch: density 4, observable 2$"):
+            trace_expectation(pure_density(basis_state(2, 0)), POSITION)
+
+    def test_trace_expectation_imaginary_residue(self):
+        # Hermitian within tolerance per entry; the residues add up to 3.15e-9.
+        near = np.ones((8, 8)) - np.eye(8) + 0.9e-9j * np.triu(np.ones((8, 8)), 1)
+        uniform = StateVector(3, np.ones(8) / math.sqrt(8))
+        with pytest.raises(DomainError, match="^trace expectation has imaginary residue 3.1"):
+            trace_expectation(pure_density(uniform), Observable(8, near))
 
 
 class TestMixedDensity:

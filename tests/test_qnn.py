@@ -467,6 +467,28 @@ class TestTrain:
         with pytest.raises(DomainError, match=f"{field} must be finite and > 0"):
             QnnTrainConfig(**{field: value})
 
+    def test_rising_cost_halves_eta_once_then_stops(self, monkeypatch):
+        # A cost that rises every epoch: the 25th rise halves eta, and the
+        # 25th rise after that ends training, 50 epochs in.
+        values = iter(range(1000))
+        monkeypatch.setattr(qnn, "cost", lambda *args: float(next(values)))
+        monkeypatch.setattr(qnn, "finite_difference_gradient", lambda *args: np.ones(64))
+        params, trace = train(
+            ENC, NOT_TASK, QnnTrainConfig(eta=0.5, epochs=1000), RngStream(0),
+            initial=QnnParameters(np.zeros(64)),
+        )
+        assert trace == [float(v) for v in range(51)]
+        assert params.alphas.tolist() == [-(25 * 0.5 + 25 * 0.25)] * 64
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_refused(self, monkeypatch, bad):
+        values = iter([1.0, 0.5, bad])
+        monkeypatch.setattr(qnn, "cost", lambda *args: next(values))
+        monkeypatch.setattr(qnn, "finite_difference_gradient", lambda *args: np.zeros(64))
+        with pytest.raises(DomainError, match="diverged to a non-finite cost at epoch 1$"):
+            train(ENC, NOT_TASK, QnnTrainConfig(epochs=5), RngStream(0),
+                  initial=QnnParameters(np.zeros(64)))
+
     def test_zero_epochs_returns_initial_cost(self):
         _, trace = train(ENC, NOT_TASK, QnnTrainConfig(epochs=0), RngStream(0))
         assert len(trace) == 1

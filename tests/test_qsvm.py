@@ -272,6 +272,18 @@ class TestSolve:
         assert time.perf_counter() - started < 1
 
 
+class TestNeighborDescent:
+    # Two 2-bit multipliers, the first in the high bits: the table is the
+    # squared distance of the levels (index >> 2, index & 3) from (3, 1).
+    TABLE = ((np.arange(16) >> 2) - 3.0) ** 2 + ((np.arange(16) & 3) - 1.0) ** 2
+
+    def test_steps_downhill_to_the_minimum(self):
+        assert qsvm._neighbor_descent(0, self.TABLE, 2, 2) == 3 << 2 | 1
+
+    def test_local_minimum_stays(self):
+        assert qsvm._neighbor_descent(13, self.TABLE, 2, 2) == 13
+
+
 class TestPenalizedTable:
     @pytest.mark.parametrize("chunk", [3, 1000, 2**12, 2**16])
     @pytest.mark.parametrize("kind", ["linear", "gaussian"])

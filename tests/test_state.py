@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmlkit import rng as rng_module
+from qmlkit.density import DensityMatrix
 from qmlkit.errors import ConfigError, DomainError
+from qmlkit.gates import GateMatrix
 from qmlkit.rng import RngStream
 from qmlkit.state import (
     Observable,
@@ -234,6 +237,36 @@ class TestTensor:
         assert peak < 2**20
 
 
+class TestOperatorEntryCheck:
+    """Gates, observables and density matrices from outside pass one entry
+    check: shape, power-of-two dimension, finite entries."""
+
+    @pytest.mark.parametrize("operator", [GateMatrix, Observable, DensityMatrix])
+    @pytest.mark.parametrize(
+        "dim, matrix, message",
+        [
+            (2, np.eye(4) / 4, "matrix has shape (4, 4), expected (2, 2)"),
+            (3, np.eye(3) / 3, "matrix dimension 3 is not a power of two"),
+            (0, np.zeros((0, 0)), "matrix dimension 0 is not a power of two"),
+            (2, np.diag([math.nan, math.nan]), "matrix has NaN or infinite entries"),
+            (2, np.diag([math.inf, 1.0]), "matrix has NaN or infinite entries"),
+            (2, np.diag([1.0, -math.inf]), "matrix has NaN or infinite entries"),
+        ],
+        ids=["shape", "three", "zero", "nan", "inf", "minus-inf"],
+    )
+    def test_refused_with_one_message(self, operator, dim, matrix, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            with pytest.raises(DomainError) as refused:
+                operator(dim, matrix)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("operator", [GateMatrix, Observable, DensityMatrix])
+    def test_accepted_matrix_is_read_only(self, operator):
+        built = operator(2, np.eye(2) / (2 if operator is DensityMatrix else 1))
+        assert built.matrix.dtype == complex and not built.matrix.flags.writeable
+
+
 class TestExpectationVariance:
     def test_expectation_worked_example(self):
         assert expectation(POSITION, EXAMPLE) == pytest.approx(1.75, abs=1e-12)
@@ -257,8 +290,19 @@ class TestExpectationVariance:
         assert variance(SIGMA1, basis_state(1, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^observable matrix is not Hermitian$"):
             Observable(2, np.array([[0, 1], [0, 0]]))
+
+    def test_imaginary_residue_refused(self):
+        # Hermitian within HERMITIAN_TOL per entry, yet the 28 residues of
+        # the upper triangle add up to an imaginary part of 3.15e-9.
+        near = np.ones((8, 8)) - np.eye(8) + 0.9e-9j * np.triu(np.ones((8, 8)), 1)
+        with pytest.raises(DomainError, match="^expectation has imaginary residue 3.1"):
+            expectation(Observable(8, near), normalize(np.ones(8)))
+
+    def test_dimension_mismatch_refused(self):
+        with pytest.raises(DomainError, match="^dimension mismatch: observable 2, state 4$"):
+            expectation(POSITION, basis_state(2, 0))
 
     def test_expectation_matches_eigendecomposition(self, np_rng):
         for _ in range(25):
