@@ -32,7 +32,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         _check_dense_cap(int(self.dim).bit_length() - 1, "density matrix")
-        m = _square_matrix(self.dim, self.matrix)
+        m = _square_matrix(self)
         if np.max(np.abs(m - m.conj().T)) >= DENSITY_TOL:
             raise DomainError("density matrix is not Hermitian")
         trace = complex(np.trace(m))
@@ -41,7 +41,6 @@ class DensityMatrix:
         smallest = float(np.linalg.eigvalsh(m)[0])
         if smallest < -DENSITY_TOL:
             raise DomainError(f"density matrix has negative eigenvalue {smallest}")
-        object.__setattr__(self, "matrix", m)
 
     @property
     def n_qubits(self) -> int:

@@ -17,9 +17,11 @@ and written into the single output array, so applying a gate holds the
 input, the output and O(chunk).  The one-piece kernel thus lives both here,
 for small arrays, and in the tests, as the reference.  The same kernel runs a
 circuit's steps on the identity to give ``Circuit.matrix``, which is held to
-``DENSE_MATRIX_CAP`` qubits.  ``run_circuit`` fuses consecutive steps
-into blocks of at most ``FUSION_WIDTH`` qubits and applies each block once
-(the tests keep the per-step loop as the reference).
+``DENSE_MATRIX_CAP`` qubits.  ``run_circuit`` fuses steps into blocks of
+at most ``FUSION_WIDTH`` qubits and applies each block once; a step moves
+ahead into an open block only past steps on other qubits, with which it
+commutes, so the result equals the per-step run up to rounding (the tests
+keep the per-step loop as the reference).
 
 Control convention: for controlled gates the control qubit is the first
 (most significant) qubit of the gate's register, i.e. ``controlled(U)`` is
@@ -27,6 +29,7 @@ the block-diagonal ``[[I, 0], [0, U]]``.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import reprlib
@@ -73,10 +76,9 @@ class GateMatrix:
     name: str | None = None
 
     def __post_init__(self):
-        m = _square_matrix(self.dim, self.matrix)
+        m = _square_matrix(self)
         if np.max(np.abs(m @ m.conj().T - np.eye(self.dim))) >= UNITARY_TOL:
             raise DomainError("matrix is not unitary")
-        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def _trusted(cls, dim: int, matrix: np.ndarray, name: str | None = None) -> "GateMatrix":
@@ -335,14 +337,14 @@ def _matrix_fault(rows, what: str) -> str:
 def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
     """Run the circuit's steps on ``psi``, fused into blocks.
 
-    Consecutive steps are packed greedily, in order, while the union of
-    their qubits stays within ``FUSION_WIDTH``; a step that would widen the
-    union past it starts the next block.  A block of several steps becomes
-    one small unitary on its qubits (its steps run on the identity, as in
-    ``Circuit.matrix``) and is applied once; a block of one step applies
-    that step's own gate, so a gate wider than ``FUSION_WIDTH`` stands
-    alone.  Steps are never reordered, so the result equals the per-step
-    run up to rounding.
+    ``_fusion_blocks`` packs the steps into blocks whose qubit union stays
+    within ``FUSION_WIDTH``.  A step joins the open block past earlier
+    steps left out of it only when it shares no qubit with them; gates on
+    disjoint qubits commute, so the result equals the per-step run up to
+    rounding.  A block of several steps becomes one small unitary on its
+    qubits (its steps run on the identity, as in ``Circuit.matrix``) and is
+    applied once; a block of one step applies that step's own gate, so a
+    gate wider than ``FUSION_WIDTH`` stands alone.
     """
     if circuit.n_qubits != psi.n_qubits:
         raise DomainError(
@@ -362,15 +364,43 @@ def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
 
 
 def _fusion_blocks(steps) -> list[list]:
-    """Consecutive runs of ``steps`` whose qubit union fits ``FUSION_WIDTH``."""
+    """``steps`` packed into blocks of at most ``FUSION_WIDTH`` qubits.
+
+    Each block takes the remaining steps in order: a step joins when it
+    keeps the block's union within ``FUSION_WIDTH`` and shares no qubit
+    with an earlier step left out of the block; every other step waits for
+    a later block.  A block's steps keep their order, and the first step of
+    a block always joins it, so a wider step stands alone.  Rather than
+    rescan the remaining steps per block (quadratic; the tests keep that
+    scan as the reference), each step counts its qubits whose previous step
+    is still unplaced, and is ready at zero.  The ready steps share no
+    qubit, and a heap pops them in step order.
+    """
+    after: list[list[int]] = [[] for _ in steps]  # the next step on each qubit
+    pending = [0] * len(steps)
+    last: dict = {}
+    for index, (_, targets) in enumerate(steps):
+        for q in targets:
+            if q in last:
+                after[last[q]].append(index)
+                pending[index] += 1
+            last[q] = index
+    ready = [index for index, count in enumerate(pending) if not count]
     blocks: list[list] = []
-    qubits: set[int] = set()
-    for step in steps:
-        union = qubits | set(step[1])
-        if blocks and len(union) <= FUSION_WIDTH:
-            blocks[-1].append(step)
+    while ready:
+        block, qubits, waiting = [], set(), []
+        while ready:
+            index = heapq.heappop(ready)
+            union = qubits.union(steps[index][1])
+            if block and len(union) > FUSION_WIDTH:
+                waiting.append(index)
+                continue
+            block.append(steps[index])
             qubits = union
-        else:
-            blocks.append([step])
-            qubits = set(step[1])
+            for later in after[index]:
+                pending[later] -= 1
+                if not pending[later]:
+                    heapq.heappush(ready, later)
+        blocks.append(block)
+        ready = waiting  # popped in step order, so already a heap
     return blocks

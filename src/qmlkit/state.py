@@ -58,19 +58,24 @@ def _check_dense_cap(n_qubits: int, what: str) -> None:
         )
 
 
-def _square_matrix(dim: int, matrix) -> np.ndarray:
-    """The operator entry check: ``matrix`` as a read-only complex ``dim x
-    dim`` array, refused when its shape is wrong, ``dim`` is not a power of
-    two or an entry is NaN or infinite (a NaN would pass every later test)."""
-    m = np.asarray(matrix, dtype=complex)
+def _square_matrix(op) -> np.ndarray:
+    """The operator entry check: ``op.matrix`` as a read-only complex ``dim
+    x dim`` array, refused when its shape is wrong, ``op.dim`` is not a
+    power of two or an entry is NaN or infinite (a NaN would pass every
+    later test).  The array, and ``dim`` as a Python int (a numpy integer
+    has no ``bit_length``), are stored back on the frozen ``op``."""
+    dim = op.dim
+    m = np.asarray(op.matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise DomainError(f"matrix has shape {m.shape}, expected ({dim}, {dim})")
-    d = len(m)  # ``dim`` as a Python int
+    d = len(m)
     if d < 1 or d & (d - 1):
         raise DomainError(f"matrix dimension {dim} is not a power of two")
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix has NaN or infinite entries")
     m.setflags(write=False)
+    object.__setattr__(op, "dim", d)
+    object.__setattr__(op, "matrix", m)
     return m
 
 
@@ -147,10 +152,9 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _square_matrix(self.dim, self.matrix)
+        m = _square_matrix(self)
         if np.max(np.abs(m - m.conj().T)) >= HERMITIAN_TOL:
             raise DomainError("observable matrix is not Hermitian")
-        object.__setattr__(self, "matrix", m)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvector columns."""

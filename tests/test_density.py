@@ -241,6 +241,11 @@ class TestPartialTrace:
             reduced = partial_trace(pure_density(bell), keep)
             assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
 
+    def test_numpy_integer_dim(self):
+        rho = DensityMatrix(np.int64(4), np.eye(4) / 4)
+        assert type(rho.dim) is int and rho.n_qubits == 2
+        assert np.allclose(partial_trace(rho, [1]).matrix, np.eye(2) / 2)
+
     def test_keep_all_is_identity_operation(self, np_rng):
         rho = pure_density(random_state(np_rng, 2))
         assert np.allclose(partial_trace(rho, [0, 1]).matrix, rho.matrix)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,10 @@ class TestStandardGates:
         # A NaN would fail no comparison in the unitarity check.
         with pytest.raises(DomainError, match="matrix has NaN or infinite entries"):
             GateMatrix(2, np.array([[1, 0], [0, bad]]))
+
+    def test_numpy_integer_dim_is_stored_as_int(self):
+        gate = GateMatrix(np.int64(4), np.eye(4))
+        assert type(gate.dim) is int and gate.n_qubits == 2
 
 
 class TestKron:
@@ -317,13 +322,86 @@ def _recording_apply(monkeypatch) -> list:
     return calls
 
 
+def fusion_blocks_rescan(steps) -> list[list]:
+    """``gates._fusion_blocks`` by rescanning: each block scans every
+    remaining step in order and takes a step that keeps its qubit union
+    within ``FUSION_WIDTH`` and shares no qubit with a step it left out.
+    Quadratic in the steps; the reference for the queue-based packer."""
+    blocks, remaining = [], list(steps)
+    while remaining:
+        block, qubits, blocked, rest = [], set(), set(), []
+        for step in remaining:
+            targets = set(step[1])
+            if not block or (len(qubits | targets) <= FUSION_WIDTH and not targets & blocked):
+                block.append(step)
+                qubits |= targets
+            else:
+                rest.append(step)
+                blocked |= targets
+        blocks.append(block)
+        remaining = rest
+    return blocks
+
+
+@st.composite
+def step_lists(draw, max_qubits=12, max_steps=60):
+    """``(index, targets)`` steps on n <= ``max_qubits`` qubits: 1-3 qubit
+    targets, and about one step in twenty wider than ``FUSION_WIDTH`` when
+    the register allows it."""
+    n = draw(st.integers(1, max_qubits))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for index in range(draw(st.integers(0, max_steps))):
+        if n > FUSION_WIDTH and gen.random() < 0.05:
+            width = int(gen.integers(FUSION_WIDTH + 1, n + 1))
+        else:
+            width = int(gen.integers(1, min(n, 3) + 1))
+        steps.append((index, tuple(gen.permutation(n)[:width].tolist())))
+    return steps
+
+
 class TestFusion:
     @settings(max_examples=40)
-    @given(random_circuits(max_qubits=8, max_steps=20), st.integers(0, 2**32 - 1))
+    @given(random_circuits(max_qubits=10, max_steps=30), st.integers(0, 2**32 - 1))
     def test_matches_per_step_reference(self, circuit, seed):
         psi = random_state(np.random.default_rng(seed), circuit.n_qubits)
         fused = run_circuit(circuit, psi).amps
         assert np.max(np.abs(fused - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
+
+    @settings(max_examples=200)
+    @given(step_lists())
+    def test_blocks_match_rescan_reference(self, steps):
+        assert gates._fusion_blocks(steps) == fusion_blocks_rescan(steps)
+
+    @settings(max_examples=200)
+    @given(step_lists())
+    def test_block_layout(self, steps):
+        blocks = gates._fusion_blocks(steps)
+        order = [index for block in blocks for index, _ in block]
+        assert sorted(order) == list(range(len(steps)))
+        for block in blocks:
+            union = {q for _, targets in block for q in targets}
+            assert len(union) <= FUSION_WIDTH or len(block) == 1
+        # Two steps that share a qubit keep their order; equivalently, a
+        # step placed ahead of an earlier one shares no qubit with it.
+        position = {index: at for at, index in enumerate(order)}
+        for i, (_, first) in enumerate(steps):
+            for j in range(i + 1, len(steps)):
+                if position[j] < position[i]:
+                    assert not set(first) & set(steps[j][1]), (i, j)
+
+    def test_packing_is_near_linear(self):
+        # 200,000 steps pack in well under a second with per-qubit queues; a
+        # rescan of the remaining steps per block took about a minute.
+        gen = np.random.default_rng(12)
+        qubits = gen.random((200_000, 12)).argsort(axis=1).tolist()
+        widths = gen.integers(1, 4, size=200_000).tolist()
+        steps = [(None, tuple(row[:width])) for row, width in zip(qubits, widths)]
+        start = time.perf_counter()
+        blocks = gates._fusion_blocks(steps)
+        elapsed = time.perf_counter() - start
+        assert sum(map(len, blocks)) == len(steps)
+        assert elapsed < 5.0, f"packing 200,000 steps took {elapsed:.2f} s"
 
     def test_layer_packs_into_two_blocks(self, np_rng, monkeypatch):
         # One layer shaped like the benchmark's: four 1-qubit gates, then a
@@ -345,6 +423,36 @@ class TestFusion:
         assert [targets for _, targets in calls] == [[0, 2, 3, 5, 9, 11], [1, 7, 8, 10]]
         assert np.max(np.abs(out.amps - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
 
+    def test_later_step_joins_the_open_block(self, np_rng, monkeypatch):
+        # Two layers shaped like the benchmark's.  The second layer's last
+        # three steps act only on the first block's qubits and share none
+        # with the steps the first block left out, so they join it: two
+        # blocks, where packing consecutive steps made three.
+        cr = controlled(standard_gate("R", phase=1.3))
+        steps = [
+            (standard_gate("H"), (3,)),
+            (standard_gate("H"), (9,)),
+            (standard_gate("X"), (0,)),
+            (standard_gate("R", phase=0.4), (11,)),
+            (cr, (5, 2)),
+            (standard_gate("SWAP"), (7, 10)),
+            (GateMatrix(4, random_unitary(np_rng, 4)), (1, 8)),
+            (standard_gate("H"), (4,)),
+            (standard_gate("H"), (6,)),
+            (standard_gate("X"), (8,)),
+            (standard_gate("R", phase=2.1), (1,)),
+            (cr, (0, 3)),
+            (standard_gate("SWAP"), (9, 11)),
+            (GateMatrix(4, random_unitary(np_rng, 4)), (2, 5)),
+        ]
+        circuit = Circuit(12, steps)
+        assert [len(block) for block in gates._fusion_blocks(steps)] == [8, 6]
+        psi = random_state(np_rng, 12)
+        calls = _recording_apply(monkeypatch)
+        out = run_circuit(circuit, psi)
+        assert [targets for _, targets in calls] == [[0, 2, 3, 5, 9, 11], [1, 4, 6, 7, 8, 10]]
+        assert np.max(np.abs(out.amps - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
+
     def test_gate_wider_than_block_stands_alone(self, np_rng, monkeypatch):
         wide = GateMatrix(2 ** (FUSION_WIDTH + 1), random_unitary(np_rng, 2 ** (FUSION_WIDTH + 1)))
         cnot = controlled(standard_gate("X"))
@@ -360,9 +468,12 @@ class TestFusion:
         psi = random_state(np_rng, 8)
         calls = _recording_apply(monkeypatch)
         out = run_circuit(circuit, psi)
-        # Single-step blocks apply the step's own gate object.
+        # The second H shares no qubit with the wide gate, so it joins the
+        # first into one H.H block; the wide gate is a single-step block and
+        # is applied as its own object.
         assert [targets for _, targets in calls] == [[7], [6, 0, 1, 2, 3, 4, 5], [6, 7]]
-        assert calls[0][0] is circuit.steps[0][0] and calls[1][0] is wide
+        assert np.allclose(calls[0][0].matrix, np.eye(2), atol=1e-12)
+        assert calls[1][0] is wide
         assert np.max(np.abs(out.amps - run_circuit_per_step(circuit, psi).amps)) <= 1e-12
 
 

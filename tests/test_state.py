@@ -266,6 +266,10 @@ class TestOperatorEntryCheck:
         built = operator(2, np.eye(2) / (2 if operator is DensityMatrix else 1))
         assert built.matrix.dtype == complex and not built.matrix.flags.writeable
 
+    def test_observable_numpy_integer_dim_is_stored_as_int(self):
+        obs = Observable(np.int64(2), np.diag([1.0, -1.0]))
+        assert type(obs.dim) is int and obs.dim == 2
+
 
 class TestExpectationVariance:
     def test_expectation_worked_example(self):
